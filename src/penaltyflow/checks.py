@@ -143,7 +143,7 @@ def _c6():
     bc = throughflow_boundary(dom, g, 0.2, 1.0)
     u_ext, rep = build_extension(bc, dom, g)
     return _ok(rep.trace_error <= 1e-10
-               and rep.div_min_inner_collar >= -1e-12
+               and rep.div_min_inner_collar >= -rep.div_roundoff
                and rep.max_outside_outer_collar == 0.0,
                f"trace {rep.trace_error:.2e}, "
                f"div_min {rep.div_min_inner_collar:.2e}")
@@ -158,7 +158,7 @@ def _c7():
     bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
     u_ext, rep = build_extension(bc, dom, g)
     return _ok(rep.trace_error <= 1e-10
-               and rep.div_min_inner_collar >= -1e-12
+               and rep.div_min_inner_collar >= -rep.div_roundoff
                and rep.max_outside_outer_collar == 0.0,
                f"div_min {rep.div_min_inner_collar:.2e}")
 
@@ -172,7 +172,7 @@ def _c7b():
     bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
     u_ext, rep = build_extension(bc, dom, g)
     return _ok(rep.trace_error <= 1e-10
-               and rep.div_min_inner_collar >= -1e-12
+               and rep.div_min_inner_collar >= -rep.div_roundoff
                and rep.max_outside_outer_collar == 0.0,
                f"div_min {rep.div_min_inner_collar:.2e}")
 

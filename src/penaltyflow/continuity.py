@@ -116,18 +116,34 @@ class ContinuityStepInfo:
     source_total: float = 0.0
 
 
-_matrix_cache: dict = {}
+_diffusion = None   # (key, K, diagonal positions, last dt, A, M), one grid
 
 
 def _diffusion_matrix(grid, params, dt, robin):
-    key = (grid.nx, grid.ny, grid.dx, grid.dy, dt, params.eps,
+    """vol I + dt K and its Jacobi preconditioner.  The unit-dt diffusion
+    and Robin part K is assembled once per grid and boundary data; the
+    step matrix is kept while dt stays the same."""
+    global _diffusion
+    key = (grid.nx, grid.ny, grid.dx, grid.dy, params.eps,
            tuple(robin[w][0].tobytes() + robin[w][1].tobytes()
                  for w in WALLS))
-    hit = _matrix_cache.get(key)
-    if hit is not None:
-        return hit
+    if _diffusion is None or _diffusion[0] != key:
+        K = _unit_diffusion(grid, params, robin)
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        _diffusion = (key, K, np.flatnonzero(K.indices == rows), None, None,
+                      None)
+    key, K, diag, last_dt, A, M = _diffusion
+    if dt != last_dt:
+        data = dt * K.data
+        data[diag] += grid.cell_volume
+        A = sparse.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+        M = sparse.diags(1.0 / data[diag])
+        _diffusion = (key, K, diag, dt, A, M)
+    return A, M
+
+
+def _unit_diffusion(grid, params, robin):
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    vol = grid.cell_volume
     n = nx * ny
     idx = np.arange(n).reshape(nx, ny)
     rows, cols, vals = [], [], []
@@ -137,9 +153,9 @@ def _diffusion_matrix(grid, params, dt, robin):
         cols.append(c.ravel())
         vals.append(np.broadcast_to(v, r.shape).ravel().astype(np.float64))
 
-    diag = np.full((nx, ny), vol)
-    kx = params.eps * dt * dy / dx
-    ky = params.eps * dt * dx / dy
+    diag = np.zeros((nx, ny))
+    kx = params.eps * dy / dx
+    ky = params.eps * dx / dy
     # interior x faces couple (i-1, j) with (i, j)
     diag[:-1, :] += kx
     diag[1:, :] += kx
@@ -152,21 +168,15 @@ def _diffusion_matrix(grid, params, dt, robin):
     # implicit boundary flux: advective trace plus the Robin closure;
     # [v]_N^- <= min(v,0) makes ub.n + |[ub.n]_N^-| >= 0, so the diagonal
     # only grows, and saturated inflow faces combine to exactly rho_B ub.n
-    diag[0, :] += dt * dy * (robin["left"][1] + np.abs(robin["left"][0]))
-    diag[-1, :] += dt * dy * (robin["right"][1] + np.abs(robin["right"][0]))
-    diag[:, 0] += dt * dx * (robin["bottom"][1] + np.abs(robin["bottom"][0]))
-    diag[:, -1] += dt * dx * (robin["top"][1] + np.abs(robin["top"][0]))
+    diag[0, :] += dy * (robin["left"][1] + np.abs(robin["left"][0]))
+    diag[-1, :] += dy * (robin["right"][1] + np.abs(robin["right"][0]))
+    diag[:, 0] += dx * (robin["bottom"][1] + np.abs(robin["bottom"][0]))
+    diag[:, -1] += dx * (robin["top"][1] + np.abs(robin["top"][0]))
     add(idx, idx, diag)
 
-    A = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    dinv = 1.0 / A.diagonal()
-    M = sparse.diags(dinv)
-    if len(_matrix_cache) > 8:
-        _matrix_cache.clear()
-    _matrix_cache[key] = (A, M)
-    return A, M
 
 
 def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,

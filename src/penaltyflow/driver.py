@@ -123,20 +123,22 @@ def _run_inner(cfg, outdir, keep_fields):
             return np.full((grid.nx, grid.ny), -1e3)
         return body_signed_distance(b, grid)
 
+    chi = chi_of(body)
+    hold = None
+    if body is not None and not cfg.body_mobile:
+        # tethered diagnostic mode: the solid core is an internal Dirichlet
+        # region held at the prescribed rigid velocity; a tethered body
+        # never moves, so the mask is fixed for the run
+        m = 2.0 * max(grid.dx, grid.dy)
+        hold = (body_signed_distance(body, grid, "ufaces") >= m,
+                body_signed_distance(body, grid, "vfaces") >= m)
+
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = _timestep(cfg, grid, params, vel, bc, rho, cfg.t_end - t)
-        chi = chi_of(body)
         rho_new, cinfo = continuity_step(grid, rho, vel, params, dt, bc)
         pin = None
-        hold = None
         if body is not None:
             pin = rigid_velocity_field(grid, body.X, body.V, body.w)
-            if not cfg.body_mobile:
-                # tethered diagnostic mode: the solid core is an internal
-                # Dirichlet region moving with the prescribed rigid state
-                m = 2.0 * max(grid.dx, grid.dy)
-                hold = (body_signed_distance(body, grid, "ufaces") >= m,
-                        body_signed_distance(body, grid, "vfaces") >= m)
         vel_new, minfo = momentum_step(grid, domain, rho, rho_new, vel, chi,
                                        params, dt, bc, rigid_pin=pin,
                                        hold_mask=hold)
@@ -161,7 +163,7 @@ def _run_inner(cfg, outdir, keep_fields):
                 violation_margin = guard.margin
                 break
 
-        chi_new = chi_of(body_new)
+        chi_new = chi if body_new is body else chi_of(body_new)
         row = ledger_step(grid, domain, bc, params, rho, vel, rho_new,
                           vel_new, chi, dt, t + dt)
         row.mass_residual = cinfo.mass_residual
@@ -182,7 +184,7 @@ def _run_inner(cfg, outdir, keep_fields):
                               body_new.theta, body_new.V[0], body_new.V[1],
                               body_new.w, defect, guard_margin))
 
-        rho, vel, body = rho_new, vel_new, body_new
+        rho, vel, body, chi = rho_new, vel_new, body_new, chi_new
         t += dt
         steps += 1
 
@@ -199,7 +201,7 @@ def _run_inner(cfg, outdir, keep_fields):
                 uc, vc = faces_to_centers(grid, vel.u, vel.v)
                 write_vti(os.path.join(outdir, f"snap_{tag}.vti"), grid,
                           {"rho": rho, "u": uc, "v": vc,
-                           "chi": chi_of(body)})
+                           "chi": chi})
 
     c_run = float(np.sqrt(c2_sum))
     t0 = None

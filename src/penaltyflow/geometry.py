@@ -226,6 +226,7 @@ class ExtensionReport:
     div_min_inner_collar: float
     max_outside_outer_collar: float
     net_flux: float
+    div_roundoff: float   # how far below 0 round-off can put the divergence
 
 
 def _arclengths(grid: StaggeredGrid, domain: DomainSpec):
@@ -290,8 +291,8 @@ def build_extension(bc: BoundaryData, domain: DomainSpec, grid: StaggeredGrid):
         _add_excess(u, v, excess, domain, grid, net_inflow)
 
     u_ext = VectorField(grid, u, v).check_finite()
-    report = _extension_report(u_ext, bc, domain, grid, q_net)
-    if report.div_min_inner_collar < -1e-12:
+    report = _extension_report(u_ext, bc, domain, grid, q_net, scale)
+    if report.div_min_inner_collar < -report.div_roundoff:
         raise ExtensionDivergenceNegative(
             f"extension divergence {report.div_min_inner_collar} in U_h")
     return u_ext, report
@@ -408,7 +409,22 @@ def _add_excess(u, v, excess, domain, grid, net_inflow):
     v += excess["top"][:, None] * q(Ly - yf)[None, :]
 
 
-def _extension_report(u_ext, bc, domain, grid, q_net):
+def divergence_roundoff(grid: StaggeredGrid, speed: float) -> float:
+    """Bound on the round-off in the discrete divergence of an extension
+    field: a discrete curl (divergence-free in exact arithmetic) plus
+    imbalance parts with nonnegative divergence.  ``speed`` bounds the
+    face values of the curl, of the curl plus each part, and of the sum.
+
+    A face value takes at most four roundings (difference, division, two
+    added parts), each within u * speed, and the divergence stencil at
+    most three more per term.  With u the unit round-off that gives
+    |fl(div) - div| <= (8 + 6) u speed (1/dx + 1/dy).
+    """
+    u = 0.5 * np.finfo(np.float64).eps
+    return 14.0 * u * speed * (1.0 / grid.dx + 1.0 / grid.dy)
+
+
+def _extension_report(u_ext, bc, domain, grid, q_net, scale):
     u, v = u_ext.u, u_ext.v
     dx, dy = grid.dx, grid.dy
 
@@ -445,6 +461,9 @@ def _extension_report(u_ext, bc, domain, grid, q_net):
         div_min_inner_collar=div_min,
         max_outside_outer_collar=outside,
         net_flux=q_net,
+        # the imbalance parts are at most max |u.n| < scale, so the curl
+        # part is at most max_speed + scale
+        div_roundoff=divergence_roundoff(grid, u_ext.max_speed() + scale),
     )
 
 

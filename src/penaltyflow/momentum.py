@@ -218,11 +218,170 @@ def _grid_ops(grid: StaggeredGrid):
         "g_d11": g_d11, "g_d22": g_d22, "g_div": g_div, "g_d12": g_d12,
         "boundary": bnd, "interior": ~bnd, "node_vol": node_vol,
         "nu": nu, "nv": nv, "uidx": uidx, "vidx": vidx,
+        "d12_slots": _d12_slots(grid),
     }
     if len(_ops_cache) > 6:
         _ops_cache.clear()
     _ops_cache[key] = ops
     return ops
+
+
+def _d12_slots(grid):
+    """Coefficients of each node's D12 row (= g_d12) on its four face slots:
+    u(i, j) above node (i, j), u(i, j-1) below it, v(i, j) right of it and
+    v(i-1, j) left of it.  Wall rows are one-sided (doubled coefficient,
+    missing slot zero), so they have 3 entries and corner rows 2."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    shape = (nx + 1, ny + 1)
+    u_up = np.full(shape, 0.5 / dy)
+    u_up[:, 0], u_up[:, -1] = 1.0 / dy, 0.0
+    u_dn = np.full(shape, -0.5 / dy)
+    u_dn[:, 0], u_dn[:, -1] = 0.0, -1.0 / dy
+    v_rt = np.full(shape, 0.5 / dx)
+    v_rt[0, :], v_rt[-1, :] = 1.0 / dx, 0.0
+    v_lt = np.full(shape, -0.5 / dx)
+    v_lt[0, :], v_lt[-1, :] = 0.0, -1.0 / dx
+    return u_up, u_dn, v_rt, v_lt
+
+
+class FreePattern:
+    """The free-DOF block of the implicit viscous operator
+    sum G^T diag(w) G + diag(mass), for one grid and one pinned set.
+
+    Boundary faces are always pinned, so every free row is an interior
+    face, and an interior face couples to at most 9 faces: itself, its 4
+    same-component neighbours and the 4 other-component faces of its two
+    cells.  The CSR pattern and the int32 table placing each (row, stencil
+    slot) value in CSR data follow from index arithmetic over that
+    stencil; ``fill`` computes the stencil values from the weights and
+    gathers them into the matrix's data, which it overwrites each call.
+    """
+
+    def __init__(self, grid: StaggeredGrid, pinned: np.ndarray):
+        ops = _grid_ops(grid)
+        if np.any(ops["boundary"] & ~pinned):
+            raise ValueError("boundary faces must be pinned")
+        nx, ny = grid.nx, grid.ny
+        self.grid, self.ops = grid, ops
+        self.pinned = pinned.copy()
+        uidx, vidx = ops["uidx"], ops["vidx"]
+        free = ~pinned
+
+        def absent(cond, idx):
+            return np.where(cond, idx, -1)
+
+        def arange(lo, hi):
+            return np.arange(lo, hi, dtype=np.int32)
+
+        # stencil slots in increasing column order; -1 marks a missing face
+        i, j = np.meshgrid(arange(1, nx), arange(0, ny), indexing="ij")
+        rows_u = uidx(i, j)
+        cols_u = [uidx(i - 1, j), absent(j > 0, uidx(i, j - 1)), rows_u,
+                  absent(j < ny - 1, uidx(i, j + 1)), uidx(i + 1, j),
+                  vidx(i - 1, j), vidx(i - 1, j + 1), vidx(i, j),
+                  vidx(i, j + 1)]
+        i, j = np.meshgrid(arange(0, nx), arange(1, ny), indexing="ij")
+        rows_v = vidx(i, j)
+        cols_v = [uidx(i, j - 1), uidx(i, j), uidx(i + 1, j - 1),
+                  uidx(i + 1, j), absent(i > 0, vidx(i - 1, j)),
+                  vidx(i, j - 1), rows_v, vidx(i, j + 1),
+                  absent(i < nx - 1, vidx(i + 1, j))]
+        self.nru, nrv = rows_u.size, rows_v.size
+        rows = np.concatenate([rows_u.ravel(), rows_v.ravel()])
+        cols = np.concatenate([np.stack(cols_u, axis=-1).reshape(-1, 9),
+                               np.stack(cols_v, axis=-1).reshape(-1, 9)])
+        row_free = free[rows]
+        keep = np.flatnonzero((cols >= 0) & free[cols] & row_free[:, None])
+
+        # fill() writes u-row values slot-major, then v-row values
+        slot = arange(0, 9)
+        at = np.concatenate([slot * self.nru + arange(0, self.nru)[:, None],
+                             9 * self.nru + slot * nrv
+                             + arange(0, nrv)[:, None]])
+        self.gather = at.ravel()[keep]
+        indices = (np.cumsum(free, dtype=np.int32) - 1)[cols.ravel()[keep]]
+        counts = np.bincount(keep // 9, minlength=rows.size)[row_free]
+        indptr = np.zeros(counts.size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        self.matrix = sparse.csr_matrix(
+            (np.zeros(indices.size), indices, indptr),
+            shape=(counts.size, counts.size))
+
+    def fill(self, w_mu, w_lam, w_node, mass):
+        """The free block for these weights (cell, cell, node, face)."""
+        nx, ny, dx, dy = self.grid.nx, self.grid.ny, self.grid.dx, \
+            self.grid.dy
+        ix2, iy2, ixy = 1.0 / (dx * dx), 1.0 / (dy * dy), 1.0 / (dx * dy)
+        u_up, u_dn, v_rt, v_lt = self.ops["d12_slots"]
+        wc = (w_mu + w_lam).reshape(nx, ny)   # D11 + div on u, D22 + div on v
+        wl = w_lam.reshape(nx, ny)            # div coupling of u with v
+        wn = w_node.reshape(nx + 1, ny + 1)
+        nu = self.ops["nu"]
+        vals = np.empty(9 * (self.nru + nx * (ny - 1)))
+        su = vals[:9 * self.nru].reshape(9, nx - 1, ny)
+        sv = vals[9 * self.nru:].reshape(9, nx, ny - 1)
+
+        # u(i, j), i = 1..nx-1: cells (i-1, j), (i, j); nodes (i, j), (i, j+1)
+        c0, c1, l0, l1 = wc[:-1], wc[1:], wl[:-1], wl[1:]
+        a = (wn * u_up)[1:-1, :-1]
+        b = (wn * u_dn)[1:-1, 1:]
+        su[0] = -ix2 * c0
+        su[1] = a * u_dn[1:-1, :-1]
+        su[2] = ix2 * (c0 + c1) + a * u_up[1:-1, :-1] + b * u_dn[1:-1, 1:] \
+            + mass[:nu].reshape(nx + 1, ny)[1:-1]
+        su[3] = b * u_up[1:-1, 1:]
+        su[4] = -ix2 * c1
+        su[5] = a * v_lt[1:-1, :-1] - ixy * l0
+        su[6] = b * v_lt[1:-1, 1:] + ixy * l0
+        su[7] = a * v_rt[1:-1, :-1] + ixy * l1
+        su[8] = b * v_rt[1:-1, 1:] - ixy * l1
+
+        # v(i, j), j = 1..ny-1: cells (i, j-1), (i, j); nodes (i, j), (i+1, j)
+        c0, c1, l0, l1 = wc[:, :-1], wc[:, 1:], wl[:, :-1], wl[:, 1:]
+        a = (wn * v_rt)[:-1, 1:-1]
+        b = (wn * v_lt)[1:, 1:-1]
+        sv[0] = a * u_dn[:-1, 1:-1] - ixy * l0
+        sv[1] = a * u_up[:-1, 1:-1] + ixy * l1
+        sv[2] = b * u_dn[1:, 1:-1] + ixy * l0
+        sv[3] = b * u_up[1:, 1:-1] - ixy * l1
+        sv[4] = a * v_lt[:-1, 1:-1]
+        sv[5] = -iy2 * c0
+        sv[6] = iy2 * (c0 + c1) + a * v_rt[:-1, 1:-1] + b * v_lt[1:, 1:-1] \
+            + mass[nu:].reshape(nx, ny + 1)[:, 1:-1]
+        sv[7] = -iy2 * c1
+        sv[8] = b * v_rt[1:, 1:-1]
+
+        # every gather index is in range, so skip the bounds check
+        np.take(vals, self.gather, out=self.matrix.data, mode="clip")
+        return self.matrix
+
+
+_pattern: FreePattern | None = None   # current grid and pinned set only
+
+
+def _free_pattern(grid: StaggeredGrid, pinned: np.ndarray) -> FreePattern:
+    """The cached pattern, rebuilt when the grid or the pinned set changes."""
+    global _pattern
+    p = _pattern
+    if (p is None or (p.grid.nx, p.grid.ny, p.grid.dx, p.grid.dy)
+            != (grid.nx, grid.ny, grid.dx, grid.dy)
+            or not np.array_equal(p.pinned, pinned)):
+        p = _pattern = FreePattern(grid, pinned)
+    return p
+
+
+def _strains(ops, x, c12):
+    """D11, D22, div on cells and D12 on nodes of the face vector x."""
+    return (ops["g_d11"] @ x, ops["g_d22"] @ x, ops["g_div"] @ x,
+            ops["g_d12"] @ x + c12)
+
+
+def _pinned_coupling(ops, x_pin, w_mu, w_lam, w_node, c12):
+    """sum G^T (w * (G x_pin + c)): what the pinned values x_pin (zero on
+    free faces) and the D12 wall traces c12 put on every row."""
+    r11, r22, rdv, r12 = _strains(ops, x_pin, c12)
+    return (ops["g_d11"].T @ (w_mu * r11) + ops["g_d22"].T @ (w_mu * r22)
+            + ops["g_div"].T @ (w_lam * rdv) + ops["g_d12"].T @ (w_node * r12))
 
 
 def _node_average(grid, cells):
@@ -413,18 +572,6 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         rhs += np.concatenate([(np.asarray(src_u) * vol).ravel(),
                                (np.asarray(src_v) * vol).ravel()])
 
-    w_mu = (2.0 * mu_n * vol).ravel()
-    w_lam = (lam_n * vol).ravel()
-    w_node = 4.0 * mu_node.ravel() * ops["node_vol"]
-    A = (ops["g_d11"].T @ sparse.diags(w_mu) @ ops["g_d11"]
-         + ops["g_d22"].T @ sparse.diags(w_mu) @ ops["g_d22"]
-         + ops["g_div"].T @ sparse.diags(w_lam) @ ops["g_div"]
-         + ops["g_d12"].T @ sparse.diags(w_node) @ ops["g_d12"])
-    c12 = _d12_affine(grid, bc)
-    if np.any(c12):
-        rhs -= ops["g_d12"].T @ (w_node * c12)
-    A = A + sparse.diags(mass)
-
     # Dirichlet values on boundary faces; vacuum faces get pinned too.
     x_full = np.zeros(ndof)
     uidx, vidx = ops["uidx"], ops["vidx"]
@@ -458,9 +605,13 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         pinned |= vac
 
     free = ~pinned
-    A = A.tocsr()
-    Aff = A[free][:, free]
-    b_free = rhs[free] - A[free][:, pinned] @ x_full[pinned]
+    w_mu = (2.0 * mu_n * vol).ravel()
+    w_lam = (lam_n * vol).ravel()
+    w_node = 4.0 * mu_node.ravel() * ops["node_vol"]
+    Aff = _free_pattern(grid, pinned).fill(w_mu, w_lam, w_node, mass)
+    c12 = _d12_affine(grid, bc)
+    b_free = (rhs - _pinned_coupling(ops, np.where(pinned, x_full, 0.0),
+                                     w_mu, w_lam, w_node, c12))[free]
 
     iters = 0
 
@@ -485,10 +636,7 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     v_new = x_full[ops["nu"]:].reshape(nx, ny + 1)
     out = VectorField(grid, u_new, v_new).check_finite()
 
-    r11 = ops["g_d11"] @ x_full
-    r22 = ops["g_d22"] @ x_full
-    rdv = ops["g_div"] @ x_full
-    r12 = ops["g_d12"] @ x_full + c12
+    r11, r22, rdv, r12 = _strains(ops, x_full, c12)
     quad = tree_sum(w_mu * (r11 ** 2 + r22 ** 2)) \
         + tree_sum(w_lam * rdv ** 2) + tree_sum(w_node * r12 ** 2)
 
@@ -513,10 +661,7 @@ def viscous_quadratic_form(grid: StaggeredGrid, domain: DomainSpec,
     vol = grid.cell_volume
     x = np.concatenate([vel.u.ravel(), vel.v.ravel()])
     c12 = _d12_affine(grid, bc) if bc is not None else 0.0
-    r11 = ops["g_d11"] @ x
-    r22 = ops["g_d22"] @ x
-    rdv = ops["g_div"] @ x
-    r12 = ops["g_d12"] @ x + c12
+    r11, r22, rdv, r12 = _strains(ops, x, c12)
     w_mu = (2.0 * mu_n * vol).ravel()
     w_lam = (lam_n * vol).ravel()
     w_node = 4.0 * mu_node.ravel() * ops["node_vol"]

@@ -6,7 +6,8 @@ from penaltyflow.errors import (CollarTooWide, ErosionEmpty,
 from penaltyflow.fields import StaggeredGrid, divergence
 from penaltyflow.geometry import (Disc, DomainSpec, Rectangle,
                                   build_extension, classify_boundary,
-                                  corner_tapered, erode, resting_boundary,
+                                  corner_tapered, divergence_roundoff,
+                                  erode, resting_boundary,
                                   signed_distance, throughflow_boundary,
                                   wall_cutoff)
 
@@ -130,6 +131,25 @@ def test_extension_unbalanced_clauses(grid64, domain, scale, label):
     assert rep.trace_error <= 1e-10, label
     assert rep.div_min_inner_collar >= -1e-12, label
     assert rep.max_outside_outer_collar == 0.0, label
+
+
+@pytest.mark.parametrize("n,speed", [(48, 1.0), (48, 10.0), (96, 1.0),
+                                     (96, 2.0), (96, 5.0), (192, 1.0),
+                                     (192, 2.0)])
+def test_extension_divergence_guard_scales_with_data(domain, n, speed):
+    # the divergence round-off grows with the field and with 1/dx; an
+    # absolute -1e-12 guard rejected valid data at 48^2 speed 10, 96^2
+    # speed 2 and 192^2 speed 1
+    grid = StaggeredGrid(n, n, 1.0 / n, 1.0 / n)
+    bc = throughflow_boundary(domain, grid, speed, 1.0)
+    u_ext, rep = build_extension(bc, domain, grid)
+    assert rep.div_roundoff == divergence_roundoff(
+        grid, rep.max_speed + 1.0 + speed)
+    # balanced data are a pure discrete curl: the bound holds everywhere
+    div = divergence(grid, u_ext.u, u_ext.v)
+    assert np.max(np.abs(div)) <= rep.div_roundoff
+    assert rep.div_min_inner_collar >= -rep.div_roundoff
+    assert rep.div_roundoff < 1e-9
 
 
 def test_extension_divfree_part_is_exact(grid64, domain):

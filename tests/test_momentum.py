@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from penaltyflow.body import (body_signed_distance, make_disc_body,
                               rigid_velocity_field)
 from penaltyflow.continuity import PenaltyParams
 from penaltyflow.errors import NegativeDensity, VacuumCell
-from penaltyflow.fields import VectorField, sym_gradient
-from penaltyflow.geometry import (build_extension, classify_boundary,
+from penaltyflow.fields import StaggeredGrid, VectorField, sym_gradient
+from penaltyflow.geometry import (DomainSpec, build_extension,
+                                  classify_boundary,
                                   resting_boundary, throughflow_boundary)
-from penaltyflow.momentum import (ViscosityModel, momentum_step,
+from penaltyflow.momentum import (FreePattern, ViscosityModel, _d12_affine,
+                                  _free_pattern, _grid_ops,
+                                  _pinned_coupling, momentum_step,
                                   penalty_ramp, pressure,
                                   pressure_potential,
                                   pressure_potential_d1, stress,
@@ -225,3 +229,107 @@ def test_held_body_hold_mask(grid24, domain, params):
                             bc, rigid_pin=pin, hold_mask=hold)
     assert np.all(vel1.u[hold[0]] == 0.0)
     assert np.all(vel1.v[hold[1]] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-pattern assembly of the free block against the triple-product oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_operator(ops, w_mu, w_lam, w_node, mass):
+    """sum G^T diag(w) G + diag(mass) from sparse triple products."""
+    return (ops["g_d11"].T @ sparse.diags(w_mu) @ ops["g_d11"]
+            + ops["g_d22"].T @ sparse.diags(w_mu) @ ops["g_d22"]
+            + ops["g_div"].T @ sparse.diags(w_lam) @ ops["g_div"]
+            + ops["g_d12"].T @ sparse.diags(w_node) @ ops["g_d12"]
+            + sparse.diags(mass)).tocsr()
+
+
+def _random_weights(ops, grid, rng):
+    ncell = grid.nx * grid.ny
+    nnode = (grid.nx + 1) * (grid.ny + 1)
+    ndof = ops["nu"] + ops["nv"]
+    return (rng.uniform(0.5, 2.0, ncell), rng.uniform(0.1, 1.5, ncell),
+            rng.uniform(0.5, 2.0, nnode), rng.uniform(10.0, 20.0, ndof))
+
+
+def _pinned_sets(ops, grid):
+    """Boundary only, boundary + a hold mask, boundary + vacuum faces."""
+    bnd = ops["boundary"]
+    hold = bnd.copy()
+    body = make_disc_body((0.45, 0.3), 0.12, 0.03, 2.0)
+    hold |= np.concatenate([
+        (body_signed_distance(body, grid, "ufaces") >= 0.05).ravel(),
+        (body_signed_distance(body, grid, "vfaces") >= 0.05).ravel()])
+    vac = bnd.copy()
+    # a pocket touching the bottom wall and one touching a corner
+    u_vac = np.zeros(grid.shape("ufaces"), bool)
+    v_vac = np.zeros(grid.shape("vfaces"), bool)
+    u_vac[5:9, 0:3] = True
+    v_vac[0:2, 1:4] = True
+    v_vac[-3:, -4:-1] = True
+    vac |= np.concatenate([u_vac.ravel(), v_vac.ravel()])
+    return {"boundary": bnd, "hold": hold, "vacuum": vac}
+
+
+@pytest.mark.parametrize("which", ["boundary", "hold", "vacuum"])
+def test_fixed_pattern_matches_triple_product(which, rng):
+    grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
+    ops = _grid_ops(grid)
+    # wall and corner nodes are one-sided: 3 and 2 entries in their rows
+    per_row = np.diff(ops["g_d12"].indptr)
+    assert set(per_row) == {2, 3, 4}
+    w_mu, w_lam, w_node, mass = _random_weights(ops, grid, rng)
+    pinned = _pinned_sets(ops, grid)[which]
+    free = ~pinned
+    A = _oracle_operator(ops, w_mu, w_lam, w_node, mass)
+    Aff = FreePattern(grid, pinned).fill(w_mu, w_lam, w_node, mass)
+    want = A[free][:, free]
+    assert Aff.shape == want.shape
+    scale = np.max(np.abs(A.data))
+    assert np.max(np.abs((Aff - want).toarray())) <= 1e-12 * scale
+    # same sparsity, columns sorted in each row: no stray slot entries
+    assert Aff.nnz == want.nnz and Aff.has_sorted_indices
+
+    # pinned coupling in the right-hand side, with wall traces in D12
+    bc = throughflow_boundary(DomainSpec(1.3, 0.9, 0.1), grid, 0.4, 1.0)
+    for w in ("bottom", "top"):
+        bc.ub[w][:, 0] = rng.uniform(-1, 1, grid.nx)
+    for w in ("left", "right"):
+        bc.ub[w][:, 1] = rng.uniform(-1, 1, grid.ny)
+    x = rng.normal(size=pinned.size)
+    rhs = rng.normal(size=pinned.size)
+    c12 = _d12_affine(grid, bc)
+    want_b = (rhs - ops["g_d12"].T @ (w_node * c12))[free] \
+        - A[free][:, pinned] @ x[pinned]
+    got_b = (rhs - _pinned_coupling(ops, np.where(pinned, x, 0.0), w_mu,
+                                    w_lam, w_node, c12))[free]
+    assert np.max(np.abs(got_b - want_b)) <= 1e-12 * np.max(np.abs(want_b))
+
+
+def test_fixed_pattern_rebuilds_when_pinned_set_changes(rng):
+    grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
+    ops = _grid_ops(grid)
+    sets = _pinned_sets(ops, grid)
+    w = _random_weights(ops, grid, rng)
+    first = _free_pattern(grid, sets["boundary"])
+    assert _free_pattern(grid, sets["boundary"].copy()) is first
+    held = _free_pattern(grid, sets["hold"])
+    assert held is not first
+    assert held.matrix.shape[0] == np.count_nonzero(~sets["hold"])
+    A = _oracle_operator(ops, *w)
+    free = ~sets["hold"]
+    diff = held.fill(*w) - A[free][:, free]
+    assert np.max(np.abs(diff.toarray())) <= 1e-12 * np.max(np.abs(A.data))
+    assert _free_pattern(grid, sets["boundary"]) is not held
+
+
+def test_fixed_pattern_memory_within_free_block(grid64, rng):
+    ops = _grid_ops(grid64)
+    w_mu, w_lam, w_node, mass = _random_weights(ops, grid64, rng)
+    free = ops["interior"]
+    want = _oracle_operator(ops, w_mu, w_lam, w_node, mass)[free][:, free]
+    csr_bytes = want.data.nbytes + want.indices.nbytes + want.indptr.nbytes
+    pattern = FreePattern(grid64, ops["boundary"])
+    arrays = (pattern.gather, pattern.matrix.indices, pattern.matrix.indptr,
+              pattern.pinned, *ops["d12_slots"])
+    assert sum(a.nbytes for a in arrays) <= csr_bytes
