@@ -9,10 +9,12 @@ marches.
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import numpy as np
 
+from . import diagnostics as diagnostics_mod
 from . import momentum as momentum_mod
 from .body import (body_mass_inertia, body_signed_distance, body_step,
                    collision_guard, make_disc_body, project_rigid,
@@ -946,11 +948,32 @@ def _c50():
                f"max|u| {umax:.1e}, E drift {drift:.1e}")
 
 
+def _flip_lambda_sign(stress_fn):
+    def flipped(d11, d12, d22, mu_n, lam_n):
+        return stress_fn(d11, d12, d22, mu_n, -lam_n)
+    return flipped
+
+
+# faults run_verify can plant: name -> faulty wrapper of ``stress``
+FAULTS = {"flip-lambda-sign": _flip_lambda_sign}
+
+
 def run_verify(fast: bool = False, inject_fault: str = None,
                report_path=None):
-    """Run the property battery; returns (exit_code, results)."""
+    """Run the property battery; returns (exit_code, results).
+
+    inject_fault names a fault in FAULTS to plant for the run, to show the
+    battery detects it: ``stress`` is replaced in every module that calls
+    it by name, and restored afterwards."""
+    planted = []
     if inject_fault:
-        momentum_mod._FAULTS.add(inject_fault)
+        if inject_fault not in FAULTS:
+            raise ValueError(f"unknown fault {inject_fault!r}; "
+                             f"known: {sorted(FAULTS)}")
+        faulty = FAULTS[inject_fault](momentum_mod.stress)
+        for mod in (momentum_mod, diagnostics_mod, sys.modules[__name__]):
+            planted.append((mod, mod.stress))
+            mod.stress = faulty
     try:
         results = []
         for name, is_fast, fn in CHECKS:
@@ -965,7 +988,8 @@ def run_verify(fast: bool = False, inject_fault: str = None,
                             "detail": detail,
                             "seconds": round(time.time() - t0, 3)})
     finally:
-        momentum_mod._FAULTS.discard(inject_fault) if inject_fault else None
+        for mod, original in planted:
+            mod.stress = original
     failures = [r for r in results if not r["passed"]]
     if report_path:
         with open(report_path, "w") as f:

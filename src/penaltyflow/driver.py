@@ -20,7 +20,8 @@ from .diagnostics import (fluid_mask, interior_pressure_norm, ledger_step,
 from .errors import ConfigError
 from .fields import (MollifierKernel, VectorField, set_num_workers,
                      write_field, write_vti)
-from .momentum import momentum_step, sound_speed_max
+from .momentum import (MG_MIN_LEVELS, MG_SWITCH_ITERS, momentum_step,
+                       multigrid_levels, sound_speed_max)
 
 BODY_CSV_SCHEMA = ("t", "Xx", "Xy", "theta", "Vx", "Vy", "w",
                    "rigidity_defect", "margin")
@@ -132,6 +133,10 @@ def _run_inner(cfg, outdir, keep_fields):
         m = 2.0 * max(grid.dx, grid.dy)
         hold = (body_signed_distance(body, grid, "ufaces") >= m,
                 body_signed_distance(body, grid, "vfaces") >= m)
+    # the viscous CG switches to the multigrid V-cycle for the rest of the
+    # run once Jacobi gets expensive on a grid deep enough for it
+    multigrid = False
+    may_switch = multigrid_levels(grid) >= MG_MIN_LEVELS
 
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = _timestep(cfg, grid, params, vel, bc, rho, cfg.t_end - t)
@@ -141,7 +146,9 @@ def _run_inner(cfg, outdir, keep_fields):
             pin = rigid_velocity_field(grid, body.X, body.V, body.w)
         vel_new, minfo = momentum_step(grid, domain, rho, rho_new, vel, chi,
                                        params, dt, bc, rigid_pin=pin,
-                                       hold_mask=hold)
+                                       hold_mask=hold, multigrid=multigrid)
+        multigrid = multigrid or (may_switch
+                                  and minfo.iterations > MG_SWITCH_ITERS)
         guard_margin = float("nan")
         defect = 0.0
         body_new = body

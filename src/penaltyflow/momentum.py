@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .continuity import PenaltyParams, check_cfl
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
@@ -27,9 +27,6 @@ from .fields import (StaggeredGrid, VectorField, cell_gradient, run_chunked,
 from .geometry import (BoundaryData, CutoffProfile, DomainSpec, wall_cutoff)
 
 VACUUM_FLOOR = 1e-10
-
-# verify() fault-injection hooks; empty in normal operation
-_FAULTS: set = set()
 
 
 def penalty_ramp(z):
@@ -105,27 +102,22 @@ def _nonneg(rho):
 
 def stress(d11, d12, d22, mu_n, lam_n):
     """Viscous stress tensor 2 mu_n D + lam_n tr(D) I on cells."""
-    lam_eff = -lam_n if "flip-lambda-sign" in _FAULTS else lam_n
-    tr = lam_eff * (d11 + d22)
+    tr = lam_n * (d11 + d22)
     return 2.0 * mu_n * d11 + tr, 2.0 * mu_n * d12, 2.0 * mu_n * d22 + tr
 
 
 # ---------------------------------------------------------------------------
-# Implicit viscous operator: geometry-only pieces are cached per grid.
+# Implicit viscous operator: the face layout, and the strain operators
+# cached per grid.
 # ---------------------------------------------------------------------------
 
-_ops_cache: dict = {}
-
-
-def _grid_ops(grid: StaggeredGrid):
-    key = (grid.nx, grid.ny, grid.dx, grid.dy)
-    hit = _ops_cache.get(key)
-    if hit is not None:
-        return hit
+def _face_layout(grid: StaggeredGrid):
+    """Face numbering and the geometry-only arrays of the viscous operator
+    (no sparse matrices): what FreePattern and the multigrid hierarchy
+    need.  u(i, j) is face i * ny + j, v(i, j) is nu + i * (ny + 1) + j."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     nu = (nx + 1) * ny
     nv = nx * (ny + 1)
-    ndof = nu + nv
 
     def uidx(i, j):
         return i * ny + j
@@ -133,8 +125,39 @@ def _grid_ops(grid: StaggeredGrid):
     def vidx(i, j):
         return nu + i * (ny + 1) + j
 
-    iu, ju = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-    iv, jv = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
+    bnd = np.zeros(nu + nv, dtype=bool)
+    bnd[uidx(np.zeros(ny, int), np.arange(ny))] = True
+    bnd[uidx(np.full(ny, nx), np.arange(ny))] = True
+    bnd[vidx(np.arange(nx), np.zeros(nx, int))] = True
+    bnd[vidx(np.arange(nx), np.full(nx, ny))] = True
+
+    # node area factors: quarter of a cell per adjacent cell
+    adj = np.full((nx + 1, ny + 1), 4.0)
+    adj[0, :] = adj[-1, :] = 2.0
+    adj[:, 0] = adj[:, -1] = 2.0
+    adj[0, 0] = adj[0, -1] = adj[-1, 0] = adj[-1, -1] = 1.0
+    node_vol = (adj / 4.0).ravel() * dx * dy
+
+    return {"boundary": bnd, "interior": ~bnd, "node_vol": node_vol,
+            "nu": nu, "nv": nv, "uidx": uidx, "vidx": vidx,
+            "d12_slots": _d12_slots(grid)}
+
+
+_ops_cache: dict = {}
+
+
+def _grid_ops(grid: StaggeredGrid):
+    """The face layout plus the sparse strain operators D11, D22, div and
+    D12 (face vector -> cells / nodes), cached per grid."""
+    key = (grid.nx, grid.ny, grid.dx, grid.dy)
+    hit = _ops_cache.get(key)
+    if hit is not None:
+        return hit
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    layout = _face_layout(grid)
+    uidx, vidx = layout["uidx"], layout["vidx"]
+    ndof = layout["nu"] + layout["nv"]
+
     ic, jc = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     inn, jnn = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
                            indexing="ij")
@@ -201,25 +224,7 @@ def _grid_ops(grid: StaggeredGrid):
 
     g_d12 = 0.5 * (g_dudy + g_dvdx)
 
-    bnd = np.zeros(ndof, dtype=bool)
-    bnd[uidx(np.zeros(ny, int), np.arange(ny))] = True
-    bnd[uidx(np.full(ny, nx), np.arange(ny))] = True
-    bnd[vidx(np.arange(nx), np.zeros(nx, int))] = True
-    bnd[vidx(np.arange(nx), np.full(nx, ny))] = True
-
-    # node area factors: quarter of a cell per adjacent cell
-    adj = np.full((nx + 1, ny + 1), 4.0)
-    adj[0, :] = adj[-1, :] = 2.0
-    adj[:, 0] = adj[:, -1] = 2.0
-    adj[0, 0] = adj[0, -1] = adj[-1, 0] = adj[-1, -1] = 1.0
-    node_vol = (adj / 4.0).ravel() * dx * dy
-
-    ops = {
-        "g_d11": g_d11, "g_d22": g_d22, "g_div": g_div, "g_d12": g_d12,
-        "boundary": bnd, "interior": ~bnd, "node_vol": node_vol,
-        "nu": nu, "nv": nv, "uidx": uidx, "vidx": vidx,
-        "d12_slots": _d12_slots(grid),
-    }
+    ops = dict(layout, g_d11=g_d11, g_d22=g_d22, g_div=g_div, g_d12=g_d12)
     if len(_ops_cache) > 6:
         _ops_cache.clear()
     _ops_cache[key] = ops
@@ -255,10 +260,12 @@ class FreePattern:
     slot) value in CSR data follow from index arithmetic over that
     stencil; ``fill`` computes the stencil values from the weights and
     gathers them into the matrix's data, which it overwrites each call.
+    ``layout`` is the grid's ``_face_layout``, built here when not given.
     """
 
-    def __init__(self, grid: StaggeredGrid, pinned: np.ndarray):
-        ops = _grid_ops(grid)
+    def __init__(self, grid: StaggeredGrid, pinned: np.ndarray,
+                 layout: dict = None):
+        ops = _face_layout(grid) if layout is None else layout
         if np.any(ops["boundary"] & ~pinned):
             raise ValueError("boundary faces must be pinned")
         nx, ny = grid.nx, grid.ny
@@ -366,8 +373,212 @@ def _free_pattern(grid: StaggeredGrid, pinned: np.ndarray) -> FreePattern:
     if (p is None or (p.grid.nx, p.grid.ny, p.grid.dx, p.grid.dy)
             != (grid.nx, grid.ny, grid.dx, grid.dy)
             or not np.array_equal(p.pinned, pinned)):
-        p = _pattern = FreePattern(grid, pinned)
+        p = _pattern = FreePattern(grid, pinned, _grid_ops(grid))
     return p
+
+
+# ---------------------------------------------------------------------------
+# Geometric multigrid preconditioner for the free block
+# ---------------------------------------------------------------------------
+
+MG_COARSEST = 12        # fewest cells a side of a coarse grid
+MG_SMOOTH_STEPS = 2     # Chebyshev-Jacobi steps before and after correction
+MG_SMOOTH_RANGE = 30.0  # the smoother targets D^-1 A's spectrum in [l/30, l]
+MG_MAXITER = 300        # a sound V-cycle needs O(10); fail fast otherwise
+
+# driver._run_inner turns the V-cycle on for the rest of a run once a
+# Jacobi-CG solve takes more than MG_SWITCH_ITERS iterations on a grid with
+# at least MG_MIN_LEVELS levels.  In units of one Jacobi-CG iteration,
+# measured at 96^2 and 192^2 with n = 1e3 and 1e5 on a 2-core x86 VM: a
+# V-cycle costs 5-7, the coarse fills, smoother set-up and coarsest
+# factorization 8-13, and MG-PCG needs 14-15 iterations, so MG breaks even
+# against 100-125 Jacobi iterations; 150 leaves a margin for the
+# hierarchy's build and for noise.  On 48^2 (3 levels) the fixed costs
+# weigh more and break-even is about 165 iterations, more than such runs
+# need.
+MG_SWITCH_ITERS = 150
+MG_MIN_LEVELS = 4
+
+
+def _coarser(grid: StaggeredGrid):
+    """The grid with both sides halved, or None when a side is odd or the
+    halved grid would have fewer than MG_COARSEST cells a side."""
+    if grid.nx % 2 or grid.ny % 2 or min(grid.nx, grid.ny) < 2 * MG_COARSEST:
+        return None
+    return StaggeredGrid(grid.nx // 2, grid.ny // 2, 2 * grid.dx,
+                         2 * grid.dy)
+
+
+def multigrid_levels(grid: StaggeredGrid) -> int:
+    """Number of grids in the multigrid hierarchy on ``grid``."""
+    n = 1
+    while (grid := _coarser(grid)) is not None:
+        n += 1
+    return n
+
+
+def _prolong_component(c, f):
+    """One face component from a coarse grid into f on the fine one, with
+    the face normal along axis 0: linear along the normal, 3/4-1/4 along
+    the tangent.  Past a wall the tangent neighbour is the face itself, so
+    constants are kept."""
+    even, odd = f[0::2, 0::2], f[0::2, 1::2]
+    np.multiply(c, 0.75, out=even)
+    even[:, 1:] += 0.25 * c[:, :-1]
+    even[:, 0] += 0.25 * c[:, 0]
+    np.multiply(c, 0.75, out=odd)
+    odd[:, :-1] += 0.25 * c[:, 1:]
+    odd[:, -1] += 0.25 * c[:, -1]
+    mid = f[1::2]
+    np.add(f[0:-2:2], f[2::2], out=mid)
+    mid *= 0.5
+
+
+def _restrict_component(f, c):
+    """The transpose of ``_prolong_component``: f on the fine grid into c."""
+    t = f[0::2].copy()
+    half = 0.5 * f[1::2]
+    t[:-1] += half
+    t[1:] += half
+    te, to = t[:, 0::2], t[:, 1::2]
+    np.add(te, to, out=c)
+    c *= 0.75
+    c[:, :-1] += 0.25 * te[:, 1:]
+    c[:, 0] += 0.25 * te[:, 0]
+    c[:, 1:] += 0.25 * to[:, :-1]
+    c[:, -1] += 0.25 * to[:, -1]
+
+
+def _prolong(coarse: StaggeredGrid, x):
+    """Every face of ``coarse`` to every face of the grid twice as fine."""
+    nx, ny = coarse.nx, coarse.ny
+    nu, nu_fine = (nx + 1) * ny, (2 * nx + 1) * 2 * ny
+    out = np.empty(nu_fine + 2 * nx * (2 * ny + 1))
+    _prolong_component(x[:nu].reshape(nx + 1, ny),
+                       out[:nu_fine].reshape(2 * nx + 1, 2 * ny))
+    _prolong_component(x[nu:].reshape(nx, ny + 1).T,
+                       out[nu_fine:].reshape(2 * nx, 2 * ny + 1).T)
+    return out
+
+
+def _restrict(coarse: StaggeredGrid, x):
+    """The transpose of ``_prolong``: fine faces to the faces of coarse."""
+    nx, ny = coarse.nx, coarse.ny
+    nu, nu_fine = (nx + 1) * ny, (2 * nx + 1) * 2 * ny
+    out = np.empty(nu + nx * (ny + 1))
+    _restrict_component(x[:nu_fine].reshape(2 * nx + 1, 2 * ny),
+                        out[:nu].reshape(nx + 1, ny))
+    _restrict_component(x[nu_fine:].reshape(2 * nx, 2 * ny + 1).T,
+                        out[nu:].reshape(nx, ny + 1).T)
+    return out
+
+
+def _chebyshev(A, dinv, lam, x, r):
+    """MG_SMOOTH_STEPS Chebyshev steps for A x = b, Jacobi-preconditioned,
+    on [lam / MG_SMOOTH_RANGE, lam], from x with residual r = b - A x
+    (Saad 2003, ch. 12).  Updates x and r in place; returns x."""
+    theta = 0.5 * lam * (1.0 + 1.0 / MG_SMOOTH_RANGE)
+    delta = 0.5 * lam * (1.0 - 1.0 / MG_SMOOTH_RANGE)
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    d = dinv * r / theta
+    x += d
+    for _ in range(MG_SMOOTH_STEPS - 1):
+        r -= A @ d
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        d *= rho_next * rho
+        d += (2.0 * rho_next / delta) * dinv * r
+        x += d
+        rho = rho_next
+    return x
+
+
+class Multigrid:
+    """A symmetric V-cycle for one FreePattern's free block.
+
+    Level 0 is the pattern itself; each further level halves the grid
+    (``_coarser``) and is a FreePattern of its own.  A coarse face is pinned
+    when it is a boundary face or when either of the two fine faces lying
+    on it is pinned.  Each step ``preconditioner`` rediscretizes the coarse
+    operators from coarsened weights (cell weights summed over 2x2 blocks,
+    node weights 4x the coincident fine node, mass restricted) and returns
+    the V-cycle: Chebyshev-Jacobi smoothing around a coarse correction with
+    R = P^T, and a sparse LU solve on the coarsest grid.
+    """
+
+    def __init__(self, fine: FreePattern):
+        self.levels = [fine]
+        coarse = _coarser(fine.grid)
+        while coarse is not None:
+            layout = _face_layout(coarse)
+            nx, ny = coarse.nx, coarse.ny
+            nu = (2 * nx + 1) * 2 * ny
+            pu = self.levels[-1].pinned[:nu].reshape(2 * nx + 1, 2 * ny)
+            pv = self.levels[-1].pinned[nu:].reshape(2 * nx, 2 * ny + 1)
+            pinned = layout["boundary"] | np.concatenate([
+                (pu[0::2, 0::2] | pu[0::2, 1::2]).ravel(),
+                (pv[0::2, 0::2] | pv[1::2, 0::2]).ravel()])
+            self.levels.append(FreePattern(coarse, pinned, layout))
+            coarse = _coarser(coarse)
+        self.free = [np.flatnonzero(~p.pinned).astype(np.int32)
+                     for p in self.levels]
+        # every face vector of each level; pinned entries stay zero
+        self.full = [np.zeros(p.pinned.size) for p in self.levels]
+
+    def preconditioner(self, w_mu, w_lam, w_node, mass):
+        """Fill the coarse levels from the fine weights and return the
+        V-cycle as a LinearOperator.  Level 0's matrix must already hold
+        the fill of the same weights.  The operator owns this step's
+        smoother data and coarsest factorization, freed with it."""
+        for p in self.levels[1:]:
+            nx, ny = p.grid.nx, p.grid.ny
+            w_mu = w_mu.reshape(nx, 2, ny, 2).sum(axis=(1, 3)).ravel()
+            w_lam = w_lam.reshape(nx, 2, ny, 2).sum(axis=(1, 3)).ravel()
+            w_node = 4.0 * w_node.reshape(2 * nx + 1, 2 * ny + 1)[::2, ::2]
+            mass = _restrict(p.grid, mass)
+            p.fill(w_mu, w_lam, w_node.ravel(), mass)
+        smooth = []
+        for p in self.levels[:-1]:
+            A = p.matrix
+            dinv = 1.0 / A.diagonal()
+            # Gershgorin bound on the spectrum of D^-1 A
+            rows = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+            smooth.append((A, dinv, float(np.max(rows * dinv))))
+        lu = splu(self.levels[-1].matrix.tocsc())
+        return LinearOperator(self.levels[0].matrix.shape,
+                              matvec=lambda b: self._vcycle(smooth, lu, b),
+                              dtype=np.float64)
+
+    def _vcycle(self, smooth, lu, b, k=0):
+        if k == len(smooth):
+            return lu.solve(b)
+        A, dinv, lam = smooth[k]
+        x = _chebyshev(A, dinv, lam, np.zeros_like(b), b.copy())
+        r = b - A @ x
+        xc = self._vcycle(smooth, lu, self._restrict(k, r), k + 1)
+        x += self._prolong(k, xc)
+        return _chebyshev(A, dinv, lam, x, b - A @ x)
+
+    def _restrict(self, k, r):
+        full = self.full[k]
+        full[self.free[k]] = r
+        return _restrict(self.levels[k + 1].grid, full)[self.free[k + 1]]
+
+    def _prolong(self, k, x):
+        full = self.full[k + 1]
+        full[self.free[k + 1]] = x
+        return _prolong(self.levels[k + 1].grid, full)[self.free[k]]
+
+
+_hierarchy: Multigrid | None = None   # built on the current _pattern only
+
+
+def _multigrid(pattern: FreePattern) -> Multigrid:
+    """The cached hierarchy, rebuilt when the fine pattern changes."""
+    global _hierarchy
+    if _hierarchy is None or _hierarchy.levels[0] is not pattern:
+        _hierarchy = Multigrid(pattern)
+    return _hierarchy
 
 
 def _strains(ops, x, c12):
@@ -416,7 +627,8 @@ def _d12_affine(grid, bc: BoundaryData):
 
 @dataclass
 class MomentumStepInfo:
-    iterations: int
+    iterations: int           # CG iterations, with this preconditioner
+    preconditioner: str       # "jacobi" or "multigrid"
     solve_residual: float
     visc_quadform: float
     pinned_vacuum_faces: int
@@ -493,32 +705,25 @@ def _upwind_convection(grid, rho, vel, bc):
     return conv_u, conv_v, rbu, rbv
 
 
-def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
-                  rho_old: np.ndarray, rho_new: np.ndarray,
-                  vel: VectorField, chi: np.ndarray,
-                  params: PenaltyParams, dt: float, bc: BoundaryData,
-                  model: ViscosityModel = None, source=None,
-                  rigid_pin: VectorField = None, hold_mask=None):
-    """Advance the face momentum one step; returns (VectorField, info).
+def _viscous_weights(grid, domain, chi, model, node_vol):
+    """Weights of the quadratic form: 2 mu_n vol and lam_n vol on cells,
+    4 mu_n vol_n on nodes."""
+    vol = grid.cell_volume
+    xc, yc = grid.cell_xy()
+    mu_n, lam_n = viscosity_fields(chi, model,
+                                   domain.boundary_distance(xc, yc))
+    mu_node = _node_average(grid, mu_n)
+    return ((2.0 * mu_n * vol).ravel(), (lam_n * vol).ravel(),
+            4.0 * mu_node.ravel() * node_vol)
 
-    rho_new must come from the same step's continuity update (sequential
-    splitting).  rigid_pin supplies replacement velocities for faces that
-    fell below the vacuum floor (defaults to the boundary extension).
-    hold_mask (u-face and v-face booleans) tethers those faces to the
-    rigid_pin values inside the implicit solve; used by the held-body
-    diagnostic mode, not by the free-motion scheme.
-    """
-    check_cfl(grid, vel, bc, dt)
+
+def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, bc, source):
+    """Face vectors of the viscous solve: its right-hand side (old momentum
+    less the explicit convection, pressure gradient and coupling source,
+    plus ``source``), the new-density mass / dt, the new face densities and
+    the old face momentum."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     vol = grid.cell_volume
-    if model is None:
-        model = ViscosityModel.from_params(params, domain)
-
-    xc, yc = grid.cell_xy()
-    wall_d = domain.boundary_distance(xc, yc)
-    mu_n, lam_n = viscosity_fields(chi, model, wall_d)
-    mu_node = _node_average(grid, mu_n)
-
     conv_u, conv_v, rbu_old, rbv_old = _upwind_convection(grid, rho_old,
                                                           vel, bc)
 
@@ -560,8 +765,6 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     rbv_new[:, 0] = rho_new[:, 0]
     rbv_new[:, -1] = rho_new[:, -1]
 
-    ops = _grid_ops(grid)
-    ndof = ops["nu"] + ops["nv"]
     mass = np.concatenate([(rbu_new * vol / dt).ravel(),
                            (rbv_new * vol / dt).ravel()])
     rhs = np.concatenate([
@@ -571,6 +774,42 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         src_u, src_v = source
         rhs += np.concatenate([(np.asarray(src_u) * vol).ravel(),
                                (np.asarray(src_v) * vol).ravel()])
+
+    face_rho = np.concatenate([rbu_new.ravel(), rbv_new.ravel()])
+    m_old = np.concatenate([(rbu_old * vel.u).ravel(),
+                            (rbv_old * vel.v).ravel()])
+    return rhs, mass, face_rho, m_old
+
+
+def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
+                  rho_old: np.ndarray, rho_new: np.ndarray,
+                  vel: VectorField, chi: np.ndarray,
+                  params: PenaltyParams, dt: float, bc: BoundaryData,
+                  model: ViscosityModel = None, source=None,
+                  rigid_pin: VectorField = None, hold_mask=None,
+                  multigrid: bool = False):
+    """Advance the face momentum one step; returns (VectorField, info).
+
+    rho_new must come from the same step's continuity update (sequential
+    splitting).  rigid_pin supplies replacement velocities for faces that
+    fell below the vacuum floor (defaults to the boundary extension).
+    hold_mask (u-face and v-face booleans) tethers those faces to the
+    rigid_pin values inside the implicit solve; used by the held-body
+    diagnostic mode, not by the free-motion scheme.
+    multigrid preconditions the viscous CG with the V-cycle of
+    ``Multigrid`` instead of Jacobi.
+    """
+    check_cfl(grid, vel, bc, dt)
+    nx, ny = grid.nx, grid.ny
+    if model is None:
+        model = ViscosityModel.from_params(params, domain)
+    ops = _grid_ops(grid)
+    ndof = ops["nu"] + ops["nv"]
+    # helpers, so that their work arrays are freed before the solve
+    w_mu, w_lam, w_node = _viscous_weights(grid, domain, chi, model,
+                                           ops["node_vol"])
+    rhs, mass, face_rho, m_old = _explicit_terms(grid, rho_old, rho_new,
+                                                 vel, params, dt, bc, source)
 
     # Dirichlet values on boundary faces; vacuum faces get pinned too.
     x_full = np.zeros(ndof)
@@ -589,12 +828,9 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
             pv = np.concatenate([rigid_pin.u.ravel(), rigid_pin.v.ravel()])
             x_full[hm] = pv[hm]
         pinned |= hm
-    face_rho = np.concatenate([rbu_new.ravel(), rbv_new.ravel()])
     vac = (~ops["boundary"]) & (face_rho <= VACUUM_FLOOR)
     n_vac = int(np.count_nonzero(vac))
     if n_vac:
-        m_old = np.concatenate([(rbu_old * vel.u).ravel(),
-                                (rbv_old * vel.v).ravel()])
         if np.max(np.abs(m_old[vac])) > 1e-8:
             raise VacuumCell("vacuum face carries nonzero momentum")
         pin_field = rigid_pin if rigid_pin is not None else bc.u_ext
@@ -605,10 +841,8 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         pinned |= vac
 
     free = ~pinned
-    w_mu = (2.0 * mu_n * vol).ravel()
-    w_lam = (lam_n * vol).ravel()
-    w_node = 4.0 * mu_node.ravel() * ops["node_vol"]
-    Aff = _free_pattern(grid, pinned).fill(w_mu, w_lam, w_node, mass)
+    pattern = _free_pattern(grid, pinned)
+    Aff = pattern.fill(w_mu, w_lam, w_node, mass)
     c12 = _d12_affine(grid, bc)
     b_free = (rhs - _pinned_coupling(ops, np.where(pinned, x_full, 0.0),
                                      w_mu, w_lam, w_node, c12))[free]
@@ -619,11 +853,15 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         nonlocal iters
         iters += 1
 
-    dinv = 1.0 / Aff.diagonal()
+    if multigrid:
+        M = _multigrid(pattern).preconditioner(w_mu, w_lam, w_node, mass)
+        maxiter = MG_MAXITER
+    else:
+        M = sparse.diags(1.0 / Aff.diagonal())
+        maxiter = 10 * nx * ny
     x0 = np.concatenate([vel.u.ravel(), vel.v.ravel()])[free]
-    sol, info = cg(Aff, b_free, x0=x0, M=sparse.diags(dinv),
-                   rtol=1e-10, atol=0.0, maxiter=10 * nx * ny,
-                   callback=count)
+    sol, info = cg(Aff, b_free, x0=x0, M=M, rtol=1e-10, atol=0.0,
+                   maxiter=maxiter, callback=count)
     bnorm = float(np.linalg.norm(b_free))
     res = float(np.linalg.norm(b_free - Aff @ sol))
     rel = res / bnorm if bnorm > 0 else res
@@ -640,7 +878,10 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     quad = tree_sum(w_mu * (r11 ** 2 + r22 ** 2)) \
         + tree_sum(w_lam * rdv ** 2) + tree_sum(w_node * r12 ** 2)
 
-    return out, MomentumStepInfo(iterations=iters, solve_residual=rel,
+    return out, MomentumStepInfo(iterations=iters,
+                                 preconditioner=("multigrid" if multigrid
+                                                 else "jacobi"),
+                                 solve_residual=rel,
                                  visc_quadform=quad,
                                  pinned_vacuum_faces=n_vac)
 
@@ -653,17 +894,11 @@ def viscous_quadratic_form(grid: StaggeredGrid, domain: DomainSpec,
     admissible viscosities."""
     if model is None:
         model = ViscosityModel.from_params(params, domain)
-    xc, yc = grid.cell_xy()
-    mu_n, lam_n = viscosity_fields(chi, model,
-                                   domain.boundary_distance(xc, yc))
-    mu_node = _node_average(grid, mu_n)
     ops = _grid_ops(grid)
-    vol = grid.cell_volume
+    w_mu, w_lam, w_node = _viscous_weights(grid, domain, chi, model,
+                                           ops["node_vol"])
     x = np.concatenate([vel.u.ravel(), vel.v.ravel()])
     c12 = _d12_affine(grid, bc) if bc is not None else 0.0
     r11, r22, rdv, r12 = _strains(ops, x, c12)
-    w_mu = (2.0 * mu_n * vol).ravel()
-    w_lam = (lam_n * vol).ravel()
-    w_node = 4.0 * mu_node.ravel() * ops["node_vol"]
     return tree_sum(w_mu * (r11 ** 2 + r22 ** 2)) \
         + tree_sum(w_lam * rdv ** 2) + tree_sum(w_node * r12 ** 2)

@@ -180,11 +180,15 @@ def test_verify_fast_green_and_fault_injection(tmp_path):
     assert len(results) >= 30
     data = json.loads((tmp_path / "verify.json").read_text())
     assert data["n_failed"] == 0
+    from penaltyflow import checks, diagnostics, momentum
+    stress = momentum.stress
     code_bad, results_bad = run_verify(fast=True,
                                        inject_fault="flip-lambda-sign")
     assert code_bad == 1
     failed = [r["name"] for r in results_bad if not r["passed"]]
     assert any("stress" in name for name in failed)
+    # the planted fault is gone again from every module it was put in
+    assert momentum.stress is diagnostics.stress is checks.stress is stress
 
 
 def test_run_config_is_immutable_value_object():

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from penaltyflow import driver
 from penaltyflow.body import (body_signed_distance, make_disc_body,
                               rigid_velocity_field)
+from penaltyflow.config import default_config
 from penaltyflow.continuity import PenaltyParams
 from penaltyflow.errors import NegativeDensity, VacuumCell
 from penaltyflow.fields import StaggeredGrid, VectorField, sym_gradient
 from penaltyflow.geometry import (DomainSpec, build_extension,
                                   classify_boundary,
                                   resting_boundary, throughflow_boundary)
-from penaltyflow.momentum import (FreePattern, ViscosityModel, _d12_affine,
-                                  _free_pattern, _grid_ops,
-                                  _pinned_coupling, momentum_step,
+from penaltyflow.momentum import (MG_MIN_LEVELS, FreePattern, Multigrid,
+                                  ViscosityModel, _coarser, _d12_affine,
+                                  _face_layout, _free_pattern, _grid_ops,
+                                  _pinned_coupling, _prolong,
+                                  momentum_step, multigrid_levels,
                                   penalty_ramp, pressure,
                                   pressure_potential,
                                   pressure_potential_d1, stress,
@@ -333,3 +337,143 @@ def test_fixed_pattern_memory_within_free_block(grid64, rng):
     arrays = (pattern.gather, pattern.matrix.indices, pattern.matrix.indptr,
               pattern.pinned, *ops["d12_slots"])
     assert sum(a.nbytes for a in arrays) <= csr_bytes
+
+
+# ---------------------------------------------------------------------------
+# Multigrid preconditioner
+# ---------------------------------------------------------------------------
+
+def test_restriction_is_transpose_of_prolongation(rng):
+    grid = StaggeredGrid(48, 24, 1.3 / 48, 0.9 / 24)
+    bnd = _face_layout(grid)["boundary"]
+    for share in (0.0, 0.1, 0.4):
+        mg = Multigrid(FreePattern(grid, bnd | (rng.random(bnd.size)
+                                                < share)))
+        assert len(mg.levels) == 2
+        nf, nc = mg.free[0].size, mg.free[1].size
+        P = np.column_stack([mg._prolong(0, e) for e in np.eye(nc)])
+        R = np.column_stack([mg._restrict(0, e) for e in np.eye(nf)])
+        assert np.max(np.abs(P.T - R)) <= 1e-14 * np.max(np.abs(P))
+
+
+def test_prolongation_keeps_constants():
+    coarse = _coarser(StaggeredGrid(48, 24, 1.3 / 48, 0.9 / 24))
+    nu = (coarse.nx + 1) * coarse.ny
+    nv = coarse.nx * (coarse.ny + 1)
+    x = np.concatenate([np.full(nu, 0.7), np.full(nv, -1.9)])
+    fine = _prolong(coarse, x)
+    nu_fine = (2 * coarse.nx + 1) * 2 * coarse.ny
+    assert np.max(np.abs(fine[:nu_fine] - 0.7)) <= 1e-15
+    assert np.max(np.abs(fine[nu_fine:] + 1.9)) <= 1e-15
+
+
+def _stiff_disc_weights(grid, rng, stiffness=1e5):
+    """Weights with a disc whose viscosity is `stiffness` times the rest."""
+    xc, yc = grid.cell_xy()
+    bump = 1.0 + stiffness * ((xc - 0.5) ** 2 + (yc - 0.5) ** 2 < 0.04)
+    mu = rng.uniform(0.5, 1.5, bump.shape) * bump
+    vol = grid.cell_volume
+    nodes = np.zeros((grid.nx + 1, grid.ny + 1))
+    nodes[1:-1, 1:-1] = 0.25 * (mu[:-1, :-1] + mu[1:, :-1] + mu[:-1, 1:]
+                                + mu[1:, 1:])
+    nodes[nodes == 0] = 1.0
+    layout = _face_layout(grid)
+    mass = rng.uniform(50.0, 100.0, layout["boundary"].size) * vol
+    return ((2 * mu * vol).ravel(), (0.5 * mu * vol).ravel(),
+            4 * nodes.ravel() * layout["node_vol"], mass)
+
+
+def test_vcycle_symmetric_and_positive(rng):
+    grid = StaggeredGrid(48, 48, 1 / 48, 1 / 48)
+    pattern = FreePattern(grid, _face_layout(grid)["boundary"])
+    w = _stiff_disc_weights(grid, rng)
+    pattern.fill(*w)
+    mg = Multigrid(pattern)
+    assert len(mg.levels) == 3
+    M = mg.preconditioner(*w)
+    for _ in range(5):
+        x, y = rng.normal(size=(2, M.shape[0]))
+        mx, my = M @ x, M @ y
+        scale = np.linalg.norm(mx) * np.linalg.norm(y)
+        assert abs(mx @ y - x @ my) <= 1e-12 * scale
+        assert mx @ x > 0
+
+
+def _state96():
+    """Step-1 data of the default scene at 96^2 with n = 1e5."""
+    cfg = default_config(n=1e5)
+    domain, grid, params = cfg.make_domain(), cfg.make_grid(), \
+        cfg.make_params()
+    bc, _ = cfg.make_boundary(domain, grid)
+    body = cfg.make_body()
+    vel = cfg.initial_velocity(grid, bc, body)
+    chi = body_signed_distance(body, grid)
+    return grid, domain, params, bc, body, vel, chi
+
+
+@pytest.mark.parametrize("which", ["boundary", "hold", "vacuum"])
+def test_multigrid_pcg_matches_jacobi_at_96(which):
+    grid, domain, params, bc, body, vel, chi = _state96()
+    rho_old = np.ones(grid.shape("centers"))
+    rho_new = rho_old.copy()
+    hold = None
+    if which == "hold":
+        m = 2.0 * grid.dx
+        hold = (body_signed_distance(body, grid, "ufaces") >= m,
+                body_signed_distance(body, grid, "vfaces") >= m)
+    elif which == "vacuum":
+        # a still pocket beside the body, emptied by the mass step
+        rho_new[12:18, 40:46] = 0.0
+        vel.u[11:20, 38:48] = 0.0
+        vel.v[10:20, 38:49] = 0.0
+    out = {}
+    for mg in (False, True):
+        v, info = momentum_step(grid, domain, rho_old, rho_new, vel, chi,
+                                params, 2e-3, bc, hold_mask=hold,
+                                multigrid=mg)
+        out[info.preconditioner] = (np.concatenate([v.u.ravel(),
+                                                    v.v.ravel()]), info)
+    (xj, ij), (xm, im) = out["jacobi"], out["multigrid"]
+    assert (which == "vacuum") == (im.pinned_vacuum_faces > 0)
+    assert im.iterations <= 25 < ij.iterations
+    assert np.linalg.norm(xm - xj) <= 1e-8 * np.linalg.norm(xj)
+
+
+def _recording(monkeypatch):
+    """Record the preconditioner of every driver momentum step."""
+    used = []
+    step = driver.momentum_step
+
+    def record(*args, **kwargs):
+        out = step(*args, **kwargs)
+        used.append(out[1].preconditioner)
+        return out
+    monkeypatch.setattr(driver, "momentum_step", record)
+    return used
+
+
+def test_grids_that_cannot_coarsen_three_times_never_switch(monkeypatch):
+    for nx, ny, levels in ((20, 13, 1), (48, 48, 3), (98, 98, 2),
+                           (96, 96, 4), (192, 192, 5)):
+        grid = StaggeredGrid(nx, ny, 1 / nx, 1 / ny)
+        assert multigrid_levels(grid) == levels
+        assert (levels >= MG_MIN_LEVELS) == (nx in (96, 192))
+    # even when every Jacobi solve counts as expensive
+    monkeypatch.setattr(driver, "MG_SWITCH_ITERS", 0)
+    used = _recording(monkeypatch)
+    driver.run(default_config(nx=48, ny=48, r=0.05, n=1e5, t_end=0.02),
+               outdir=False)
+    assert len(used) > 2 and set(used) == {"jacobi"}
+
+
+def test_switch_state_belongs_to_the_run(tmp_path, monkeypatch):
+    used = _recording(monkeypatch)
+    cfg = default_config(n=1e5, t_end=0.008)
+    text = []
+    for k in range(2):
+        driver.run(cfg, outdir=str(tmp_path / f"run{k}"))
+        text.append((tmp_path / f"run{k}" / "diagnostics.csv").read_bytes())
+    # each run starts on Jacobi and switches after its first step
+    assert used == 2 * (["jacobi"] + ["multigrid"] * (len(used) // 2 - 1))
+    assert len(used) >= 6
+    assert text[0] == text[1]
