@@ -313,6 +313,11 @@ class FreePattern:
         self.matrix = sparse.csr_matrix(
             (np.zeros(indices.size), indices, indptr),
             shape=(counts.size, counts.size))
+        # CSR position of each row's diagonal: slot 2 of u rows, 6 of v rows
+        slot = np.full(rows.size, 6)
+        slot[:self.nru] = 2
+        self.diag = np.searchsorted(
+            keep, (9 * np.arange(rows.size) + slot)[row_free]).astype(np.int32)
 
     def fill(self, w_mu, w_lam, w_node, mass):
         """The free block for these weights (cell, cell, node, face)."""
@@ -382,20 +387,23 @@ def _free_pattern(grid: StaggeredGrid, pinned: np.ndarray) -> FreePattern:
 # ---------------------------------------------------------------------------
 
 MG_COARSEST = 12        # fewest cells a side of a coarse grid
-MG_SMOOTH_STEPS = 2     # Chebyshev-Jacobi steps before and after correction
+MG_SMOOTH_STEPS = 3     # Chebyshev-Jacobi steps before and after correction
 MG_SMOOTH_RANGE = 30.0  # the smoother targets D^-1 A's spectrum in [l/30, l]
 MG_MAXITER = 300        # a sound V-cycle needs O(10); fail fast otherwise
 
 # driver._run_inner turns the V-cycle on for the rest of a run once a
 # Jacobi-CG solve takes more than MG_SWITCH_ITERS iterations on a grid with
 # at least MG_MIN_LEVELS levels.  In units of one Jacobi-CG iteration,
-# measured at 96^2 and 192^2 with n = 1e3 and 1e5 on a 2-core x86 VM: a
-# V-cycle costs 5-7, the coarse fills, smoother set-up and coarsest
-# factorization 8-13, and MG-PCG needs 14-15 iterations, so MG breaks even
-# against 100-125 Jacobi iterations; 150 leaves a margin for the
-# hierarchy's build and for noise.  On 48^2 (3 levels) the fixed costs
-# weigh more and break-even is about 165 iterations, more than such runs
-# need.
+# measured at 96^2 and 192^2 with n = 1e3 and 1e5 on a 2-core x86 VM: an
+# MG-PCG iteration (V-cycle, matvec, CG update) costs 8-10, the coarse
+# fills, smoother set-up and coarsest factorization 8-12, and MG-PCG needs
+# 9-10 iterations, so MG breaks even against 84-101 Jacobi iterations.
+# With a hold mask MG-PCG still needs 12-15 iterations and break-even is
+# 104-140, while a tethered run at 96^2 reaches about 100 Jacobi
+# iterations: 150 keeps such runs on the faster Jacobi path and leaves a
+# margin for the hierarchy's build and for noise.  On 48^2 (3 levels) the
+# fixed costs weigh 18-27 and break-even is 75-150 iterations, more than
+# such runs need (about 77).
 MG_SWITCH_ITERS = 150
 MG_MIN_LEVELS = 4
 
@@ -473,6 +481,40 @@ def _restrict(coarse: StaggeredGrid, x):
     return out
 
 
+def _normal_factor(n):
+    """Prolongation along a face's normal, n + 1 coarse faces to 2n + 1:
+    even fine faces copy a coarse face, odd ones average the two beside it."""
+    i = np.arange(n + 1)
+    rows = np.concatenate([2 * i, 2 * i[:-1] + 1, 2 * i[1:] - 1])
+    cols = np.concatenate([i, i[:-1], i[1:]])
+    vals = np.concatenate([np.ones(n + 1), np.full(2 * n, 0.5)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n + 1, n + 1))
+
+
+def _tangent_factor(m):
+    """Prolongation along a face's tangent, m coarse faces to 2m: 3/4 of the
+    nearer coarse face and 1/4 of the next one, which past a wall is the
+    nearer face itself."""
+    j = np.arange(m)
+    rows = np.concatenate([2 * j, 2 * j + 1, 2 * j, 2 * j + 1])
+    cols = np.concatenate([j, j, np.maximum(j - 1, 0),
+                           np.minimum(j + 1, m - 1)])
+    vals = np.repeat([0.75, 0.25], 2 * m)
+    # duplicates at the walls are summed
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * m, m))
+
+
+def _transfer(coarse: StaggeredGrid, fine_free, coarse_free):
+    """``_prolong`` as a CSR matrix over free fine rows and free coarse
+    columns: u faces (normal x) and v faces (normal y) are Kronecker
+    products of the 1-D factors."""
+    nx, ny = coarse.nx, coarse.ny
+    P = sparse.block_diag(
+        [sparse.kron(_normal_factor(nx), _tangent_factor(ny)),
+         sparse.kron(_tangent_factor(nx), _normal_factor(ny))], format="csr")
+    return P[fine_free][:, coarse_free]
+
+
 def _chebyshev(A, dinv, lam, x, r):
     """MG_SMOOTH_STEPS Chebyshev steps for A x = b, Jacobi-preconditioned,
     on [lam / MG_SMOOTH_RANGE, lam], from x with residual r = b - A x
@@ -481,13 +523,17 @@ def _chebyshev(A, dinv, lam, x, r):
     delta = 0.5 * lam * (1.0 - 1.0 / MG_SMOOTH_RANGE)
     sigma = theta / delta
     rho = 1.0 / sigma
-    d = dinv * r / theta
+    d = np.multiply(dinv, r)
+    d /= theta
     x += d
+    z = np.empty_like(d)
     for _ in range(MG_SMOOTH_STEPS - 1):
         r -= A @ d
         rho_next = 1.0 / (2.0 * sigma - rho)
         d *= rho_next * rho
-        d += (2.0 * rho_next / delta) * dinv * r
+        np.multiply(dinv, 2.0 * rho_next / delta, out=z)
+        z *= r
+        d += z
         x += d
         rho = rho_next
     return x
@@ -499,31 +545,33 @@ class Multigrid:
     Level 0 is the pattern itself; each further level halves the grid
     (``_coarser``) and is a FreePattern of its own.  A coarse face is pinned
     when it is a boundary face or when either of the two fine faces lying
-    on it is pinned.  Each step ``preconditioner`` rediscretizes the coarse
-    operators from coarsened weights (cell weights summed over 2x2 blocks,
-    node weights 4x the coincident fine node, mass restricted) and returns
-    the V-cycle: Chebyshev-Jacobi smoothing around a coarse correction with
-    R = P^T, and a sparse LU solve on the coarsest grid.
+    on it is pinned.  Each level's prolongation P (``_transfer``) is stored
+    once per hierarchy, and restriction is its transpose view P.T.  Each
+    step ``preconditioner`` rediscretizes the coarse operators from
+    coarsened weights (cell weights summed over 2x2 blocks, node weights 4x
+    the coincident fine node, mass restricted) and returns the V-cycle:
+    Chebyshev-Jacobi smoothing around a coarse correction, and a sparse LU
+    solve on the coarsest grid.
     """
 
     def __init__(self, fine: FreePattern):
         self.levels = [fine]
+        self.transfers = []   # (P, P.T) into each level from the next
         coarse = _coarser(fine.grid)
         while coarse is not None:
             layout = _face_layout(coarse)
             nx, ny = coarse.nx, coarse.ny
             nu = (2 * nx + 1) * 2 * ny
-            pu = self.levels[-1].pinned[:nu].reshape(2 * nx + 1, 2 * ny)
-            pv = self.levels[-1].pinned[nu:].reshape(2 * nx, 2 * ny + 1)
+            pinned_fine = self.levels[-1].pinned
+            pu = pinned_fine[:nu].reshape(2 * nx + 1, 2 * ny)
+            pv = pinned_fine[nu:].reshape(2 * nx, 2 * ny + 1)
             pinned = layout["boundary"] | np.concatenate([
                 (pu[0::2, 0::2] | pu[0::2, 1::2]).ravel(),
                 (pv[0::2, 0::2] | pv[1::2, 0::2]).ravel()])
+            P = _transfer(coarse, ~pinned_fine, ~pinned)
+            self.transfers.append((P, P.T))
             self.levels.append(FreePattern(coarse, pinned, layout))
             coarse = _coarser(coarse)
-        self.free = [np.flatnonzero(~p.pinned).astype(np.int32)
-                     for p in self.levels]
-        # every face vector of each level; pinned entries stay zero
-        self.full = [np.zeros(p.pinned.size) for p in self.levels]
 
     def preconditioner(self, w_mu, w_lam, w_node, mass):
         """Fill the coarse levels from the fine weights and return the
@@ -540,7 +588,7 @@ class Multigrid:
         smooth = []
         for p in self.levels[:-1]:
             A = p.matrix
-            dinv = 1.0 / A.diagonal()
+            dinv = 1.0 / A.data[p.diag]
             # Gershgorin bound on the spectrum of D^-1 A
             rows = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
             smooth.append((A, dinv, float(np.max(rows * dinv))))
@@ -553,21 +601,10 @@ class Multigrid:
         if k == len(smooth):
             return lu.solve(b)
         A, dinv, lam = smooth[k]
+        P, R = self.transfers[k]
         x = _chebyshev(A, dinv, lam, np.zeros_like(b), b.copy())
-        r = b - A @ x
-        xc = self._vcycle(smooth, lu, self._restrict(k, r), k + 1)
-        x += self._prolong(k, xc)
+        x += P @ self._vcycle(smooth, lu, R @ (b - A @ x), k + 1)
         return _chebyshev(A, dinv, lam, x, b - A @ x)
-
-    def _restrict(self, k, r):
-        full = self.full[k]
-        full[self.free[k]] = r
-        return _restrict(self.levels[k + 1].grid, full)[self.free[k + 1]]
-
-    def _prolong(self, k, x):
-        full = self.full[k + 1]
-        full[self.free[k + 1]] = x
-        return _prolong(self.levels[k + 1].grid, full)[self.free[k]]
 
 
 _hierarchy: Multigrid | None = None   # built on the current _pattern only
@@ -857,7 +894,7 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         M = _multigrid(pattern).preconditioner(w_mu, w_lam, w_node, mass)
         maxiter = MG_MAXITER
     else:
-        M = sparse.diags(1.0 / Aff.diagonal())
+        M = sparse.diags(1.0 / Aff.data[pattern.diag])
         maxiter = 10 * nx * ny
     x0 = np.concatenate([vel.u.ravel(), vel.v.ravel()])[free]
     sol, info = cg(Aff, b_free, x0=x0, M=M, rtol=1e-10, atol=0.0,
