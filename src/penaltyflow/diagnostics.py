@@ -78,13 +78,15 @@ def _edge_traces(arr):
 def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
                 params: PenaltyParams, rho0, vel0: VectorField,
                 rho1, vel1: VectorField, chi: np.ndarray, dt: float,
-                t_new: float, model: ViscosityModel = None) -> EnergyLedgerRow:
+                t_new: float, model: ViscosityModel = None,
+                E0: float = None) -> EnergyLedgerRow:
     """Assemble every energy-accounting term for one accepted step.
 
     Rate terms are evaluated at the step endpoint, matching the implicit
     side of the splitting; the residual (integrated left side minus right
     side) then shrinks first order in dt, which is what the dt-halving
-    consistency check expects of this splitting.
+    consistency check expects of this splitting.  E0, when given, is the
+    energy of (rho0, vel0), the previous row's E; it is computed otherwise.
     """
     if model is None:
         model = ViscosityModel.from_params(params, domain)
@@ -92,7 +94,8 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     vol_edge = {w: grid.dy if w in ("left", "right") else grid.dx
                 for w in WALLS}
 
-    E0 = energy_total(grid, rho0, vel0, u_ext, params)
+    if E0 is None:
+        E0 = energy_total(grid, rho0, vel0, u_ext, params)
     E1 = energy_total(grid, rho1, vel1, u_ext, params)
 
     rm = rho1

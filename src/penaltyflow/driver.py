@@ -20,8 +20,8 @@ from .diagnostics import (fluid_mask, interior_pressure_norm, ledger_step,
 from .errors import ConfigError
 from .fields import (MollifierKernel, VectorField, set_num_workers,
                      write_field, write_vti)
-from .momentum import (MG_MIN_LEVELS, MG_SWITCH_ITERS, momentum_step,
-                       multigrid_levels, sound_speed_max)
+from .momentum import (MG_MIN_LEVELS, MG_SWITCH_ITERS, SolutionHistory,
+                       momentum_step, multigrid_levels, sound_speed_max)
 
 BODY_CSV_SCHEMA = ("t", "Xx", "Xy", "theta", "Vx", "Vy", "w",
                    "rigidity_defect", "margin")
@@ -137,6 +137,10 @@ def _run_inner(cfg, outdir, keep_fields):
     # run once Jacobi gets expensive on a grid deep enough for it
     multigrid = False
     may_switch = multigrid_levels(grid) >= MG_MIN_LEVELS
+    # the viscous CG starts from the projection onto this run's recent
+    # solutions; the history is per-run state, so runs stay independent
+    history = SolutionHistory()
+    E_prev = None   # the last row's E: this step's E0 in the ledger
 
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = _timestep(cfg, grid, params, vel, bc, rho, cfg.t_end - t)
@@ -146,7 +150,8 @@ def _run_inner(cfg, outdir, keep_fields):
             pin = rigid_velocity_field(grid, body.X, body.V, body.w)
         vel_new, minfo = momentum_step(grid, domain, rho, rho_new, vel, chi,
                                        params, dt, bc, rigid_pin=pin,
-                                       hold_mask=hold, multigrid=multigrid)
+                                       hold_mask=hold, multigrid=multigrid,
+                                       history=history)
         multigrid = multigrid or (may_switch
                                   and minfo.iterations > MG_SWITCH_ITERS)
         guard_margin = float("nan")
@@ -172,7 +177,8 @@ def _run_inner(cfg, outdir, keep_fields):
 
         chi_new = chi if body_new is body else chi_of(body_new)
         row = ledger_step(grid, domain, bc, params, rho, vel, rho_new,
-                          vel_new, chi, dt, t + dt)
+                          vel_new, chi, dt, t + dt, E0=E_prev)
+        E_prev = row.E
         row.mass_residual = cinfo.mass_residual
         if body_new is not None:
             row.rigidity = rigidity_measure(grid, vel_new, chi_new)

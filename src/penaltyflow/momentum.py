@@ -300,12 +300,14 @@ class FreePattern:
         row_free = free[rows]
         keep = np.flatnonzero((cols >= 0) & free[cols] & row_free[:, None])
 
-        # fill() writes u-row values slot-major, then v-row values
+        # fill() writes the u rows' values slot-major into a buffer and
+        # gathers them into their CSR data (positions below split), then
+        # reuses the buffer for the v rows: half a full buffer's memory
         slot = arange(0, 9)
         at = np.concatenate([slot * self.nru + arange(0, self.nru)[:, None],
-                             9 * self.nru + slot * nrv
-                             + arange(0, nrv)[:, None]])
+                             slot * nrv + arange(0, nrv)[:, None]])
         self.gather = at.ravel()[keep]
+        self.split = int(np.searchsorted(keep, 9 * self.nru))
         indices = (np.cumsum(free, dtype=np.int32) - 1)[cols.ravel()[keep]]
         counts = np.bincount(keep // 9, minlength=rows.size)[row_free]
         indptr = np.zeros(counts.size + 1, dtype=np.int32)
@@ -329,9 +331,9 @@ class FreePattern:
         wl = w_lam.reshape(nx, ny)            # div coupling of u with v
         wn = w_node.reshape(nx + 1, ny + 1)
         nu = self.ops["nu"]
-        vals = np.empty(9 * (self.nru + nx * (ny - 1)))
+        data, gather, split = self.matrix.data, self.gather, self.split
+        vals = np.empty(9 * max(self.nru, nx * (ny - 1)))
         su = vals[:9 * self.nru].reshape(9, nx - 1, ny)
-        sv = vals[9 * self.nru:].reshape(9, nx, ny - 1)
 
         # u(i, j), i = 1..nx-1: cells (i-1, j), (i, j); nodes (i, j), (i, j+1)
         c0, c1, l0, l1 = wc[:-1], wc[1:], wl[:-1], wl[1:]
@@ -347,8 +349,11 @@ class FreePattern:
         su[6] = b * v_lt[1:-1, 1:] + ixy * l0
         su[7] = a * v_rt[1:-1, :-1] + ixy * l1
         su[8] = b * v_rt[1:-1, 1:] - ixy * l1
+        # every gather index is in range, so skip the bounds check
+        np.take(vals, gather[:split], out=data[:split], mode="clip")
 
         # v(i, j), j = 1..ny-1: cells (i, j-1), (i, j); nodes (i, j), (i+1, j)
+        sv = vals[:9 * nx * (ny - 1)].reshape(9, nx, ny - 1)
         c0, c1, l0, l1 = wc[:, :-1], wc[:, 1:], wl[:, :-1], wl[:, 1:]
         a = (wn * v_rt)[:-1, 1:-1]
         b = (wn * v_lt)[1:, 1:-1]
@@ -362,9 +367,7 @@ class FreePattern:
             + mass[nu:].reshape(nx, ny + 1)[:, 1:-1]
         sv[7] = -iy2 * c1
         sv[8] = b * v_rt[1:, 1:-1]
-
-        # every gather index is in range, so skip the bounds check
-        np.take(vals, self.gather, out=self.matrix.data, mode="clip")
+        np.take(vals, gather[split:], out=data[split:], mode="clip")
         return self.matrix
 
 
@@ -592,7 +595,10 @@ class Multigrid:
             # Gershgorin bound on the spectrum of D^-1 A
             rows = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
             smooth.append((A, dinv, float(np.max(rows * dinv))))
-        lu = splu(self.levels[-1].matrix.tocsc())
+        # the minimum-degree ordering of A + A^T suits the symmetric matrix:
+        # fewer L + U entries and a faster factorization than COLAMD
+        lu = splu(self.levels[-1].matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
         return LinearOperator(self.levels[0].matrix.shape,
                               matvec=lambda b: self._vcycle(smooth, lu, b),
                               dtype=np.float64)
@@ -616,6 +622,93 @@ def _multigrid(pattern: FreePattern) -> Multigrid:
     if _hierarchy is None or _hierarchy.levels[0] is not pattern:
         _hierarchy = Multigrid(pattern)
     return _hierarchy
+
+
+# ---------------------------------------------------------------------------
+# Initial guess of the viscous CG: projection onto recent solutions
+# ---------------------------------------------------------------------------
+
+PROJECTION_DEPTH = 5      # solutions a SolutionHistory spans
+PROJECTION_DROP = 1e-10   # relative squared A-norm below which a vector
+                          # of the history is dropped
+
+
+class SolutionHistory:
+    """The last PROJECTION_DEPTH free-row solutions of one run's viscous
+    solves, for the projection initial guess of P. F. Fischer, "Projection
+    techniques for iterative solution of Ax = b with successive right-hand
+    sides", CMAME 163 (1998) 193-204.
+
+    The solutions are kept as a backward-difference table: ``diffs[0]`` is
+    the newest solution, ``diffs[1]`` its difference from the one before,
+    ``diffs[2]`` the difference of those differences, and so on.  The table
+    spans the same space as the solutions, but successive solutions are
+    nearly parallel while their differences are not, so its Gram matrix
+    keeps the directions that the raw solutions lose to round-off.  Sliding
+    the window updates the table in place; no second copy of it is made.
+    A change of the free set (a new ``FreePattern``) empties the table.
+    """
+
+    def __init__(self):
+        self.pattern = None
+        self.diffs = []
+
+    def push(self, pattern: FreePattern, x: np.ndarray):
+        """Record the solution x (free rows of ``pattern``); x is copied."""
+        if pattern is not self.pattern:
+            self.pattern, self.diffs = pattern, []
+        # the highest difference of a full table drops out; its buffer,
+        # and then each old difference's in turn, takes the new entry
+        d = (self.diffs.pop() if len(self.diffs) == PROJECTION_DEPTH
+             else np.empty_like(x))
+        d[:] = x
+        for i, old in enumerate(self.diffs):
+            self.diffs[i], d = d, np.subtract(d, old, out=old)
+        self.diffs.append(d)
+
+    def guess(self, pattern: FreePattern, A, b: np.ndarray,
+              x0: np.ndarray) -> np.ndarray:
+        """x = V (V^T A V)^-1 V^T b over the table V: the A-norm-best
+        approximation of A^-1 b in the span of the recent solutions.  While
+        the table holds fewer than two vectors of this pattern, x0 itself:
+        a one-vector projection, a multiple of x0, can slow CG down.
+
+        The k x k system is solved by Gram-Schmidt in the A-inner product
+        on the table's coefficients, newest first.  A vector whose A-norm
+        after orthogonalization falls below sqrt(PROJECTION_DROP) of its
+        own is left out, so near-dependent history (a repeated solution)
+        never divides by round-off.  This works on k <= 5 numbers without
+        LAPACK, whose first call would add about 0.6 MiB of library pages
+        to the run's resident memory."""
+        V = self.diffs
+        if pattern is not self.pattern or len(V) < 2:
+            return x0
+        k = len(V)
+        G = np.empty((k, k))
+        for j, v in enumerate(V):
+            w = A @ v
+            G[:, j] = [u @ w for u in V]
+        c = np.array([u @ b for u in V])
+        live = np.flatnonzero(np.diag(G) > 0.0)   # a zero vector drops
+        s = 1.0 / np.sqrt(np.diag(G)[live])
+        G = G[np.ix_(live, live)] * np.outer(s, s)   # unit diagonal
+        basis = []                                   # pairs (q, G q)
+        for q in np.eye(live.size):
+            for _ in range(2):                       # twice is enough
+                for p, Gp in basis:
+                    q -= (Gp @ q) * p
+            Gq = G @ q
+            norm2 = q @ Gq
+            if norm2 > PROJECTION_DROP:
+                basis.append((q / np.sqrt(norm2), Gq / np.sqrt(norm2)))
+        if not basis:
+            return x0
+        cs = s * c[live]
+        alpha = sum((q @ cs) * q for q, _ in basis)
+        x = np.zeros_like(x0)
+        for a, i in zip(s * alpha, live):
+            x += a * V[i]
+        return x
 
 
 def _strains(ops, x, c12):
@@ -824,7 +917,8 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
                   params: PenaltyParams, dt: float, bc: BoundaryData,
                   model: ViscosityModel = None, source=None,
                   rigid_pin: VectorField = None, hold_mask=None,
-                  multigrid: bool = False):
+                  multigrid: bool = False,
+                  history: SolutionHistory = None):
     """Advance the face momentum one step; returns (VectorField, info).
 
     rho_new must come from the same step's continuity update (sequential
@@ -835,6 +929,9 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     diagnostic mode, not by the free-motion scheme.
     multigrid preconditions the viscous CG with the V-cycle of
     ``Multigrid`` instead of Jacobi.
+    history, one run's ``SolutionHistory``, starts the viscous CG from the
+    projection onto the run's recent solutions instead of from vel, and
+    records this step's solution; without it CG starts from vel.
     """
     check_cfl(grid, vel, bc, dt)
     nx, ny = grid.nx, grid.ny
@@ -878,11 +975,14 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         pinned |= vac
 
     free = ~pinned
-    pattern = _free_pattern(grid, pinned)
-    Aff = pattern.fill(w_mu, w_lam, w_node, mass)
     c12 = _d12_affine(grid, bc)
     b_free = (rhs - _pinned_coupling(ops, np.where(pinned, x_full, 0.0),
                                      w_mu, w_lam, w_node, c12))[free]
+    # face vectors are freed once done with, to hold the step's memory
+    # peak (the fill, the guess, the solve) where it was without a history
+    del rhs, face_rho, m_old
+    pattern = _free_pattern(grid, pinned)
+    Aff = pattern.fill(w_mu, w_lam, w_node, mass)
 
     iters = 0
 
@@ -890,13 +990,18 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         nonlocal iters
         iters += 1
 
+    x0 = np.concatenate([vel.u.ravel(), vel.v.ravel()])[free]
+    if history is not None:
+        # before the preconditioner, so that their work vectors never
+        # coexist
+        x0 = history.guess(pattern, Aff, b_free, x0)
     if multigrid:
         M = _multigrid(pattern).preconditioner(w_mu, w_lam, w_node, mass)
         maxiter = MG_MAXITER
     else:
         M = sparse.diags(1.0 / Aff.data[pattern.diag])
         maxiter = 10 * nx * ny
-    x0 = np.concatenate([vel.u.ravel(), vel.v.ravel()])[free]
+    del mass
     sol, info = cg(Aff, b_free, x0=x0, M=M, rtol=1e-10, atol=0.0,
                    maxiter=maxiter, callback=count)
     bnorm = float(np.linalg.norm(b_free))
@@ -905,6 +1010,8 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     if info != 0 and rel > 1e-8:
         raise LinearSolveDiverged(
             f"momentum viscous CG: info={info}, rel residual {rel}")
+    if history is not None:
+        history.push(pattern, sol)
     x_full[free] = sol
 
     u_new = x_full[:ops["nu"]].reshape(nx + 1, ny)

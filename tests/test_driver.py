@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from penaltyflow import driver
 from penaltyflow.cli import main as cli_main
 from penaltyflow.config import (default_config, load_config,
                                 write_example_config)
@@ -149,6 +150,24 @@ def test_determinism_bitwise(tmp_path):
     bc = (tmp_path / "c" / "diagnostics.csv").read_bytes()
     assert ba == bb
     assert ba == bc
+
+
+def test_solution_history_belongs_to_the_run(tmp_path, monkeypatch):
+    histories = []
+    step = driver.momentum_step
+
+    def record(*args, **kwargs):
+        if kwargs["history"] not in histories:
+            histories.append(kwargs["history"])
+        return step(*args, **kwargs)
+    monkeypatch.setattr(driver, "momentum_step", record)
+    cfg = default_config(t_end=0.03, nx=48, ny=48, r=0.05)
+    for name in ("a", "b"):
+        assert run(cfg, outdir=str(tmp_path / name)).steps >= 4
+    # each run projects onto its own solutions only
+    assert len(histories) == 2 and len(histories[0].diffs) >= 3
+    assert ((tmp_path / "a" / "diagnostics.csv").read_bytes()
+            == (tmp_path / "b" / "diagnostics.csv").read_bytes())
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):

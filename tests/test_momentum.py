@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import cg, spsolve
 
 from penaltyflow import driver
 from penaltyflow.body import (body_signed_distance, make_disc_body,
@@ -12,7 +13,8 @@ from penaltyflow.fields import StaggeredGrid, VectorField, sym_gradient
 from penaltyflow.geometry import (DomainSpec, build_extension,
                                   classify_boundary,
                                   resting_boundary, throughflow_boundary)
-from penaltyflow.momentum import (MG_MIN_LEVELS, FreePattern, Multigrid,
+from penaltyflow.momentum import (MG_MIN_LEVELS, PROJECTION_DEPTH,
+                                  FreePattern, Multigrid, SolutionHistory,
                                   ViscosityModel, _coarser, _d12_affine,
                                   _face_layout, _free_pattern, _grid_ops,
                                   _pinned_coupling, _prolong, _restrict,
@@ -522,3 +524,117 @@ def test_switch_state_belongs_to_the_run(tmp_path, monkeypatch):
     assert used == 2 * (["jacobi"] + ["multigrid"] * (len(used) // 2 - 1))
     assert len(used) >= 6
     assert text[0] == text[1]
+
+
+# ---------------------------------------------------------------------------
+# Projection initial guess from the run's recent solutions
+# ---------------------------------------------------------------------------
+
+def _system_sequence(n, rng):
+    """n slowly varying free blocks, right-hand sides and exact solutions on
+    a 20x13 grid (dx != dy) with a hold mask."""
+    grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
+    ops = _grid_ops(grid)
+    pattern = FreePattern(grid, _pinned_sets(ops, grid)["hold"], ops)
+    w = _random_weights(ops, grid, rng)
+    dw = [rng.uniform(-1.0, 1.0, a.size) for a in w]
+    b0, b1, b2 = rng.normal(size=(3, pattern.matrix.shape[0]))
+    out = []
+    for t in np.linspace(0.0, 0.05, n):
+        A = pattern.fill(*[a * (1.0 + t * d) for a, d in zip(w, dw)]).copy()
+        b = b0 + t * b1 + t * t * b2
+        out.append((A, b, spsolve(A.tocsc(), b)))
+    return pattern, out
+
+
+def test_projection_no_worse_than_previous_solution(rng):
+    pattern, systems = _system_sequence(8, rng)
+    history = SolutionHistory()
+    prev = np.zeros_like(systems[0][1])
+    for k, (A, b, x) in enumerate(systems):
+        x0 = history.guess(pattern, A, b, prev)
+        if k < 2:
+            # fewer than two solutions: CG starts from the previous one
+            assert x0 is prev
+        else:
+            def err(y):
+                return np.sqrt((y - x) @ (A @ (y - x)))
+            assert err(x0) <= 0.1 * err(prev)
+        history.push(pattern, x)
+        prev = x
+    assert len(history.diffs) == PROJECTION_DEPTH
+
+
+def test_history_is_a_sliding_difference_table(rng):
+    pattern, systems = _system_sequence(2, rng)
+    xs = rng.normal(size=(PROJECTION_DEPTH + 2, systems[0][1].size))
+    history = SolutionHistory()
+    for x in xs:
+        history.push(pattern, x)
+    # backward differences of the last PROJECTION_DEPTH solutions
+    newest = xs[-PROJECTION_DEPTH:][::-1]
+    for order, d in enumerate(history.diffs):
+        expect = np.diff(newest[:order + 1][::-1], n=order, axis=0)[0]
+        assert np.allclose(d, expect, rtol=0, atol=1e-12 * 2 ** order)
+    assert len(history.diffs) == PROJECTION_DEPTH
+    # a new free set starts the table afresh
+    other = FreePattern(pattern.grid, pattern.ops["boundary"], pattern.ops)
+    history.push(other, xs[0][:other.matrix.shape[0]])
+    assert history.pattern is other and len(history.diffs) == 1
+
+
+def test_projection_is_exact_on_the_history_span(rng):
+    pattern, systems = _system_sequence(4, rng)
+    history = SolutionHistory()
+    for _, _, x in systems[:3]:
+        history.push(pattern, x)
+    A = systems[3][0]
+    b = A @ systems[0][2]       # the oldest solution solves this system
+    x0 = history.guess(pattern, A, b, systems[2][2])
+    assert np.linalg.norm(b - A @ x0) <= 1e-10 * np.linalg.norm(b)
+    iters = []
+    cg(A, b, x0=x0, M=sparse.diags(1.0 / A.diagonal()), rtol=1e-10,
+       atol=0.0, callback=iters.append)
+    assert len(iters) <= 1
+
+
+def test_projection_with_a_repeated_solution_is_finite(rng):
+    pattern, systems = _system_sequence(2, rng)
+    x = systems[0][2]
+    A, b, _ = systems[1]
+    history = SolutionHistory()
+    for n in range(1, PROJECTION_DEPTH + 2):
+        history.push(pattern, x)
+        x0 = history.guess(pattern, A, b, x)
+        if n == 1:
+            continue
+        # the span is x's alone: the one-vector A-projection
+        assert np.all(np.isfinite(x0))
+        expect = (x @ b) / (x @ (A @ x)) * x
+        assert np.max(np.abs(x0 - expect)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_history_keeps_the_first_two_steps(grid24, domain, params):
+    bc = throughflow_boundary(domain, grid24, 0.2, 1.0)
+    bc.u_ext, _ = build_extension(bc, domain, grid24)
+    body = make_disc_body((0.5, 0.5), 0.2, 0.09, 2.0)
+    chi = body_signed_distance(body, grid24)
+    rho = np.ones(grid24.shape("centers"))
+    history = SolutionHistory()
+    vel = bc.u_ext.copy()
+    for step in range(3):
+        kw = dict(grid=grid24, domain=domain, rho_old=rho, rho_new=rho,
+                  vel=vel, chi=chi, params=params, dt=2e-3, bc=bc)
+        with_h, info_h = momentum_step(**kw, history=history)
+        without, info = momentum_step(**kw)
+        if step < 2:
+            # x0 = vel until the history holds two solutions
+            assert info_h.iterations == info.iterations
+            assert np.array_equal(with_h.u, without.u)
+            assert np.array_equal(with_h.v, without.v)
+        else:
+            # projected x0, the same solution to the CG tolerance
+            assert np.allclose(with_h.u, without.u, rtol=0, atol=1e-8)
+            assert np.allclose(with_h.v, without.v, rtol=0, atol=1e-8)
+        vel = with_h
+    assert len(history.diffs) == 3
