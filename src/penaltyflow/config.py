@@ -161,7 +161,11 @@ class RunConfig:
             raise ConfigError("need t_end > 0 and cfl in (0, 1]")
         if self.cadence < 1 or self.workers < 1:
             raise ConfigError("cadence and workers must be >= 1")
-        self.make_params()
+        try:
+            self.make_params()
+            self.make_grid()
+        except ValueError as exc:  # the constructors' own range checks
+            raise ConfigError(str(exc)) from exc
         domain = self.make_domain()
         if self.body_present:
             bd = float(domain.boundary_distance(self.x0, self.y0))

@@ -271,10 +271,3 @@ def surface_force_torque(grid: StaggeredGrid, domain: DomainSpec,
     torque = tree_sum((rx * tyv - ry * txv) * ds)
     return np.array([Fx, Fy]), float(torque)
 
-
-def write_diagnostics_csv(path, rows):
-    with open(path, "w") as f:
-        f.write(",".join(CSV_SCHEMA) + "\n")
-        for row in rows:
-            f.write(",".join(repr(float(v)) for v in row.csv_values())
-                    + "\n")

@@ -14,10 +14,10 @@ from .body import (body_signed_distance, body_step, collision_guard,
                    rigid_velocity_field, t0_lower_bound)
 from .config import RunConfig
 from .continuity import continuity_step
-from .diagnostics import (fluid_mask, interior_pressure_norm, ledger_step,
-                          rigidity_measure, surface_force_torque,
-                          write_diagnostics_csv)
-from .errors import ConfigError
+from .diagnostics import (CSV_SCHEMA, fluid_mask, interior_pressure_norm,
+                          ledger_step, rigidity_measure,
+                          surface_force_torque)
+from .errors import ConfigError, PenaltyflowError
 from .fields import (MollifierKernel, VectorField, set_num_workers,
                      write_field, write_vti)
 from .momentum import (MG_MIN_LEVELS, MG_SWITCH_ITERS, SolutionHistory,
@@ -74,18 +74,87 @@ def _timestep(cfg, grid, params, vel, bc, rho, remaining):
     return min(dt, remaining)
 
 
+class _Outputs:
+    """A run's accepted rows.  With an output directory they also stream to
+    diagnostics.csv and body.csv, each row written as its step is
+    accepted, and report.json is written when the run ends."""
+
+    def __init__(self, outdir):
+        self.outdir = outdir or None
+        self.rows, self.body_rows = [], []
+        self._files = []
+        if self.outdir:
+            os.makedirs(self.outdir, exist_ok=True)
+            self._diag = self._open_csv("diagnostics.csv", CSV_SCHEMA)
+            self._body = self._open_csv("body.csv", BODY_CSV_SCHEMA)
+
+    def _open_csv(self, name, schema):
+        f = open(os.path.join(self.outdir, name), "w")
+        self._files.append(f)
+        f.write(",".join(schema) + "\n")
+        return f
+
+    def add_row(self, row):
+        self.rows.append(row)
+        if self.outdir:
+            self._diag.write(_csv_line(row.csv_values()))
+
+    def add_body_row(self, values):
+        self.body_rows.append(values)
+        if self.outdir:
+            self._body.write(_csv_line(values))
+
+    def close(self):
+        for f in self._files:
+            f.close()
+
+    def write_report(self, data):
+        if self.outdir:
+            with open(os.path.join(self.outdir, "report.json"), "w") as f:
+                json.dump(data, f, indent=2, sort_keys=True)
+                f.write("\n")
+
+    def write_failure(self, exc):
+        """report.json of the steps accepted before ``exc`` ended the run;
+        ``error.step`` numbers the failing step (1 also for a failure while
+        setting up) and ``error.t`` is its start time."""
+        t = self.rows[-1].t if self.rows else 0.0
+        self.write_report({
+            "steps": len(self.rows), "final_t": t,
+            "aggregates": _aggregate(self.rows),
+            "error": {"type": type(exc).__name__, "message": str(exc),
+                      "step": len(self.rows) + 1, "t": t}})
+
+
+def _csv_line(values):
+    return ",".join(repr(float(v)) for v in values) + "\n"
+
+
 def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
     """Execute one configured run; writes diagnostics.csv, body.csv and
-    report.json under the output directory (unless outdir is False)."""
+    report.json under the output directory (unless outdir is False).
+
+    The CSV rows are written as the steps are accepted, so a run that
+    raises keeps them; a PenaltyflowError is recorded under ``error`` in
+    report.json and then re-raised."""
     cfg.validate()
+    if outdir is None:
+        outdir = os.environ.get("PENALTYFLOW_OUTDIR", cfg.outdir)
+    out = _Outputs(outdir)
     set_num_workers(cfg.workers)
     try:
-        return _run_inner(cfg, outdir, keep_fields)
+        report = _run_inner(cfg, out, keep_fields)
+    except PenaltyflowError as exc:
+        out.write_failure(exc)
+        raise
     finally:
+        out.close()
         set_num_workers(1)
+    out.write_report(report.to_json_dict())
+    return report
 
 
-def _run_inner(cfg, outdir, keep_fields):
+def _run_inner(cfg, out, keep_fields):
     domain = cfg.make_domain()
     grid = cfg.make_grid()
     params = cfg.make_params()
@@ -99,18 +168,11 @@ def _run_inner(cfg, outdir, keep_fields):
     rho = regularize_initial_density(grid, rho, params, bc)
     vel = cfg.initial_velocity(grid, bc, body)
 
-    if outdir is None:
-        outdir = os.environ.get("PENALTYFLOW_OUTDIR", cfg.outdir)
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-
     initial_clearance = None
     if body is not None:
         initial_clearance = float(
             domain.boundary_distance(body.X[0], body.X[1]) - body.radius)
 
-    rows = []
-    body_rows = []
     energy_series = []
     t = 0.0
     steps = 0
@@ -190,29 +252,30 @@ def _run_inner(cfg, outdir, keep_fields):
             row.Fx, row.Fy, row.torque = float(force[0]), float(force[1]), \
                 torque
             row.margin = guard_margin
-        rows.append(row)
+        out.add_row(row)
         energy_series.append((t + dt, row.E))
         if body_new is not None:
-            body_rows.append((t + dt, body_new.X[0], body_new.X[1],
-                              body_new.theta, body_new.V[0], body_new.V[1],
-                              body_new.w, defect, guard_margin))
+            out.add_body_row((t + dt, body_new.X[0], body_new.X[1],
+                              body_new.theta, body_new.V[0],
+                              body_new.V[1], body_new.w, defect,
+                              guard_margin))
 
         rho, vel, body, chi = rho_new, vel_new, body_new, chi_new
         t += dt
         steps += 1
 
-        if outdir and cfg.snapshots and steps % cfg.cadence == 0:
+        if out.outdir and cfg.snapshots and steps % cfg.cadence == 0:
             tag = f"{steps:06d}"
-            write_field(os.path.join(outdir, f"snap_{tag}_rho.dat"),
+            write_field(os.path.join(out.outdir, f"snap_{tag}_rho.dat"),
                         grid, rho, "centers")
-            write_field(os.path.join(outdir, f"snap_{tag}_u.dat"),
+            write_field(os.path.join(out.outdir, f"snap_{tag}_u.dat"),
                         grid, vel.u, "ufaces")
-            write_field(os.path.join(outdir, f"snap_{tag}_v.dat"),
+            write_field(os.path.join(out.outdir, f"snap_{tag}_v.dat"),
                         grid, vel.v, "vfaces")
             if cfg.vtk:
                 from .fields import faces_to_centers
                 uc, vc = faces_to_centers(grid, vel.u, vel.v)
-                write_vti(os.path.join(outdir, f"snap_{tag}.vti"), grid,
+                write_vti(os.path.join(out.outdir, f"snap_{tag}.vti"), grid,
                           {"rho": rho, "u": uc, "v": vc,
                            "chi": chi})
 
@@ -225,27 +288,17 @@ def _run_inner(cfg, outdir, keep_fields):
         else:
             t0 = cfg.t_end  # nothing moved; the bound saturates the horizon
 
-    aggregates = _aggregate(rows)
+    aggregates = _aggregate(out.rows)
     report = RunReport(
         final_t=t, t_max=t, steps=steps, stopped_early=stopped_early,
         violation_t=violation_t, violation_margin=violation_margin,
         c_run=c_run, t0_bound=t0, initial_clearance=initial_clearance,
         aggregates=aggregates, extension=_ext_dict(ext_report),
-        outdir=outdir or None,
-        rows=rows, body_rows=body_rows,
+        outdir=out.outdir,
+        rows=out.rows, body_rows=out.body_rows,
         final_rho=rho.copy() if keep_fields else None,
         final_vel=vel.copy() if keep_fields else None,
         energy_series=energy_series)
-
-    if outdir:
-        write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"), rows)
-        with open(os.path.join(outdir, "body.csv"), "w") as f:
-            f.write(",".join(BODY_CSV_SCHEMA) + "\n")
-            for r in body_rows:
-                f.write(",".join(repr(float(x)) for x in r) + "\n")
-        with open(os.path.join(outdir, "report.json"), "w") as f:
-            json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
     return report
 
 

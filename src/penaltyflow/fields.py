@@ -19,6 +19,7 @@ parallel stencil assembly produce bitwise-identical results.
 
 from __future__ import annotations
 
+import base64
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -39,10 +40,6 @@ def set_num_workers(k: int) -> None:
     if k < 1:
         raise ValueError("worker count must be >= 1")
     _WORKERS = int(k)
-
-
-def get_num_workers() -> int:
-    return _WORKERS
 
 
 def run_chunked(n_items: int, fn) -> None:
@@ -351,11 +348,6 @@ def mollify(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
                             kernel.weights, mode="constant", cval=0.0)
 
 
-def mollify_vector(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray,
-                   kernel: MollifierKernel):
-    return mollify(u, kernel), mollify(v, kernel)
-
-
 def interp_uface(grid: StaggeredGrid, u: np.ndarray, x, y):
     """Bilinear sample of a u-face array at points (x, y)."""
     return _bilinear(u, np.asarray(x) / grid.dx,
@@ -389,35 +381,41 @@ def faces_to_centers(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Snapshot I/O: plain structured-grid ASCII, plus optional VTK image data.
+# Snapshot I/O: a text header plus raw float64, and VTK image data in base64.
 # ---------------------------------------------------------------------------
 
+FIELD_HEADER = b"penaltyflow-field 2"
+
+
 def write_field(path, grid: StaggeredGrid, values: np.ndarray, loc: str):
-    values = np.asarray(values)
-    with open(path, "w") as f:
-        f.write("penaltyflow-field 1\n")
-        f.write(f"{grid.nx} {grid.ny}\n")
-        f.write(f"{grid.dx!r} {grid.dy!r}\n")
-        f.write(loc + "\n")
-        for i in range(values.shape[0]):
-            f.write(" ".join(repr(float(x)) for x in values[i, :]) + "\n")
+    """Header lines ``penaltyflow-field 2``, ``nx ny``, ``dx dy`` (repr)
+    and ``loc``, then the values as C-order ``<f8`` bytes."""
+    header = f"{grid.nx} {grid.ny}\n{grid.dx!r} {grid.dy!r}\n{loc}\n"
+    with open(path, "wb") as f:
+        f.write(FIELD_HEADER + b"\n" + header.encode())
+        f.write(np.asarray(values, dtype="<f8").tobytes())
 
 
 def read_field(path):
-    with open(path) as f:
-        header = f.readline().split()
-        if header[0] != "penaltyflow-field":
-            raise ValueError("not a penaltyflow field file")
+    """(grid, values, loc) of a ``write_field`` file; values is writable.
+    ValueError on a foreign or other-version file or a short/long payload."""
+    with open(path, "rb") as f:
+        if f.readline().split() != FIELD_HEADER.split():
+            raise ValueError(f"{path}: not a {FIELD_HEADER.decode()} file")
         nx, ny = (int(t) for t in f.readline().split())
         dx, dy = (float(t) for t in f.readline().split())
-        loc = f.readline().strip()
-        rows = [np.array([float(t) for t in line.split()])
-                for line in f if line.strip()]
-    return StaggeredGrid(nx, ny, dx, dy), np.vstack(rows), loc
+        loc = f.readline().decode().strip()
+        payload = bytearray(f.read())
+    grid = StaggeredGrid(nx, ny, dx, dy)
+    shape = grid.shape(loc)
+    if len(payload) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"{path}: {len(payload)} bytes of {loc} data for "
+                         f"a {shape} array")
+    return grid, np.frombuffer(payload, dtype="<f8").reshape(shape), loc
 
 
 def write_vti(path, grid: StaggeredGrid, cell_fields: dict):
-    """ASCII VTK ImageData with one CellData array per entry."""
+    """VTK ImageData with one binary CellData array per entry."""
     nx, ny = grid.nx, grid.ny
     lines = [
         '<?xml version="1.0"?>',
@@ -428,13 +426,12 @@ def write_vti(path, grid: StaggeredGrid, cell_fields: dict):
         '      <CellData>',
     ]
     for name, arr in cell_fields.items():
-        arr = np.asarray(arr)
+        # VTK cell ordering is x-fastest; an inline binary array is the
+        # base64 of its UInt32 byte count followed by the data
+        data = np.asarray(arr, dtype="<f8").T.tobytes()
+        blob = base64.b64encode(np.array(len(data), "<u4").tobytes() + data)
         lines.append(f'        <DataArray type="Float64" Name="{name}" '
-                     'format="ascii">')
-        # VTK cell ordering is x-fastest
-        flat = arr.T.ravel()
-        lines.append("          " + " ".join(repr(float(x)) for x in flat))
-        lines.append('        </DataArray>')
+                     f'format="binary">{blob.decode()}</DataArray>')
     lines += ['      </CellData>', '    </Piece>', '  </ImageData>',
               '</VTKFile>', '']
     with open(path, "w") as f:

@@ -7,7 +7,7 @@ from penaltyflow.cli import main as cli_main
 from penaltyflow.config import (default_config, load_config,
                                 write_example_config)
 from penaltyflow.driver import run, sweep
-from penaltyflow.errors import ConfigError
+from penaltyflow.errors import ConfigError, LinearSolveDiverged
 
 
 def test_example_config_roundtrip(tmp_path):
@@ -40,6 +40,13 @@ def test_initial_margin_rejected():
         default_config(x0=0.2, y0=0.5, radius=0.15)
 
 
+def test_out_of_range_params_and_grid_rejected():
+    with pytest.raises(ConfigError, match="gamma"):
+        default_config(gamma=1.4)
+    with pytest.raises(ConfigError, match="8x8"):
+        default_config(nx=4)
+
+
 def test_zero_data_run_inert():
     cfg = default_config(profile="zero", u0="zero", n=0.0, nx=32, ny=32,
                          r=0.07, radius=0.18, speed=0.0, t_end=0.01,
@@ -68,6 +75,7 @@ def test_default_run_outputs(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["steps"] == rep.steps
     assert report["aggregates"]["max_mass_residual"] <= 1e-10
+    assert "error" not in report
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):
@@ -168,6 +176,36 @@ def test_solution_history_belongs_to_the_run(tmp_path, monkeypatch):
     assert len(histories) == 2 and len(histories[0].diffs) >= 3
     assert ((tmp_path / "a" / "diagnostics.csv").read_bytes()
             == (tmp_path / "b" / "diagnostics.csv").read_bytes())
+
+
+def test_failing_run_keeps_rows_and_reports_the_error(tmp_path,
+                                                     monkeypatch):
+    cfg = default_config(t_end=0.01, nx=32, ny=32, r=0.07, dt=2e-3)
+    whole = run(cfg, outdir=str(tmp_path / "whole"))
+    assert whole.steps == 5
+    step, calls, raised = driver.momentum_step, [], []
+
+    def fail_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raised.append(LinearSolveDiverged("planted on the third solve"))
+            raise raised[0]
+        return step(*args, **kwargs)
+    monkeypatch.setattr(driver, "momentum_step", fail_third)
+    with pytest.raises(LinearSolveDiverged) as info:
+        run(cfg, outdir=str(tmp_path / "failed"))
+    assert info.value is raised[0]
+    for name in ("diagnostics.csv", "body.csv"):
+        kept = (tmp_path / "failed" / name).read_text().splitlines()
+        assert kept == (tmp_path / "whole" / name).read_text() \
+            .splitlines()[:3]
+    report = json.loads((tmp_path / "failed" / "report.json").read_text())
+    assert report["steps"] == 2
+    assert report["final_t"] == whole.rows[1].t
+    assert report["aggregates"] == driver._aggregate(whole.rows[:2])
+    assert report["error"] == {"type": "LinearSolveDiverged",
+                               "message": "planted on the third solve",
+                               "step": 3, "t": whole.rows[1].t}
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):

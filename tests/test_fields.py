@@ -1,3 +1,8 @@
+import base64
+import re
+import struct
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,7 @@ from penaltyflow.fields import (MollifierKernel, ScalarField, StaggeredGrid,
                                 VectorField, divergence, face_gradient,
                                 integrate, interp_cell, mollify, read_field,
                                 run_chunked, set_num_workers, sym_gradient,
-                                tree_sum, write_field)
+                                tree_sum, write_field, write_vti)
 
 
 def test_grid_invariants():
@@ -185,3 +190,62 @@ def test_snapshot_roundtrip(tmp_path, grid24, rng):
     assert loc == "centers"
     assert g2 == grid24
     assert np.array_equal(vals, vals2)
+
+
+# edge values a text format would be tempted to round or respell
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf,
+               1.7e308, -1.7e308, 1 / 3]
+
+
+def test_snapshot_roundtrip_bitwise_every_layout(tmp_path, rng):
+    grid = StaggeredGrid(10, 8, 0.1, 1 / 7)
+    for loc in ("centers", "ufaces", "vfaces"):
+        vals = rng.normal(size=grid.shape(loc))
+        vals.flat[:len(EDGE_VALUES)] = EDGE_VALUES
+        path = tmp_path / f"{loc}.dat"
+        write_field(path, grid, vals, loc)
+        g2, vals2, loc2 = read_field(path)
+        assert (g2, loc2) == (grid, loc)
+        assert vals2.shape == vals.shape
+        assert np.array_equal(vals2.view(np.uint64), vals.view(np.uint64))
+        vals2[0, 0] = 1.0  # a writable array, not a view of the file bytes
+
+
+def test_read_field_rejects_foreign_old_and_truncated(tmp_path, grid24):
+    path = tmp_path / "f.dat"
+    write_field(path, grid24, np.ones(grid24.shape("centers")), "centers")
+    good = path.read_bytes()
+    bad = {
+        "magic": good.replace(b"penaltyflow-field", b"penaltyflow-fjeld", 1),
+        "version 1": b"penaltyflow-field 1\n24 24\n"
+                     b"0.041666666666666664 0.041666666666666664\n"
+                     b"centers\n" + b"1.0 " * 23 + b"1.0\n",
+        "truncated": good[:-8],
+        "overlong": good + b"\0" * 8,
+    }
+    for case, data in bad.items():
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_field(path)
+
+
+def test_write_vti_binary_arrays(tmp_path, rng):
+    grid = StaggeredGrid(10, 8, 0.1, 1 / 7)
+    fields = {"rho": rng.normal(size=(10, 8)),
+              "chi": np.arange(80.0).reshape(10, 8)}
+    fields["rho"].flat[:len(EDGE_VALUES)] = EDGE_VALUES
+    path = tmp_path / "f.vti"
+    write_vti(path, grid, fields)
+    image = ET.parse(path).getroot().find("ImageData")
+    assert image.get("WholeExtent") == "0 10 0 8 0 0"
+    assert image.get("Spacing") == f"0.1 {1 / 7!r} 1"
+    arrays = image.find("Piece").find("CellData").findall("DataArray")
+    assert [a.get("Name") for a in arrays] == list(fields)
+    for a in arrays:
+        assert (a.get("type"), a.get("format")) == ("Float64", "binary")
+        raw = base64.b64decode(a.text.strip(), validate=True)
+        (nbytes,) = struct.unpack("<I", raw[:4])
+        assert nbytes == len(raw) - 4 == 8 * 80
+        data = np.frombuffer(raw[4:], dtype="<f8")
+        want = fields[a.get("Name")].T.ravel()  # x-fastest cell order
+        assert np.array_equal(data.view(np.uint64), want.view(np.uint64))
