@@ -13,8 +13,9 @@ import numpy as np
 
 from .body import BodyState, make_disc_body, rigid_velocity_field
 from .continuity import PenaltyParams
-from .errors import ConfigError
-from .fields import StaggeredGrid, VectorField
+from .diagnostics import probe_ring
+from .errors import ConfigError, InvalidShape, KernelUnresolved, ProbeOutside
+from .fields import MollifierKernel, StaggeredGrid, VectorField
 from .geometry import (BoundaryData, DomainSpec, build_extension,
                        resting_boundary, throughflow_boundary)
 
@@ -173,6 +174,15 @@ class RunConfig:
                 raise ConfigError(
                     f"initial body margin {bd - self.radius} must exceed "
                     f"h = {self.h}")
+            # what the run itself would reject at set-up or at step 1,
+            # decided by the initial body and the grid alone
+            grid = self.make_grid()
+            try:
+                body = self.make_body()
+                MollifierKernel.build(self.r, grid.dx, grid.dy)
+                probe_ring(grid, domain, body)
+            except (InvalidShape, KernelUnresolved, ProbeOutside) as exc:
+                raise ConfigError(str(exc)) from exc
         return self
 
 

@@ -235,12 +235,10 @@ def interior_pressure_norm(grid: StaggeredGrid, rho: np.ndarray,
     return ng, nb
 
 
-def surface_force_torque(grid: StaggeredGrid, domain: DomainSpec,
-                         rho: np.ndarray, vel: VectorField, body: BodyState,
-                         params: PenaltyParams):
-    """Surface traction integral over a probe ring offset 2 cells outside
-    the physical body surface; physical viscosities only.  A diagnostic of
-    momentum exchange, not a dynamic input."""
+def probe_ring(grid: StaggeredGrid, domain: DomainSpec, body: BodyState):
+    """Points and unit outward directions of the traction probe ring, 2
+    cells outside the physical body surface; ProbeOutside when the ring
+    reaches the wall collar."""
     off = 2.0 * max(grid.dx, grid.dy)
     ring_r = body.radius + off
     bm = body.boundary_markers()
@@ -249,6 +247,16 @@ def surface_force_torque(grid: StaggeredGrid, domain: DomainSpec,
     wall_d = domain.boundary_distance(pts[:, 0], pts[:, 1])
     if np.min(wall_d) < off:
         raise ProbeOutside("probe ring reaches the wall collar")
+    return pts, dirs
+
+
+def surface_force_torque(grid: StaggeredGrid, domain: DomainSpec,
+                         rho: np.ndarray, vel: VectorField, body: BodyState,
+                         params: PenaltyParams):
+    """Surface traction integral over the probe ring (``probe_ring``);
+    physical viscosities only.  A diagnostic of momentum exchange, not a
+    dynamic input."""
+    pts, dirs = probe_ring(grid, domain, body)
 
     d11, d12, d22 = sym_gradient(grid, vel.u, vel.v)
     s11, s12, s22 = stress(d11, d12, d22, params.mu, params.lam)

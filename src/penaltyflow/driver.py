@@ -20,8 +20,8 @@ from .diagnostics import (CSV_SCHEMA, fluid_mask, interior_pressure_norm,
 from .errors import ConfigError, PenaltyflowError
 from .fields import (MollifierKernel, VectorField, set_num_workers,
                      write_field, write_vti)
-from .momentum import (MG_MIN_LEVELS, MG_SWITCH_ITERS, SolutionHistory,
-                       momentum_step, multigrid_levels, sound_speed_max)
+from .momentum import (PreconditionerRule, SolutionHistory, momentum_step,
+                       sound_speed_max)
 
 BODY_CSV_SCHEMA = ("t", "Xx", "Xy", "theta", "Vx", "Vy", "w",
                    "rigidity_defect", "margin")
@@ -195,13 +195,12 @@ def _run_inner(cfg, out, keep_fields):
         m = 2.0 * max(grid.dx, grid.dy)
         hold = (body_signed_distance(body, grid, "ufaces") >= m,
                 body_signed_distance(body, grid, "vfaces") >= m)
-    # the viscous CG switches to the multigrid V-cycle for the rest of the
-    # run once Jacobi gets expensive on a grid deep enough for it
-    multigrid = False
-    may_switch = multigrid_levels(grid) >= MG_MIN_LEVELS
     # the viscous CG starts from the projection onto this run's recent
-    # solutions; the history is per-run state, so runs stay independent
+    # solutions, preconditioned as this run's rule picks step by step; both
+    # are per-run state, so runs stay independent
     history = SolutionHistory()
+    rule = PreconditionerRule(grid, mobile_body=body is not None
+                              and hold is None)
     E_prev = None   # the last row's E: this step's E0 in the ledger
 
     while t < cfg.t_end * (1.0 - 1e-12):
@@ -210,12 +209,10 @@ def _run_inner(cfg, out, keep_fields):
         pin = None
         if body is not None:
             pin = rigid_velocity_field(grid, body.X, body.V, body.w)
-        vel_new, minfo = momentum_step(grid, domain, rho, rho_new, vel, chi,
-                                       params, dt, bc, rigid_pin=pin,
-                                       hold_mask=hold, multigrid=multigrid,
-                                       history=history)
-        multigrid = multigrid or (may_switch
-                                  and minfo.iterations > MG_SWITCH_ITERS)
+        vel_new, _ = momentum_step(grid, domain, rho, rho_new, vel, chi,
+                                   params, dt, bc, rigid_pin=pin,
+                                   hold_mask=hold, rule=rule,
+                                   history=history)
         guard_margin = float("nan")
         defect = 0.0
         body_new = body

@@ -393,22 +393,10 @@ MG_COARSEST = 12        # fewest cells a side of a coarse grid
 MG_SMOOTH_STEPS = 3     # Chebyshev-Jacobi steps before and after correction
 MG_SMOOTH_RANGE = 30.0  # the smoother targets D^-1 A's spectrum in [l/30, l]
 MG_MAXITER = 300        # a sound V-cycle needs O(10); fail fast otherwise
-
-# driver._run_inner turns the V-cycle on for the rest of a run once a
-# Jacobi-CG solve takes more than MG_SWITCH_ITERS iterations on a grid with
-# at least MG_MIN_LEVELS levels.  In units of one Jacobi-CG iteration,
-# measured at 96^2 and 192^2 with n = 1e3 and 1e5 on a 2-core x86 VM: an
-# MG-PCG iteration (V-cycle, matvec, CG update) costs 8-10, the coarse
-# fills, smoother set-up and coarsest factorization 8-12, and MG-PCG needs
-# 9-10 iterations, so MG breaks even against 84-101 Jacobi iterations.
-# With a hold mask MG-PCG still needs 12-15 iterations and break-even is
-# 104-140, while a tethered run at 96^2 reaches about 100 Jacobi
-# iterations: 150 keeps such runs on the faster Jacobi path and leaves a
-# margin for the hierarchy's build and for noise.  On 48^2 (3 levels) the
-# fixed costs weigh 18-27 and break-even is 75-150 iterations, more than
-# such runs need (about 77).
-MG_SWITCH_ITERS = 150
-MG_MIN_LEVELS = 4
+MG_MIN_LEVELS = 4       # fewest levels for the V-cycle: at 48^2 (3 levels)
+                        # its fixed costs weigh 18-27 Jacobi-CG iterations
+                        # and break-even is 75-150 of them, more than such
+                        # runs need (about 77)
 
 
 def _coarser(grid: StaggeredGrid):
@@ -625,6 +613,88 @@ def _multigrid(pattern: FreePattern) -> Multigrid:
 
 
 # ---------------------------------------------------------------------------
+# Choice of the viscous CG's preconditioner, step by step
+# ---------------------------------------------------------------------------
+
+# The cost model of the two CGs counts fine-level matvecs.  Level k of the
+# hierarchy has r_k times the fine level's unknowns, and so about r_k times
+# its nonzeros (at most 9 a row).  Each term is the median of 7 timings at
+# 96^2 and 192^2, n = 1e5, with and without a hold mask, on a 2-core x86
+# VM; the range is over those four cases:
+JACOBI_MATVECS = 2.0      # a Jacobi-CG iteration: its matvec, the diagonal
+                          # scaling and CG's vector updates; 2.0-2.1
+MG_LEVEL_MATVECS = 11.0   # a V-cycle's visit to one level, in that level's
+                          # matvecs: 2 MG_SMOOTH_STEPS + 2 = 8 matvecs, the
+                          # smoother's vector updates and both transfers;
+                          # 10.6-11.0
+MG_FILL_MATVECS = 42.0    # a step's set-up of one coarse level, in its
+                          # matvecs: coarsened weights, fill, Gershgorin
+                          # bound; 38-47
+MG_LU_MATVECS = 340.0     # the coarsest level's LU factorization, in its
+                          # matvecs; 318-365
+MG_RATE = 1.3             # MG-PCG iterations per decade a step needs,
+                          # for a run that has not used the V-cycle yet:
+                          # run medians 1.20-1.52 over free, held and
+                          # body-less runs at 96^2 and 192^2
+
+
+def _multigrid_cost(grid: StaggeredGrid):
+    """(F, c): an MG-PCG solve of k iterations on ``grid`` costs about
+    F + c k Jacobi-CG iterations.  F is the step's set-up of the coarse
+    levels and the coarsest LU; c is one CG iteration with a V-cycle in
+    place of the diagonal scaling."""
+    rows = []
+    while grid is not None:
+        rows.append((grid.nx - 1) * grid.ny + grid.nx * (grid.ny - 1))
+        grid = _coarser(grid)
+    r = np.array(rows) / rows[0]
+    setup = MG_FILL_MATVECS * r[1:].sum() + MG_LU_MATVECS * r[-1]
+    cycle = MG_LEVEL_MATVECS * r[:-1].sum()
+    return setup / JACOBI_MATVECS, 1.0 + cycle / JACOBI_MATVECS
+
+
+class PreconditionerRule:
+    """Picks the viscous CG's preconditioner, "jacobi" or "multigrid", for
+    each step of one run.
+
+    Only a grid with at least MG_MIN_LEVELS levels may use the V-cycle.
+    The first step uses it when the body is mobile (present and not held):
+    Jacobi then has the free body's slow modes to resolve and needs 11-19
+    times the V-cycle's iterations, against about 7 times when a hold mask
+    pins the stiff core.  Every later step predicts each path's iterations
+    as its last rate, in iterations per decade of residual reduction, times
+    the decades this step needs, and takes the cheaper by
+    ``_multigrid_cost``; so a run can go either way, and go back.  A path
+    the run has not used has no rate of its own: the V-cycle's is MG_RATE,
+    Jacobi's is unknown, so a run that starts on the V-cycle keeps it.
+    """
+
+    def __init__(self, grid: StaggeredGrid, mobile_body: bool):
+        self.cost = (_multigrid_cost(grid)
+                     if multigrid_levels(grid) >= MG_MIN_LEVELS else None)
+        self.first = ("multigrid" if mobile_body and self.cost is not None
+                      else "jacobi")
+        self.rates = {"multigrid": MG_RATE}
+
+    def choose(self, decades: float) -> str:
+        """The preconditioner for a solve that must reduce its residual by
+        ``decades`` powers of ten."""
+        if self.cost is None:
+            return "jacobi"
+        if "jacobi" not in self.rates:
+            return self.first
+        F, c = self.cost
+        multigrid = F + c * self.rates["multigrid"] * decades
+        jacobi = self.rates["jacobi"] * decades
+        return "multigrid" if multigrid < jacobi else "jacobi"
+
+    def record(self, info: MomentumStepInfo):
+        """Keep the rate of the solve that ``info`` describes."""
+        if info.iterations > 0 and info.decades > 0.0:
+            self.rates[info.preconditioner] = info.iterations / info.decades
+
+
+# ---------------------------------------------------------------------------
 # Initial guess of the viscous CG: projection onto recent solutions
 # ---------------------------------------------------------------------------
 
@@ -762,6 +832,7 @@ class MomentumStepInfo:
     solve_residual: float
     visc_quadform: float
     pinned_vacuum_faces: int
+    decades: float            # log10 of initial over final residual norm
 
 
 def _upwind_convection(grid, rho, vel, bc):
@@ -917,7 +988,7 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
                   params: PenaltyParams, dt: float, bc: BoundaryData,
                   model: ViscosityModel = None, source=None,
                   rigid_pin: VectorField = None, hold_mask=None,
-                  multigrid: bool = False,
+                  rule: PreconditionerRule = None,
                   history: SolutionHistory = None):
     """Advance the face momentum one step; returns (VectorField, info).
 
@@ -927,8 +998,9 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     hold_mask (u-face and v-face booleans) tethers those faces to the
     rigid_pin values inside the implicit solve; used by the held-body
     diagnostic mode, not by the free-motion scheme.
-    multigrid preconditions the viscous CG with the V-cycle of
-    ``Multigrid`` instead of Jacobi.
+    rule, one run's ``PreconditionerRule``, picks the viscous CG's
+    preconditioner (Jacobi or the V-cycle of ``Multigrid``) and records
+    this step's solve; without it the CG is Jacobi-preconditioned.
     history, one run's ``SolutionHistory``, starts the viscous CG from the
     projection onto the run's recent solutions instead of from vel, and
     records this step's solution; without it CG starts from vel.
@@ -995,16 +1067,24 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
         # before the preconditioner, so that their work vectors never
         # coexist
         x0 = history.guess(pattern, Aff, b_free, x0)
-    if multigrid:
+    # the preconditioner rule weighs the decades this solve must gain
+    r0 = float(np.linalg.norm(b_free - Aff @ x0))
+    rtol = 1e-10
+    bnorm = float(np.linalg.norm(b_free))
+    precond = "jacobi"
+    if rule is not None:
+        need = (float(np.log10(r0 / (rtol * bnorm)))
+                if r0 > 0.0 and bnorm > 0.0 else 0.0)
+        precond = rule.choose(max(need, 0.0))
+    if precond == "multigrid":
         M = _multigrid(pattern).preconditioner(w_mu, w_lam, w_node, mass)
         maxiter = MG_MAXITER
     else:
         M = sparse.diags(1.0 / Aff.data[pattern.diag])
         maxiter = 10 * nx * ny
     del mass
-    sol, info = cg(Aff, b_free, x0=x0, M=M, rtol=1e-10, atol=0.0,
+    sol, info = cg(Aff, b_free, x0=x0, M=M, rtol=rtol, atol=0.0,
                    maxiter=maxiter, callback=count)
-    bnorm = float(np.linalg.norm(b_free))
     res = float(np.linalg.norm(b_free - Aff @ sol))
     rel = res / bnorm if bnorm > 0 else res
     if info != 0 and rel > 1e-8:
@@ -1022,12 +1102,14 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     quad = tree_sum(w_mu * (r11 ** 2 + r22 ** 2)) \
         + tree_sum(w_lam * rdv ** 2) + tree_sum(w_node * r12 ** 2)
 
-    return out, MomentumStepInfo(iterations=iters,
-                                 preconditioner=("multigrid" if multigrid
-                                                 else "jacobi"),
-                                 solve_residual=rel,
-                                 visc_quadform=quad,
-                                 pinned_vacuum_faces=n_vac)
+    minfo = MomentumStepInfo(
+        iterations=iters, preconditioner=precond, solve_residual=rel,
+        visc_quadform=quad, pinned_vacuum_faces=n_vac,
+        decades=(float(np.log10(r0 / res)) if r0 > 0.0 and res > 0.0
+                 else 0.0))
+    if rule is not None:
+        rule.record(minfo)
+    return out, minfo
 
 
 def viscous_quadratic_form(grid: StaggeredGrid, domain: DomainSpec,

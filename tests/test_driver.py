@@ -47,6 +47,29 @@ def test_out_of_range_params_and_grid_rejected():
         default_config(nx=4)
 
 
+def test_unresolved_mollifier_rejected():
+    # r < 2 max(dx, dy): the run would raise KernelUnresolved in set-up
+    with pytest.raises(ConfigError, match="mollifier"):
+        default_config(nx=32, ny=32, r=0.05)
+    default_config(nx=32, ny=32, r=0.0625)
+    # without a body no kernel is built
+    default_config(nx=32, ny=32, r=0.05, body_present=False)
+
+
+def test_erosion_of_the_whole_body_rejected():
+    # r >= radius: make_body would raise InvalidShape in set-up
+    with pytest.raises(ConfigError, match="erosion"):
+        default_config(r=0.15, radius=0.15)
+
+
+def test_probe_ring_in_the_wall_collar_rejected():
+    # the body's margin 0.13 exceeds h, but the probe ring 2 cells outside
+    # it (dx = 1/24) lies within 2 cells of the wall: ProbeOutside at step 1
+    with pytest.raises(ConfigError, match="probe ring"):
+        default_config(nx=24, ny=24, r=0.09, x0=0.28)
+    default_config(nx=24, ny=24, r=0.09, x0=0.32)
+
+
 def test_zero_data_run_inert():
     cfg = default_config(profile="zero", u0="zero", n=0.0, nx=32, ny=32,
                          r=0.07, radius=0.18, speed=0.0, t_end=0.01,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from penaltyflow.config import RunConfig
 from penaltyflow.driver import run
-from penaltyflow.errors import PenaltyflowError
+from penaltyflow.errors import ConfigError, PenaltyflowError
 
 
 @st.composite
@@ -51,12 +51,19 @@ def small_configs(draw):
         cfl=draw(st.floats(0.1, 1.0)),
         dt=draw(st.sampled_from((0.0, 1e-3, 5e-3))),
         snapshots=draw(st.booleans()), vtk=True, cadence=2,
-    ).validate()
+    )
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(small_configs())
 def test_valid_configs_finish_or_raise_typed(cfg):
+    try:
+        cfg.validate()
+    except ConfigError:
+        # decided by the initial grid and body (an unresolved mollifier, an
+        # erosion of the whole body, a probe ring in the wall collar): the
+        # config never reaches a run
+        return
     with tempfile.TemporaryDirectory() as outdir:
         try:
             rep = run(cfg, outdir=outdir)

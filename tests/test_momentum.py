@@ -13,8 +13,9 @@ from penaltyflow.fields import StaggeredGrid, VectorField, sym_gradient
 from penaltyflow.geometry import (DomainSpec, build_extension,
                                   classify_boundary,
                                   resting_boundary, throughflow_boundary)
-from penaltyflow.momentum import (MG_MIN_LEVELS, PROJECTION_DEPTH,
-                                  FreePattern, Multigrid, SolutionHistory,
+from penaltyflow.momentum import (MG_MIN_LEVELS, MG_RATE, PROJECTION_DEPTH,
+                                  FreePattern, MomentumStepInfo, Multigrid,
+                                  PreconditionerRule, SolutionHistory,
                                   ViscosityModel, _coarser, _d12_affine,
                                   _face_layout, _free_pattern, _grid_ops,
                                   _pinned_coupling, _prolong, _restrict,
@@ -475,14 +476,19 @@ def test_multigrid_pcg_matches_jacobi_at_96(which):
         vel.v[10:20, 38:49] = 0.0
     out = {}
     for mg in (False, True):
+        # a fresh rule for a mobile body takes the V-cycle at its first
+        # step; without a rule the CG is Jacobi-preconditioned
+        rule = PreconditionerRule(grid, mobile_body=True) if mg else None
         v, info = momentum_step(grid, domain, rho_old, rho_new, vel, chi,
-                                params, 2e-3, bc, hold_mask=hold,
-                                multigrid=mg)
+                                params, 2e-3, bc, hold_mask=hold, rule=rule)
         out[info.preconditioner] = (np.concatenate([v.u.ravel(),
                                                     v.v.ravel()]), info)
     (xj, ij), (xm, im) = out["jacobi"], out["multigrid"]
     assert (which == "vacuum") == (im.pinned_vacuum_faces > 0)
     assert im.iterations <= 18 < ij.iterations
+    # from the previous velocity both solves gain 8-14 decades; the
+    # V-cycle's larger steps overshoot the target by up to one
+    assert 8.0 < ij.decades < im.decades < ij.decades + 1.0
     assert np.linalg.norm(xm - xj) <= 1e-8 * np.linalg.norm(xj)
 
 
@@ -499,30 +505,95 @@ def _recording(monkeypatch):
     return used
 
 
+def _info(preconditioner, iterations, decades):
+    return MomentumStepInfo(iterations=iterations,
+                            preconditioner=preconditioner,
+                            solve_residual=0.0, visc_quadform=0.0,
+                            pinned_vacuum_faces=0, decades=decades)
+
+
+def test_rule_weighs_rate_times_decades_both_ways():
+    grid = StaggeredGrid(96, 96, 1 / 96, 1 / 96)
+    F, c = PreconditionerRule(grid, mobile_body=False).cost
+    # the model's break-even at 96^2, against the measured 75 Jacobi-CG
+    # iterations for 9 MG-PCG iterations
+    assert F + 9 * c == pytest.approx(75, rel=0.2)
+
+    rule = PreconditionerRule(grid, mobile_body=False)
+    assert rule.choose(10.0) == "jacobi"        # held or body-less: Jacobi
+    rate = 3.0 * c * MG_RATE
+    rule.record(_info("jacobi", round(10 * rate), 10.0))
+    # MG pays F once per solve, so only a solve that needs enough decades
+    # is cheaper on it; rates alone would say MG for any demand
+    even = F / (rate - c * MG_RATE)
+    assert rule.choose(2.0 * even) == "multigrid"
+    assert rule.choose(0.5 * even) == "jacobi"
+    # the V-cycle's own rate replaces MG_RATE, and a small demand goes back
+    rule.record(_info("multigrid", 10, 10.0))
+    assert rule.choose(10.0) == "multigrid"
+    assert rule.choose(0.5 * F / (rate - c)) == "jacobi"
+    # solves that reduced nothing measurable leave the rates as they were
+    rates = dict(rule.rates)
+    for it, dec in ((0, 3.0), (5, 0.0)):
+        rule.record(_info("jacobi", it, dec))
+    assert rule.rates == rates
+
+    # a mobile body starts on the V-cycle and, with no Jacobi rate, keeps it
+    rule = PreconditionerRule(grid, mobile_body=True)
+    for decades in (10.0, 1e-3):
+        assert rule.choose(decades) == "multigrid"
+        rule.record(_info("multigrid", 40, 1.0))
+
+
 def test_grids_that_cannot_coarsen_three_times_never_switch(monkeypatch):
     for nx, ny, levels in ((20, 13, 1), (48, 48, 3), (98, 98, 2),
                            (96, 96, 4), (192, 192, 5)):
         grid = StaggeredGrid(nx, ny, 1 / nx, 1 / ny)
         assert multigrid_levels(grid) == levels
         assert (levels >= MG_MIN_LEVELS) == (nx in (96, 192))
-    # even when every Jacobi solve counts as expensive
-    monkeypatch.setattr(driver, "MG_SWITCH_ITERS", 0)
+        # even for a mobile body, after a Jacobi solve of any cost
+        rule = PreconditionerRule(grid, mobile_body=True)
+        rule.record(_info("jacobi", 10 ** 6, 1.0))
+        assert rule.choose(10.0) == ("multigrid" if levels >= MG_MIN_LEVELS
+                                     else "jacobi")
+    # a free stiff body at 48^2: Jacobi needs about 100 iterations a step
     used = _recording(monkeypatch)
     driver.run(default_config(nx=48, ny=48, r=0.05, n=1e5, t_end=0.02),
                outdir=False)
     assert len(used) > 2 and set(used) == {"jacobi"}
 
 
+def test_free_body_on_multigrid_from_the_first_step(monkeypatch):
+    used = _recording(monkeypatch)
+    driver.run(default_config(t_end=0.01), outdir=False)
+    assert len(used) >= 3 and set(used) == {"multigrid"}
+
+
+@pytest.mark.parametrize("where", [
+    {}, {"x0": 0.48537456976449606, "y0": 0.5138973494774893},
+    {"body_present": False}], ids=["held", "held-off-centre", "body-less"])
+def test_held_and_body_less_runs_at_96_stay_on_jacobi(monkeypatch, where):
+    # a held body's first steps take 95-101 Jacobi iterations, close to
+    # the cost of the V-cycle's 11-12, and fewer afterwards
+    used = _recording(monkeypatch)
+    driver.run(default_config(body_mobile=False, t_end=0.03, **where),
+               outdir=False)
+    assert len(used) >= 10 and set(used) == {"jacobi"}
+
+
 def test_switch_state_belongs_to_the_run(tmp_path, monkeypatch):
     used = _recording(monkeypatch)
-    cfg = default_config(n=1e5, t_end=0.008)
+    # held at 192^2, n = 1e5: Jacobi at step 1 (157 iterations), then the
+    # V-cycle once its predicted cost is lower
+    cfg = default_config(nx=192, ny=192, n=1e5, body_mobile=False,
+                         t_end=0.004)
     text = []
     for k in range(2):
         driver.run(cfg, outdir=str(tmp_path / f"run{k}"))
         text.append((tmp_path / f"run{k}" / "diagnostics.csv").read_bytes())
-    # each run starts on Jacobi and switches after its first step
-    assert used == 2 * (["jacobi"] + ["multigrid"] * (len(used) // 2 - 1))
-    assert len(used) >= 6
+    steps = len(used) // 2
+    assert steps >= 3 and used[:steps] == used[steps:]
+    assert used[0] == "jacobi" and "multigrid" in used[:3]
     assert text[0] == text[1]
 
 
