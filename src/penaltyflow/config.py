@@ -162,6 +162,11 @@ class RunConfig:
             raise ConfigError("need t_end > 0 and cfl in (0, 1]")
         if self.cadence < 1 or self.workers < 1:
             raise ConfigError("cadence and workers must be >= 1")
+        # what BoundaryData and regularize_initial_density would reject in
+        # set-up, checked on the scalars alone
+        for key in ("rho0", "rho_b"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive")
         try:
             self.make_params()
             self.make_grid()

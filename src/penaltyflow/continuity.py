@@ -20,7 +20,8 @@ from scipy.sparse.linalg import cg
 
 from .errors import CflViolation, HistoryTooShort, LinearSolveDiverged
 from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
-                     faces_to_centers, integrate, run_chunked, tree_sum)
+                     faces_to_centers, integrate, run_chunked, stencil_csr,
+                     tree_sum)
 from .geometry import WALLS, BoundaryData
 
 CG_RTOL = 1e-13          # tighter than the 1e-10 contract so the mass
@@ -128,10 +129,8 @@ def _diffusion_matrix(grid, params, dt, robin):
            tuple(robin[w][0].tobytes() + robin[w][1].tobytes()
                  for w in WALLS))
     if _diffusion is None or _diffusion[0] != key:
-        K = _unit_diffusion(grid, params, robin)
-        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-        _diffusion = (key, K, np.flatnonzero(K.indices == rows), None, None,
-                      None)
+        _diffusion = (key, *_unit_diffusion(grid, params, robin), None,
+                      None, None)
     key, K, diag, last_dt, A, M = _diffusion
     if dt != last_dt:
         data = dt * K.data
@@ -143,28 +142,20 @@ def _diffusion_matrix(grid, params, dt, robin):
 
 
 def _unit_diffusion(grid, params, robin):
+    """K and the CSR position of each row's diagonal.  Cell (i, j) is row
+    i * ny + j; its row holds (i-1, j), (i, j-1), (i, j), (i, j+1) and
+    (i+1, j), in that (increasing column) order, less those outside the
+    grid."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     n = nx * ny
-    idx = np.arange(n).reshape(nx, ny)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.broadcast_to(v, r.shape).ravel().astype(np.float64))
-
     diag = np.zeros((nx, ny))
     kx = params.eps * dy / dx
     ky = params.eps * dx / dy
     # interior x faces couple (i-1, j) with (i, j)
     diag[:-1, :] += kx
     diag[1:, :] += kx
-    add(idx[:-1, :], idx[1:, :], -kx)
-    add(idx[1:, :], idx[:-1, :], -kx)
     diag[:, :-1] += ky
     diag[:, 1:] += ky
-    add(idx[:, :-1], idx[:, 1:], -ky)
-    add(idx[:, 1:], idx[:, :-1], -ky)
     # implicit boundary flux: advective trace plus the Robin closure;
     # [v]_N^- <= min(v,0) makes ub.n + |[ub.n]_N^-| >= 0, so the diagonal
     # only grows, and saturated inflow faces combine to exactly rho_B ub.n
@@ -172,11 +163,15 @@ def _unit_diffusion(grid, params, robin):
     diag[-1, :] += dy * (robin["right"][1] + np.abs(robin["right"][0]))
     diag[:, 0] += dx * (robin["bottom"][1] + np.abs(robin["bottom"][0]))
     diag[:, -1] += dx * (robin["top"][1] + np.abs(robin["top"][0]))
-    add(idx, idx, diag)
 
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    c = np.arange(n, dtype=np.int32).reshape(nx, ny)
+    cols = np.stack([c - ny, c - 1, c, c + 1, c + ny]).reshape(5, n)
+    vals = np.stack(np.broadcast_arrays(-kx, -ky, diag, -ky, -kx))
+    has = np.ones((5, nx, ny), dtype=bool)
+    has[0, 0, :] = has[1, :, 0] = has[3, :, -1] = has[4, -1, :] = False
+    has = has.reshape(5, n)
+    K = stencil_csr(cols, vals.reshape(5, n), has, n)
+    return K, K.indptr[:-1] + has[:2].sum(axis=0, dtype=np.intp)
 
 
 def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
@@ -260,37 +255,42 @@ def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
 
 
 def regularize_initial_density(grid: StaggeredGrid, rho0: np.ndarray,
-                               params: PenaltyParams, bc: BoundaryData,
-                               sweeps: int = 60) -> np.ndarray:
-    """Clamp the initial density into [delta, 1/delta] and relax the
-    boundary cells onto the discrete Robin compatibility condition."""
+                               params: PenaltyParams,
+                               bc: BoundaryData) -> np.ndarray:
+    """Clamp the initial density into [delta, 1/delta] and set the boundary
+    cells onto the discrete Robin compatibility condition.
+
+    Each wall's target for a boundary cell is a weighted mean of the cell
+    inside it and the boundary density; a corner cell takes the mean of its
+    two walls' targets.  A non-corner edge cell's inside neighbour is an
+    interior cell (the grid is at least 8x8), and a corner's are non-corner
+    edge cells, so the edges first and then the corners give the fixed point
+    of relaxing all boundary cells together."""
     if np.min(rho0) < 0 or integrate(grid, np.asarray(rho0)) <= 0:
         raise ValueError("initial density must be >= 0 with positive mass")
     lo, hi = params.delta, 1.0 / params.delta
     rho = np.clip(np.asarray(rho0, dtype=np.float64), lo, hi)
 
-    k = {w: smoothed_negative_part(bc.normal_trace(w), params.bc_sharpness)
+    k = {w: np.abs(smoothed_negative_part(bc.normal_trace(w),
+                                          params.bc_sharpness))
          for w in WALLS}
     rb = {w: np.clip(bc.rho[w], lo, hi) for w in WALLS}
     cx = params.eps / grid.dx
     cy = params.eps / grid.dy
 
-    for _ in range(sweeps):
-        tgt_sum = np.zeros_like(rho)
-        tgt_cnt = np.zeros_like(rho)
+    def target(w, inner, c, at):
+        return (c * inner + k[w][at] * rb[w][at]) / (c + k[w][at])
 
-        def accend(sl, inner, c, kk, rbw):
-            t = (c * inner + np.abs(kk) * rbw) / (c + np.abs(kk))
-            tgt_sum[sl] += t
-            tgt_cnt[sl] += 1.0
-
-        accend((0, slice(None)), rho[1, :], cx, k["left"], rb["left"])
-        accend((-1, slice(None)), rho[-2, :], cx, k["right"], rb["right"])
-        accend((slice(None), 0), rho[:, 1], cy, k["bottom"], rb["bottom"])
-        accend((slice(None), -1), rho[:, -2], cy, k["top"], rb["top"])
-
-        edge = tgt_cnt > 0
-        rho[edge] = tgt_sum[edge] / tgt_cnt[edge]
+    mid = slice(1, -1)
+    rho[0, mid] = target("left", rho[1, mid], cx, mid)
+    rho[-1, mid] = target("right", rho[-2, mid], cx, mid)
+    rho[mid, 0] = target("bottom", rho[mid, 1], cy, mid)
+    rho[mid, -1] = target("top", rho[mid, -2], cy, mid)
+    # corners: the mean of both walls' targets, read from the new edges
+    for i, ii, wx in ((0, 1, "left"), (-1, -2, "right")):
+        for j, jj, wy in ((0, 1, "bottom"), (-1, -2, "top")):
+            rho[i, j] = (target(wx, rho[ii, j], cx, j)
+                         + target(wy, rho[i, jj], cy, i)) / 2.0
     return np.clip(rho, lo, hi)
 
 

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from .continuity import PenaltyParams, check_cfl
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
 from .fields import (StaggeredGrid, VectorField, cell_gradient, run_chunked,
-                     tree_sum)
+                     stencil_csr, tree_sum)
 from .geometry import (BoundaryData, CutoffProfile, DomainSpec, wall_cutoff)
 
 VACUUM_FLOOR = 1e-10
@@ -148,7 +148,8 @@ _ops_cache: dict = {}
 
 def _grid_ops(grid: StaggeredGrid):
     """The face layout plus the sparse strain operators D11, D22, div and
-    D12 (face vector -> cells / nodes), cached per grid."""
+    D12 (face vector -> cells / nodes), cached per grid.  Each row's
+    columns are a fixed stencil in increasing order: u faces, then v."""
     key = (grid.nx, grid.ny, grid.dx, grid.dy)
     hit = _ops_cache.get(key)
     if hit is not None:
@@ -158,71 +159,27 @@ def _grid_ops(grid: StaggeredGrid):
     uidx, vidx = layout["uidx"], layout["vidx"]
     ndof = layout["nu"] + layout["nv"]
 
-    ic, jc = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    inn, jnn = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1),
-                           indexing="ij")
-    ncell = nx * ny
-    nnode = (nx + 1) * (ny + 1)
-    cidx = (ic * ny + jc).ravel()
-    nidx = (inn * (ny + 1) + jnn).ravel()
+    # D11 = du/dx and D22 = dv/dy on cells; div is both
+    i, j = np.meshgrid(np.arange(nx, dtype=np.int32),
+                       np.arange(ny, dtype=np.int32), indexing="ij")
+    d11 = np.stack([uidx(i, j), uidx(i + 1, j)]).reshape(2, -1)
+    d22 = np.stack([vidx(i, j), vidx(i, j + 1)]).reshape(2, -1)
+    g_d11 = stencil_csr(d11, [[-1 / dx], [1 / dx]], None, ndof)
+    g_d22 = stencil_csr(d22, [[-1 / dy], [1 / dy]], None, ndof)
+    g_div = stencil_csr(np.concatenate([d11, d22]),
+                        [[-1 / dx], [1 / dx], [-1 / dy], [1 / dy]], None,
+                        ndof)
 
-    def mat(rows, cols, vals, nrows):
-        return sparse.csr_matrix(
-            (np.concatenate([np.asarray(v, dtype=np.float64).ravel()
-                             for v in vals]),
-             (np.concatenate([np.asarray(r).ravel() for r in rows]),
-              np.concatenate([np.asarray(c).ravel() for c in cols]))),
-            shape=(nrows, ndof))
-
-    # D11 = du/dx on cells
-    g_d11 = mat([cidx, cidx],
-                [uidx(ic + 1, jc), uidx(ic, jc)],
-                [np.full(ncell, 1 / dx), np.full(ncell, -1 / dx)], ncell)
-    # D22 = dv/dy on cells
-    g_d22 = mat([cidx, cidx],
-                [vidx(ic, jc + 1), vidx(ic, jc)],
-                [np.full(ncell, 1 / dy), np.full(ncell, -1 / dy)], ncell)
-    g_div = g_d11 + g_d22
-
-    # du/dy at nodes: interior rows centered, wall rows one-sided against
-    # the tangential wall trace (affine part handled separately).
-    rows, cols, vals = [], [], []
-    interior = (jnn >= 1) & (jnn <= ny - 1)
-    r = nidx[interior.ravel()]
-    ii = inn[interior]
-    jj = jnn[interior]
-    rows += [r, r]
-    cols += [uidx(ii, jj), uidx(ii, jj - 1)]
-    vals += [np.full(r.size, 1 / dy), np.full(r.size, -1 / dy)]
-    bot = nidx[(jnn == 0).ravel()]
-    rows += [bot]
-    cols += [uidx(np.arange(nx + 1), 0)]
-    vals += [np.full(nx + 1, 2 / dy)]
-    top = nidx[(jnn == ny).ravel()]
-    rows += [top]
-    cols += [uidx(np.arange(nx + 1), ny - 1)]
-    vals += [np.full(nx + 1, -2 / dy)]
-    g_dudy = mat(rows, cols, vals, nnode)
-
-    rows, cols, vals = [], [], []
-    interior = (inn >= 1) & (inn <= nx - 1)
-    r = nidx[interior.ravel()]
-    ii = inn[interior]
-    jj = jnn[interior]
-    rows += [r, r]
-    cols += [vidx(ii, jj), vidx(ii - 1, jj)]
-    vals += [np.full(r.size, 1 / dx), np.full(r.size, -1 / dx)]
-    lef = nidx[(inn == 0).ravel()]
-    rows += [lef]
-    cols += [vidx(0, np.arange(ny + 1))]
-    vals += [np.full(ny + 1, 2 / dx)]
-    rig = nidx[(inn == nx).ravel()]
-    rows += [rig]
-    cols += [vidx(nx - 1, np.arange(ny + 1))]
-    vals += [np.full(ny + 1, -2 / dx)]
-    g_dvdx = mat(rows, cols, vals, nnode)
-
-    g_d12 = 0.5 * (g_dudy + g_dvdx)
+    # D12 at nodes: u below and above, v left and right (``_d12_slots``);
+    # wall rows are one-sided, so the slot past the wall is left out
+    i, j = np.meshgrid(np.arange(nx + 1, dtype=np.int32),
+                       np.arange(ny + 1, dtype=np.int32), indexing="ij")
+    u_up, u_dn, v_rt, v_lt = layout["d12_slots"]
+    cols = np.stack([uidx(i, j - 1), uidx(i, j), vidx(i - 1, j),
+                     vidx(i, j)]).reshape(4, -1)
+    vals = np.stack([u_dn, u_up, v_lt, v_rt]).reshape(4, -1)
+    has = np.stack([j > 0, j < ny, i > 0, i < nx]).reshape(4, -1)
+    g_d12 = stencil_csr(cols, vals, has, ndof)
 
     ops = dict(layout, g_d11=g_d11, g_d22=g_d22, g_div=g_div, g_d12=g_d12)
     if len(_ops_cache) > 6:
@@ -256,70 +213,90 @@ class FreePattern:
     Boundary faces are always pinned, so every free row is an interior
     face, and an interior face couples to at most 9 faces: itself, its 4
     same-component neighbours and the 4 other-component faces of its two
-    cells.  The CSR pattern and the int32 table placing each (row, stencil
-    slot) value in CSR data follow from index arithmetic over that
-    stencil; ``fill`` computes the stencil values from the weights and
-    gathers them into the matrix's data, which it overwrites each call.
-    ``layout`` is the grid's ``_face_layout``, built here when not given.
+    cells (``_STENCIL``).  The CSR pattern and the int32 table placing each
+    (row, stencil slot) value in CSR data follow from shifted slices of the
+    free-face masks over that stencil; ``fill`` computes the stencil values
+    from the weights and gathers them into the matrix's data, which it
+    overwrites each call.  ``layout`` is the grid's ``_face_layout``, built
+    here when not given.
     """
+
+    # The faces an interior face's row couples to, in increasing column
+    # order, as (component, di, dj) from the row's own face: a u row's u
+    # neighbours and then the v faces of its two cells; a v row's u faces
+    # and then its v neighbours.  Slot 2 of a u row and slot 6 of a v row is
+    # the face itself.
+    _STENCIL = {"u": (("u", -1, 0), ("u", 0, -1), ("u", 0, 0), ("u", 0, 1),
+                      ("u", 1, 0), ("v", -1, 0), ("v", -1, 1), ("v", 0, 0),
+                      ("v", 0, 1)),
+                "v": (("u", 0, -1), ("u", 0, 0), ("u", 1, -1), ("u", 1, 0),
+                      ("v", -1, 0), ("v", 0, -1), ("v", 0, 0), ("v", 0, 1),
+                      ("v", 1, 0))}
+    _DIAG_SLOT = {"u": 2, "v": 6}
 
     def __init__(self, grid: StaggeredGrid, pinned: np.ndarray,
                  layout: dict = None):
         ops = _face_layout(grid) if layout is None else layout
         if np.any(ops["boundary"] & ~pinned):
             raise ValueError("boundary faces must be pinned")
-        nx, ny = grid.nx, grid.ny
+        nx, ny, nu = grid.nx, grid.ny, ops["nu"]
         self.grid, self.ops = grid, ops
         self.pinned = pinned.copy()
-        uidx, vidx = ops["uidx"], ops["vidx"]
         free = ~pinned
+        rank = np.cumsum(free, dtype=np.int32) - 1   # free face -> row
 
-        def absent(cond, idx):
-            return np.where(cond, idx, -1)
+        def padded(a, shape):
+            # one absent face past every side: each stencil neighbour of
+            # the rows is then a shifted slice
+            out = np.zeros((shape[0] + 2, shape[1] + 2), dtype=a.dtype)
+            out[1:-1, 1:-1] = a.reshape(shape)
+            return out
 
-        def arange(lo, hi):
-            return np.arange(lo, hi, dtype=np.int32)
-
-        # stencil slots in increasing column order; -1 marks a missing face
-        i, j = np.meshgrid(arange(1, nx), arange(0, ny), indexing="ij")
-        rows_u = uidx(i, j)
-        cols_u = [uidx(i - 1, j), absent(j > 0, uidx(i, j - 1)), rows_u,
-                  absent(j < ny - 1, uidx(i, j + 1)), uidx(i + 1, j),
-                  vidx(i - 1, j), vidx(i - 1, j + 1), vidx(i, j),
-                  vidx(i, j + 1)]
-        i, j = np.meshgrid(arange(0, nx), arange(1, ny), indexing="ij")
-        rows_v = vidx(i, j)
-        cols_v = [uidx(i, j - 1), uidx(i, j), uidx(i + 1, j - 1),
-                  uidx(i + 1, j), absent(i > 0, vidx(i - 1, j)),
-                  vidx(i, j - 1), rows_v, vidx(i, j + 1),
-                  absent(i < nx - 1, vidx(i + 1, j))]
-        self.nru, nrv = rows_u.size, rows_v.size
-        rows = np.concatenate([rows_u.ravel(), rows_v.ravel()])
-        cols = np.concatenate([np.stack(cols_u, axis=-1).reshape(-1, 9),
-                               np.stack(cols_v, axis=-1).reshape(-1, 9)])
-        row_free = free[rows]
-        keep = np.flatnonzero((cols >= 0) & free[cols] & row_free[:, None])
+        faces = {"u": (padded(free[:nu], (nx + 1, ny)),
+                       padded(rank[:nu], (nx + 1, ny))),
+                 "v": (padded(free[nu:], (nx, ny + 1)),
+                       padded(rank[nu:], (nx, ny + 1)))}
+        # per component, slot-major: whether each (slot, row) entry is kept
+        # (both faces free), its column, and the row's kept slots before
+        # its diagonal slot
+        has, cols, row_free, before = [], [], [], []
+        for comp, i0, i1, j0, j1 in (("u", 1, nx, 0, ny),
+                                     ("v", 0, nx, 1, ny)):
+            h = np.empty((9, i1 - i0, j1 - j0), dtype=bool)
+            c = np.empty(h.shape, dtype=np.int32)
+            for s, (other, di, dj) in enumerate(self._STENCIL[comp]):
+                f, r = faces[other]
+                at = (slice(1 + i0 + di, 1 + i1 + di),
+                      slice(1 + j0 + dj, 1 + j1 + dj))
+                h[s], c[s] = f[at], r[at]
+            d = self._DIAG_SLOT[comp]
+            h &= h[d].copy()   # a pinned row keeps nothing
+            has.append(h.reshape(9, -1))
+            cols.append(c.reshape(9, -1))
+            row_free.append(has[-1][d])
+            before.append(has[-1][:d].sum(axis=0, dtype=np.int32))
+        self.nru = has[0].shape[1]
+        row_free = np.concatenate(row_free)
+        counts = np.concatenate([h.sum(axis=0, dtype=np.int32)
+                                 for h in has])
+        indptr = np.zeros(np.count_nonzero(row_free) + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(counts, dtype=np.int32)[row_free]
+        # the transposed views list the kept entries row by row, slots in
+        # column order: CSR order
+        indices = np.concatenate([c.T[h.T] for h, c in zip(has, cols)])
+        self.matrix = sparse.csr_matrix(
+            (np.zeros(indices.size), indices, indptr),
+            shape=(indptr.size - 1, indptr.size - 1))
+        # CSR position of each row's diagonal
+        self.diag = indptr[:-1] + np.concatenate(before)[row_free]
 
         # fill() writes the u rows' values slot-major into a buffer and
         # gathers them into their CSR data (positions below split), then
         # reuses the buffer for the v rows: half a full buffer's memory
-        slot = arange(0, 9)
-        at = np.concatenate([slot * self.nru + arange(0, self.nru)[:, None],
-                             slot * nrv + arange(0, nrv)[:, None]])
-        self.gather = at.ravel()[keep]
-        self.split = int(np.searchsorted(keep, 9 * self.nru))
-        indices = (np.cumsum(free, dtype=np.int32) - 1)[cols.ravel()[keep]]
-        counts = np.bincount(keep // 9, minlength=rows.size)[row_free]
-        indptr = np.zeros(counts.size + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        self.matrix = sparse.csr_matrix(
-            (np.zeros(indices.size), indices, indptr),
-            shape=(counts.size, counts.size))
-        # CSR position of each row's diagonal: slot 2 of u rows, 6 of v rows
-        slot = np.full(rows.size, 6)
-        slot[:self.nru] = 2
-        self.diag = np.searchsorted(
-            keep, (9 * np.arange(rows.size) + slot)[row_free]).astype(np.int32)
+        self.gather = np.concatenate([
+            np.arange(h.size, dtype=np.int32).reshape(h.shape).T[h.T]
+            for h in has])
+        self.split = int(np.count_nonzero(has[0]))
 
     def fill(self, w_mu, w_lam, w_node, mass):
         """The free block for these weights (cell, cell, node, face)."""
@@ -473,37 +450,63 @@ def _restrict(coarse: StaggeredGrid, x):
 
 
 def _normal_factor(n):
-    """Prolongation along a face's normal, n + 1 coarse faces to 2n + 1:
-    even fine faces copy a coarse face, odd ones average the two beside it."""
-    i = np.arange(n + 1)
-    rows = np.concatenate([2 * i, 2 * i[:-1] + 1, 2 * i[1:] - 1])
-    cols = np.concatenate([i, i[:-1], i[1:]])
-    vals = np.concatenate([np.ones(n + 1), np.full(2 * n, 0.5)])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n + 1, n + 1))
+    """Prolongation along a face's normal, n + 1 coarse faces to 2n + 1, as
+    (columns, values, present) over two slots, slot-major: even fine faces
+    copy a coarse face, odd ones average the two beside it."""
+    f = np.arange(2 * n + 1)
+    odd = f % 2 == 1
+    cols = np.stack([f // 2, np.minimum(f // 2 + 1, n)])
+    vals = np.where(odd, 0.5, [[1.0], [0.0]])
+    return cols, vals, np.stack([np.ones_like(odd), odd])
 
 
 def _tangent_factor(m):
-    """Prolongation along a face's tangent, m coarse faces to 2m: 3/4 of the
+    """Prolongation along a face's tangent, m coarse faces to 2m, as
+    (columns, values, present) over two slots, slot-major: 3/4 of the
     nearer coarse face and 1/4 of the next one, which past a wall is the
-    nearer face itself."""
+    nearer face itself (one slot of weight 1)."""
     j = np.arange(m)
-    rows = np.concatenate([2 * j, 2 * j + 1, 2 * j, 2 * j + 1])
-    cols = np.concatenate([j, j, np.maximum(j - 1, 0),
-                           np.minimum(j + 1, m - 1)])
-    vals = np.repeat([0.75, 0.25], 2 * m)
-    # duplicates at the walls are summed
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * m, m))
+    # [slot, coarse face, even/odd fine face]
+    cols = np.clip(j[:, None] + [[[-1, 0]], [[0, 1]]], 0, m - 1)
+    vals = np.empty((2, m, 2))
+    vals[0], vals[1] = [0.25, 0.75], [0.75, 0.25]
+    has = np.ones((2, m, 2), dtype=bool)
+    vals[1, 0, 0] = vals[0, -1, 1] = 1.0
+    has[0, 0, 0] = has[1, -1, 1] = False
+    return cols.reshape(2, 2 * m), vals.reshape(2, 2 * m), \
+        has.reshape(2, 2 * m)
 
 
 def _transfer(coarse: StaggeredGrid, fine_free, coarse_free):
     """``_prolong`` as a CSR matrix over free fine rows and free coarse
-    columns: u faces (normal x) and v faces (normal y) are Kronecker
-    products of the 1-D factors."""
+    columns.  u faces (normal x) and v faces (normal y) are Kronecker
+    products of the 1-D factors: a fine face's four slots are the pairs
+    (slot of the first factor, slot of the second), in increasing column
+    order."""
     nx, ny = coarse.nx, coarse.ny
-    P = sparse.block_diag(
-        [sparse.kron(_normal_factor(nx), _tangent_factor(ny)),
-         sparse.kron(_tangent_factor(nx), _normal_factor(ny))], format="csr")
-    return P[fine_free][:, coarse_free]
+    nu = (2 * nx + 1) * 2 * ny
+    cols = np.empty((4, fine_free.size), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    has = np.empty(cols.shape, dtype=bool)
+    for at, a, b, nb, first in (
+            (slice(0, nu), _normal_factor(nx), _tangent_factor(ny), ny, 0),
+            (slice(nu, None), _tangent_factor(nx), _normal_factor(ny), ny + 1,
+             (nx + 1) * ny)):
+        (ca, va, ha), (cb, vb, hb) = a, b
+
+        def out(x):
+            return x[:, at].reshape(2, 2, ca.shape[1], cb.shape[1])
+
+        np.add((first + nb * ca)[:, None, :, None], cb[None, :, None, :],
+               out=out(cols))
+        np.multiply(va[:, None, :, None], vb[None, :, None, :],
+                    out=out(vals))
+        np.logical_and(ha[:, None, :, None], hb[None, :, None, :],
+                       out=out(has))
+    has &= coarse_free[cols]
+    rank = np.cumsum(coarse_free, dtype=np.int32) - 1
+    return stencil_csr(rank[cols], vals, has, np.count_nonzero(coarse_free),
+                       rows=fine_free)
 
 
 def _chebyshev(A, dinv, lam, x, r):

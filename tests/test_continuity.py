@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from penaltyflow.continuity import (PenaltyParams, continuity_step,
-                                    initial_bc_residual,
+import reference_builders as ref
+from penaltyflow.continuity import (PenaltyParams, _unit_diffusion,
+                                    continuity_step, initial_bc_residual,
                                     regularize_initial_density,
                                     renormalized_residual,
                                     smoothed_negative_part)
 from penaltyflow.errors import CflViolation, HistoryTooShort
-from penaltyflow.fields import VectorField, integrate
-from penaltyflow.geometry import (classify_boundary, resting_boundary,
-                                  throughflow_boundary)
+from penaltyflow.fields import StaggeredGrid, VectorField, integrate
+from penaltyflow.geometry import (WALLS, DomainSpec, classify_boundary,
+                                  resting_boundary, throughflow_boundary)
 
 
 def test_params_invariants():
@@ -85,6 +86,47 @@ def test_regularize_constant_state_untouched(grid24, domain, params):
     rho = regularize_initial_density(grid24, np.ones(grid24.shape("centers")),
                                      params, bc)
     assert np.array_equal(rho, np.ones(grid24.shape("centers")))
+
+
+# grids (nx, ny, Lx, Ly) and boundary data for the bitwise comparisons
+_GRIDS = {"8x8": (8, 8, 1.0, 1.0), "24x9": (24, 9, 1.0, 0.6),
+          "20x13": (20, 13, 1.3, 0.9), "96": (96, 96, 1.0, 1.0)}
+
+
+def _grid_and_data(size, data):
+    nx, ny, lx, ly = _GRIDS[size]
+    grid = StaggeredGrid(nx, ny, lx / nx, ly / ny)
+    domain = DomainSpec(lx, ly, 0.1)
+    if data == "throughflow":
+        return grid, throughflow_boundary(domain, grid, 0.4, 1.0)
+    return grid, resting_boundary(domain, grid, 1.3)
+
+
+@pytest.mark.parametrize("data", ["throughflow", "resting"])
+@pytest.mark.parametrize("size", ["8x8", "24x9", "20x13", "96"])
+def test_regularization_is_the_fixed_point_of_the_sweeps(size, data, params,
+                                                         rng):
+    grid, bc = _grid_and_data(size, data)
+    shape = grid.shape("centers")
+    pocket = rng.uniform(0.0, 3.0, shape)
+    pocket[2:4, 2:4] = 0.0                         # a vacuum pocket
+    pocket[-3, -3] = 1.0 / params.delta + 2.0      # above the cap
+    for rho0 in (np.full(shape, 0.8), rng.uniform(0.2, 3.0, shape), pocket):
+        ref.assert_bitwise(regularize_initial_density(grid, rho0, params, bc),
+                           ref.regularize_by_sweeps(grid, rho0, params, bc))
+
+
+@pytest.mark.parametrize("data", ["throughflow", "resting"])
+@pytest.mark.parametrize("size", ["20x13", "96"])
+def test_unit_diffusion_bitwise_equal_to_reference(size, data, params):
+    grid, bc = _grid_and_data(size, data)
+    un = {w: bc.normal_trace(w) for w in WALLS}
+    robin = {w: (smoothed_negative_part(un[w], params.bc_sharpness), un[w])
+             for w in WALLS}
+    K, diag = _unit_diffusion(grid, params, robin)
+    K_ref, diag_ref = ref.unit_diffusion(grid, params, robin)
+    ref.assert_same_csr(K, K_ref)
+    ref.assert_bitwise(diag, diag_ref)
 
 
 def test_continuity_cfl_guard(grid24, domain, params):

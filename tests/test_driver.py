@@ -47,6 +47,15 @@ def test_out_of_range_params_and_grid_rejected():
         default_config(nx=4)
 
 
+@pytest.mark.parametrize("key", ["rho0", "rho_b"])
+def test_nonpositive_density_rejected(key):
+    # the run would raise a bare ValueError in set-up
+    for value in (0.0, -1.0):
+        with pytest.raises(ConfigError, match=key):
+            default_config(nx=24, ny=24, r=0.1, t_end=0.01, **{key: value})
+    default_config(nx=24, ny=24, r=0.1, t_end=0.01, **{key: 0.05})
+
+
 def test_unresolved_mollifier_rejected():
     # r < 2 max(dx, dy): the run would raise KernelUnresolved in set-up
     with pytest.raises(ConfigError, match="mollifier"):

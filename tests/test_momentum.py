@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
 
-from penaltyflow import driver
+import reference_builders as ref
+from penaltyflow import driver, momentum
 from penaltyflow.body import (body_signed_distance, make_disc_body,
                               rigid_velocity_field)
 from penaltyflow.config import default_config
@@ -349,6 +350,58 @@ def test_fixed_pattern_memory_within_free_block(grid64, rng):
     arrays = (pattern.gather, pattern.matrix.indices, pattern.matrix.indptr,
               pattern.pinned, *ops["d12_slots"])
     assert sum(a.nbytes for a in arrays) <= csr_bytes
+
+
+# ---------------------------------------------------------------------------
+# Set-up builders against their straightforward constructions, bit for bit
+# ---------------------------------------------------------------------------
+
+_GRIDS = {"20x13": (20, 13, 1.3 / 20, 0.9 / 13),
+          "48": (48, 48, 1 / 48, 1 / 48), "96": (96, 96, 1 / 96, 1 / 96)}
+
+
+@pytest.mark.parametrize("size", ["20x13", "96"])
+def test_strain_operators_bitwise_equal_to_reference(size, monkeypatch):
+    grid = StaggeredGrid(*_GRIDS[size])
+    monkeypatch.setattr(momentum, "_ops_cache", {})
+    ops, want = _grid_ops(grid), ref.strain_operators(grid)
+    for name in ("g_d11", "g_d22", "g_div", "g_d12"):
+        ref.assert_same_csr(ops[name], want[name])
+
+
+def _assert_pattern_is_reference(pattern):
+    indptr, indices, gather, split, diag = ref.free_pattern_arrays(
+        pattern.grid, pattern.pinned)
+    ref.assert_bitwise(pattern.matrix.indptr, indptr)
+    ref.assert_bitwise(pattern.matrix.indices, indices)
+    ref.assert_bitwise(pattern.gather, gather)
+    ref.assert_bitwise(pattern.diag, diag)
+    assert pattern.split == split
+
+
+@pytest.mark.parametrize("which", ["boundary", "hold", "vacuum", "random"])
+@pytest.mark.parametrize("size", ["20x13", "48", "96"])
+def test_fixed_pattern_bitwise_equal_to_reference(size, which, rng):
+    grid = StaggeredGrid(*_GRIDS[size])
+    ops = _grid_ops(grid)
+    sets = _pinned_sets(ops, grid)
+    sets["random"] = ops["boundary"] | (rng.random(ops["boundary"].size)
+                                        < 0.1)
+    _assert_pattern_is_reference(FreePattern(grid, sets[which], ops))
+
+
+@pytest.mark.parametrize("n", [96, 192])
+def test_hierarchy_bitwise_equal_to_reference(n):
+    grid = StaggeredGrid(n, n, 1 / n, 1 / n)
+    hold = np.concatenate([h.ravel() for h in _hold96(
+        grid, default_config().make_body())])
+    mg = Multigrid(FreePattern(grid, _face_layout(grid)["boundary"] | hold))
+    assert len(mg.transfers) == multigrid_levels(grid) - 1
+    for k, (P, _) in enumerate(mg.transfers):
+        fine, coarse = mg.levels[k], mg.levels[k + 1]
+        ref.assert_same_csr(P, ref.transfer(coarse.grid, ~fine.pinned,
+                                            ~coarse.pinned))
+        _assert_pattern_is_reference(coarse)
 
 
 # ---------------------------------------------------------------------------
