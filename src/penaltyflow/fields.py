@@ -318,26 +318,18 @@ def integrate(grid: StaggeredGrid, values: np.ndarray, mask=None) -> float:
 
 def stencil_csr(cols, vals, has, ncols, rows=None):
     """The CSR matrix of a fixed stencil, given slot-major: row r holds
-    column cols[s, r] with value vals[s, r] (vals broadcasts against cols)
-    for each slot s where has[s, r], or for every slot when has is None.
-    A mask ``rows`` keeps only those rows (has must then be given).  The
-    slots of each row must be in increasing column order, so nothing
-    needs sorting: the transposed tables list the entries in CSR order."""
-    k, n = cols.shape
+    column cols[s, r] with value vals[s, r] for each slot s where
+    has[s, r] (vals and has broadcast against cols).  A mask ``rows``
+    keeps only those rows.  The slots of each row must be in increasing
+    column order, so nothing needs sorting: the transposed tables list
+    the entries in CSR order."""
     vals = np.broadcast_to(vals, cols.shape)
-    if has is None:
-        indices = np.empty((n, k), dtype=cols.dtype)
-        data = np.empty((n, k))
-        for s in range(k):   # one strided column at a time is the fast copy
-            indices[:, s], data[:, s] = cols[s], vals[s]
-        return sparse.csr_matrix(
-            (data.ravel(), indices.ravel(),
-             np.arange(0, k * n + 1, k, dtype=np.int32)), shape=(n, ncols))
+    has = np.broadcast_to(has, cols.shape)
     if rows is not None:
         has = has & rows
     ends = np.cumsum(has.sum(axis=0, dtype=np.int32), dtype=np.int32)
-    indptr = np.zeros(1 + (n if rows is None else np.count_nonzero(rows)),
-                      dtype=np.int32)
+    indptr = np.zeros(1 + (ends.size if rows is None
+                           else np.count_nonzero(rows)), dtype=np.int32)
     indptr[1:] = ends if rows is None else ends[rows]
     return sparse.csr_matrix((vals.T[has.T], cols.T[has.T], indptr),
                              shape=(indptr.size - 1, ncols))

@@ -164,10 +164,10 @@ def _grid_ops(grid: StaggeredGrid):
                        np.arange(ny, dtype=np.int32), indexing="ij")
     d11 = np.stack([uidx(i, j), uidx(i + 1, j)]).reshape(2, -1)
     d22 = np.stack([vidx(i, j), vidx(i, j + 1)]).reshape(2, -1)
-    g_d11 = stencil_csr(d11, [[-1 / dx], [1 / dx]], None, ndof)
-    g_d22 = stencil_csr(d22, [[-1 / dy], [1 / dy]], None, ndof)
+    g_d11 = stencil_csr(d11, [[-1 / dx], [1 / dx]], True, ndof)
+    g_d22 = stencil_csr(d22, [[-1 / dy], [1 / dy]], True, ndof)
     g_div = stencil_csr(np.concatenate([d11, d22]),
-                        [[-1 / dx], [1 / dx], [-1 / dy], [1 / dy]], None,
+                        [[-1 / dx], [1 / dx], [-1 / dy], [1 / dy]], True,
                         ndof)
 
     # D12 at nodes: u below and above, v left and right (``_d12_slots``);
@@ -277,18 +277,11 @@ class FreePattern:
             before.append(has[-1][:d].sum(axis=0, dtype=np.int32))
         self.nru = has[0].shape[1]
         row_free = np.concatenate(row_free)
-        counts = np.concatenate([h.sum(axis=0, dtype=np.int32)
-                                 for h in has])
-        indptr = np.zeros(np.count_nonzero(row_free) + 1, dtype=np.int32)
-        indptr[1:] = np.cumsum(counts, dtype=np.int32)[row_free]
-        # the transposed views list the kept entries row by row, slots in
-        # column order: CSR order
-        indices = np.concatenate([c.T[h.T] for h, c in zip(has, cols)])
-        self.matrix = sparse.csr_matrix(
-            (np.zeros(indices.size), indices, indptr),
-            shape=(indptr.size - 1, indptr.size - 1))
+        self.matrix = stencil_csr(np.concatenate(cols, axis=1), 0.0,
+                                  np.concatenate(has, axis=1),
+                                  np.count_nonzero(row_free), rows=row_free)
         # CSR position of each row's diagonal
-        self.diag = indptr[:-1] + np.concatenate(before)[row_free]
+        self.diag = self.matrix.indptr[:-1] + np.concatenate(before)[row_free]
 
         # fill() writes the u rows' values slot-major into a buffer and
         # gathers them into their CSR data (positions below split), then
