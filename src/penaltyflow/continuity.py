@@ -120,14 +120,26 @@ class ContinuityStepInfo:
 _diffusion = None   # (key, K, diagonal positions, last dt, A, M), one grid
 
 
-def _diffusion_matrix(grid, params, dt, robin):
-    """vol I + dt K and its Jacobi preconditioner.  The unit-dt diffusion
-    and Robin part K is assembled once per grid and boundary data; the
-    step matrix is kept while dt stays the same."""
-    global _diffusion
+def robin_closure(grid, params, bc):
+    """(robin, key): each wall's smoothed negative part of ub.n and ub.n
+    itself, and the key of the diffusion matrix they close.  Both are fixed
+    for a run (``Problem.robin``)."""
+    robin = {}
+    for w in WALLS:
+        un = bc.normal_trace(w)
+        robin[w] = (smoothed_negative_part(un, params.bc_sharpness), un)
     key = (grid.nx, grid.ny, grid.dx, grid.dy, params.eps,
            tuple(robin[w][0].tobytes() + robin[w][1].tobytes()
                  for w in WALLS))
+    return robin, key
+
+
+def _diffusion_matrix(grid, params, dt, robin, key):
+    """vol I + dt K and its Jacobi preconditioner.  The unit-dt diffusion
+    and Robin part K is assembled once per grid and boundary data (``key``
+    of ``robin_closure``); the step matrix is kept while dt stays the
+    same."""
+    global _diffusion
     if _diffusion is None or _diffusion[0] != key:
         _diffusion = (key, *_unit_diffusion(grid, params, robin), None,
                       None, None)
@@ -176,12 +188,14 @@ def _unit_diffusion(grid, params, robin):
 
 def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
                     params: PenaltyParams, dt: float, bc: BoundaryData,
-                    source=None):
+                    source=None, problem=None):
     """One conservative step of the regularized continuity equation.
 
     Returns (rho_new, ContinuityStepInfo).  The global budget
     d(total mass) + dt * (boundary fluxes) = dt * (source) closes to the
-    linear-solve residual.
+    linear-solve residual.  problem, the run's ``momentum.Problem`` for
+    these grid, params and bc, supplies the Robin closure; without it the
+    closure is computed for this call.
     """
     check_cfl(grid, vel, bc, dt)
     if np.min(rho) < 0:
@@ -195,10 +209,9 @@ def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
 
     # boundary fluxes are implicit: advective part with the interior-cell
     # trace, diffusive part via the smoothed-negative-part Robin closure
-    un = {w: bc.normal_trace(w) for w in WALLS}
-    robin = {w: (smoothed_negative_part(un[w], params.bc_sharpness), un[w])
-             for w in WALLS}
-    A, M = _diffusion_matrix(grid, params, dt, robin)
+    robin, key = (problem.robin if problem is not None
+                  else robin_closure(grid, params, bc))
+    A, M = _diffusion_matrix(grid, params, dt, robin, key)
 
     b = vol * rho_star
     b[0, :] += dt * dy * np.abs(robin["left"][0]) * bc.rho["left"]
@@ -235,7 +248,7 @@ def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
     # on strong-inflow faces and rho ub.n on outflow faces
     tr = {"left": rho_new[0, :], "right": rho_new[-1, :],
           "bottom": rho_new[:, 0], "top": rho_new[:, -1]}
-    total = {w: tr[w] * un[w] - (tr[w] - bc.rho[w]) * robin[w][0]
+    total = {w: tr[w] * robin[w][1] - (tr[w] - bc.rho[w]) * robin[w][0]
              for w in WALLS}
     flen = {w: dy if w in ("left", "right") else dx for w in WALLS}
     in_flux = tree_sum(np.concatenate(

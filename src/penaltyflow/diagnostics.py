@@ -21,9 +21,9 @@ from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
                      faces_to_centers, full_gradient, integrate, interp_cell,
                      sym_gradient, tree_sum)
 from .geometry import WALLS, BoundaryData, DomainSpec
-from .momentum import (ViscosityModel, pressure, pressure_potential,
-                       pressure_potential_d1, pressure_potential_d2, stress,
-                       viscosity_fields)
+from .momentum import (Problem, ViscosityModel, ViscousState, pressure,
+                       pressure_potential, pressure_potential_d1,
+                       pressure_potential_d2, stress)
 
 CSV_SCHEMA = ("t", "E", "dissipation", "eps_term", "outflow_term",
               "convexity_slack_min", "mass_residual", "energy_residual",
@@ -79,7 +79,8 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
                 params: PenaltyParams, rho0, vel0: VectorField,
                 rho1, vel1: VectorField, chi: np.ndarray, dt: float,
                 t_new: float, model: ViscosityModel = None,
-                E0: float = None) -> EnergyLedgerRow:
+                E0: float = None,
+                state: ViscousState = None) -> EnergyLedgerRow:
     """Assemble every energy-accounting term for one accepted step.
 
     Rate terms are evaluated at the step endpoint, matching the implicit
@@ -87,9 +88,13 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     side) then shrinks first order in dt, which is what the dt-halving
     consistency check expects of this splitting.  E0, when given, is the
     energy of (rho0, vel0), the previous row's E; it is computed otherwise.
+    state, the run's ``momentum.ViscousState`` of chi, supplies the
+    viscosities and (through its Problem) the boundary extension's fixed
+    terms; without it they are computed for this call.
     """
-    if model is None:
-        model = ViscosityModel.from_params(params, domain)
+    if state is None:
+        state = ViscousState(Problem(grid, domain, params, bc, model), chi)
+    problem = state.problem
     u_ext = bc.u_ext
     vol_edge = {w: grid.dy if w in ("left", "right") else grid.dx
                 for w in WALLS}
@@ -101,9 +106,11 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     rm = rho1
     um = vel1
 
-    xc, yc = grid.cell_xy()
-    wall_d = domain.boundary_distance(xc, yc)
-    mu_n, lam_n = viscosity_fields(chi, model, wall_d)
+    mu_n, lam_n = state.mu_n, state.lam_n
+    (exx, exy, eyx, eyy), e12 = problem.ext_gradient
+    e11, e22 = exx, eyy
+    # each term's work arrays are freed once it is summed, which keeps the
+    # step's memory peak low
 
     # u - u_ext vanishes on the walls, so its tangential wall traces are 0
     zeros_wt = (np.zeros(grid.nx + 1), np.zeros(grid.nx + 1),
@@ -115,6 +122,12 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     dissipation = integrate(
         grid, 2.0 * mu_n * (d11 ** 2 + 2.0 * d12 ** 2 + d22 ** 2)
         + lam_n * div_w ** 2)
+    # a right-hand-side rate (signs folded in, like those below) on the
+    # same strain
+    s11, s12, s22 = stress(e11, e12, e22, mu_n, lam_n)
+    uinf_stress = -integrate(
+        grid, s11 * d11 + 2.0 * s12 * d12 + s22 * d22)
+    del d11, d12, d22, div_w, s11, s12, s22
 
     # face-difference assembly: this is the pairing the implicit diffusion
     # actually dissipates, so the step residual stays second order in dt
@@ -124,8 +137,9 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     p2y = pressure_potential_d2(0.5 * (rm[:, 1:] + rm[:, :-1]), params)
     eps_term = params.eps * grid.cell_volume * (
         tree_sum(p2x * gfx ** 2) + tree_sum(p2y * gfy ** 2))
+    del gfx, gfy, p2x, p2y
 
-    un = {w: bc.normal_trace(w) for w in WALLS}
+    un = problem.normal_traces
     tr = _edge_traces(rm)
     outflow_term = 0.0
     convexity_term = 0.0
@@ -148,30 +162,17 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
         slack_min = 0.0
 
     # right-hand-side rates, each with its sign folded in
-    wt_ext = (np.interp(grid.xf(), grid.xc(), bc.ub["bottom"][:, 0]),
-              np.interp(grid.xf(), grid.xc(), bc.ub["top"][:, 0]),
-              np.interp(grid.yf(), grid.yc(), bc.ub["left"][:, 1]),
-              np.interp(grid.yf(), grid.yc(), bc.ub["right"][:, 1]))
-    exx, exy, eyx, eyy = full_gradient(grid, u_ext.u, u_ext.v, wt_ext)
     umc, vmc = faces_to_centers(grid, um.u, um.v)
     wuc, wvc = faces_to_centers(grid, wu, wv)
     conv_coupling = -integrate(
         grid, rm * ((umc * exx + vmc * exy) * wuc
                     + (umc * eyx + vmc * eyy) * wvc))
+    del umc, vmc, wuc, wvc
 
-    div_ext = divergence(grid, u_ext.u, u_ext.v)
-    pressure_dilation = -integrate(grid, pressure(rm, params) * div_ext)
-
-    inflow_term = 0.0
-    for w in WALLS:
-        pin = np.where(bc.in_mask[w],
-                       pressure_potential(bc.rho[w], params) * un[w], 0.0)
-        inflow_term -= tree_sum(pin) * vol_edge[w]
-
-    e11, e12, e22 = sym_gradient(grid, u_ext.u, u_ext.v, wt_ext)
-    s11, s12, s22 = stress(e11, e12, e22, mu_n, lam_n)
-    uinf_stress = -integrate(
-        grid, s11 * d11 + 2.0 * s12 * d12 + s22 * d22)
+    # the divergence of u_ext is exx + eyy, bit for bit
+    pressure_dilation = -integrate(grid, pressure(rm, params)
+                                   * (exx + eyy))
+    inflow_term = problem.inflow_term
 
     wxx, wxy, wyx, wyy = full_gradient(grid, wu, wv, zeros_wt)
     uec, vec = faces_to_centers(grid, u_ext.u, u_ext.v)
@@ -193,15 +194,17 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
 
 
 def rigidity_measure(grid: StaggeredGrid, vel: VectorField, chi: np.ndarray,
-                     margin: float = None) -> float:
+                     margin: float = None, strain=None) -> float:
     """Squared symmetric-gradient content of the velocity over the solid
-    core compact (cells deeper than `margin` inside the core)."""
+    core compact (cells deeper than `margin` inside the core).  strain, if
+    given, is ``sym_gradient`` of vel."""
     if margin is None:
         margin = 2.0 * max(grid.dx, grid.dy)
     mask = chi >= margin
     if not np.any(mask):
         return 0.0
-    d11, d12, d22 = sym_gradient(grid, vel.u, vel.v)
+    d11, d12, d22 = (sym_gradient(grid, vel.u, vel.v) if strain is None
+                     else strain)
     return integrate(grid, d11 ** 2 + 2.0 * d12 ** 2 + d22 ** 2, mask)
 
 
@@ -215,14 +218,16 @@ def effective_viscous_flux(grid: StaggeredGrid, rho: np.ndarray,
 
 
 def fluid_mask(grid: StaggeredGrid, domain: DomainSpec, chi: np.ndarray,
-               params: PenaltyParams, margin: float = None) -> np.ndarray:
+               params: PenaltyParams, margin: float = None,
+               problem: Problem = None) -> np.ndarray:
     """Canonical fluid compact: excludes the body collar and the wall
-    collar."""
+    collar.  problem, the run's ``momentum.Problem``, supplies the cells
+    clear of the wall collar."""
     if margin is None:
         margin = 2.0 * max(grid.dx, grid.dy)
-    xc, yc = grid.cell_xy()
-    wall_d = domain.boundary_distance(xc, yc)
-    return (chi < -(params.r_moll + margin)) & (wall_d > params.h)
+    if problem is None:
+        problem = Problem(grid, domain, params, None)
+    return (chi < -(params.r_moll + margin)) & problem.clear_of_walls
 
 
 def interior_pressure_norm(grid: StaggeredGrid, rho: np.ndarray,
@@ -252,13 +257,14 @@ def probe_ring(grid: StaggeredGrid, domain: DomainSpec, body: BodyState):
 
 def surface_force_torque(grid: StaggeredGrid, domain: DomainSpec,
                          rho: np.ndarray, vel: VectorField, body: BodyState,
-                         params: PenaltyParams):
+                         params: PenaltyParams, strain=None):
     """Surface traction integral over the probe ring (``probe_ring``);
     physical viscosities only.  A diagnostic of momentum exchange, not a
-    dynamic input."""
+    dynamic input.  strain, if given, is ``sym_gradient`` of vel."""
     pts, dirs = probe_ring(grid, domain, body)
 
-    d11, d12, d22 = sym_gradient(grid, vel.u, vel.v)
+    d11, d12, d22 = (sym_gradient(grid, vel.u, vel.v) if strain is None
+                     else strain)
     s11, s12, s22 = stress(d11, d12, d22, params.mu, params.lam)
     p = pressure(rho, params)
     S11 = interp_cell(grid, s11, pts[:, 0], pts[:, 1])

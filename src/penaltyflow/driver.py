@@ -19,9 +19,9 @@ from .diagnostics import (CSV_SCHEMA, fluid_mask, interior_pressure_norm,
                           surface_force_torque)
 from .errors import ConfigError, PenaltyflowError
 from .fields import (MollifierKernel, VectorField, set_num_workers,
-                     write_field, write_vti)
-from .momentum import (PreconditionerRule, SolutionHistory, momentum_step,
-                       sound_speed_max)
+                     sym_gradient, write_field, write_vti)
+from .momentum import (PreconditionerRule, Problem, SolutionHistory,
+                       ViscousState, momentum_step, sound_speed_max)
 
 BODY_CSV_SCHEMA = ("t", "Xx", "Xy", "theta", "Vx", "Vy", "w",
                    "rigidity_defect", "margin")
@@ -159,6 +159,7 @@ def _run_inner(cfg, out, keep_fields):
     grid = cfg.make_grid()
     params = cfg.make_params()
     bc, ext_report = cfg.make_boundary(domain, grid)
+    problem = Problem(grid, domain, params, bc)
     body = cfg.make_body()
     kernel = None
     if body is not None:
@@ -202,17 +203,20 @@ def _run_inner(cfg, out, keep_fields):
     rule = PreconditionerRule(grid, mobile_body=body is not None
                               and hold is None)
     E_prev = None   # the last row's E: this step's E0 in the ledger
+    viscous = None  # the viscous data of chi, dropped when chi changes
 
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = _timestep(cfg, grid, params, vel, bc, rho, cfg.t_end - t)
-        rho_new, cinfo = continuity_step(grid, rho, vel, params, dt, bc)
-        pin = None
-        if body is not None:
-            pin = rigid_velocity_field(grid, body.X, body.V, body.w)
+        rho_new, cinfo = continuity_step(grid, rho, vel, params, dt, bc,
+                                         problem=problem)
+        if viscous is None:
+            pin = None
+            if body is not None:
+                pin = rigid_velocity_field(grid, body.X, body.V, body.w)
+            viscous = ViscousState(problem, chi, pin, hold)
         vel_new, _ = momentum_step(grid, domain, rho, rho_new, vel, chi,
-                                   params, dt, bc, rigid_pin=pin,
-                                   hold_mask=hold, rule=rule,
-                                   history=history)
+                                   params, dt, bc, rule=rule,
+                                   history=history, state=viscous)
         guard_margin = float("nan")
         defect = 0.0
         body_new = body
@@ -236,16 +240,21 @@ def _run_inner(cfg, out, keep_fields):
 
         chi_new = chi if body_new is body else chi_of(body_new)
         row = ledger_step(grid, domain, bc, params, rho, vel, rho_new,
-                          vel_new, chi, dt, t + dt, E0=E_prev)
+                          vel_new, chi, dt, t + dt, E0=E_prev, state=viscous)
         E_prev = row.E
         row.mass_residual = cinfo.mass_residual
         if body_new is not None:
-            row.rigidity = rigidity_measure(grid, vel_new, chi_new)
-            kmask = fluid_mask(grid, domain, chi_new, params)
+            strain = sym_gradient(grid, vel_new.u, vel_new.v)
+            row.rigidity = rigidity_measure(grid, vel_new, chi_new,
+                                            strain=strain)
+            kmask = fluid_mask(grid, domain, chi_new, params,
+                               problem=problem)
             row.pnorm_gamma, row.pnorm_beta = interior_pressure_norm(
                 grid, rho_new, kmask, params)
             force, torque = surface_force_torque(grid, domain, rho_new,
-                                                 vel_new, body_new, params)
+                                                 vel_new, body_new, params,
+                                                 strain=strain)
+            del strain   # not held through the next step
             row.Fx, row.Fy, row.torque = float(force[0]), float(force[1]), \
                 torque
             row.margin = guard_margin
@@ -257,6 +266,10 @@ def _run_inner(cfg, out, keep_fields):
                               body_new.V[1], body_new.w, defect,
                               guard_margin))
 
+        if chi_new is not chi:
+            # a body that moved: a new chi and a new rigid pin.  A held
+            # body or none keeps both, and so its state, for the run
+            viscous = None
         rho, vel, body, chi = rho_new, vel_new, body_new, chi_new
         t += dt
         steps += 1

@@ -15,16 +15,19 @@ source are explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .continuity import PenaltyParams, check_cfl
+from .continuity import PenaltyParams, check_cfl, robin_closure
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
-from .fields import (StaggeredGrid, VectorField, cell_gradient, run_chunked,
-                     stencil_csr, tree_sum)
-from .geometry import (BoundaryData, CutoffProfile, DomainSpec, wall_cutoff)
+from .fields import (StaggeredGrid, VectorField, cell_gradient,
+                     faces_to_centers, full_gradient, run_chunked,
+                     stencil_csr, sym_gradient, tree_sum)
+from .geometry import (WALLS, BoundaryData, CutoffProfile, DomainSpec,
+                       wall_cutoff)
 
 VACUUM_FLOOR = 1e-10
 
@@ -53,8 +56,12 @@ class ViscosityModel:
 def viscosity_fields(chi: np.ndarray, model: ViscosityModel,
                      wall_distance: np.ndarray):
     """Pointwise solidification viscosities mu_n, lam_n on cells."""
-    bump = model.stiffness * model.ramp(chi + model.offset) \
-        * model.cutoff.value(wall_distance)
+    return _solidify(chi, model, model.cutoff.value(wall_distance))
+
+
+def _solidify(chi, model, cutoff):
+    """``viscosity_fields`` from the wall cutoff's values on the cells."""
+    bump = model.stiffness * model.ramp(chi + model.offset) * cutoff
     return model.mu + bump, model.lam + bump
 
 
@@ -217,8 +224,10 @@ class FreePattern:
     (row, stencil slot) value in CSR data follow from shifted slices of the
     free-face masks over that stencil; ``fill`` computes the stencil values
     from the weights and gathers them into the matrix's data, which it
-    overwrites each call.  ``layout`` is the grid's ``_face_layout``, built
-    here when not given.
+    overwrites each call.  ``fills`` counts those calls, so that a caller
+    can tell whether the data still hold its own fill; ``set_mass`` then
+    changes only the diagonal.  ``layout`` is the grid's ``_face_layout``,
+    built here when not given.
     """
 
     # The faces an interior face's row couples to, in increasing column
@@ -243,6 +252,8 @@ class FreePattern:
         self.grid, self.ops = grid, ops
         self.pinned = pinned.copy()
         free = ~pinned
+        self.faces = np.flatnonzero(free).astype(np.int32)   # row -> face
+        self.fills = 0
         rank = np.cumsum(free, dtype=np.int32) - 1   # free face -> row
 
         def padded(a, shape):
@@ -291,8 +302,9 @@ class FreePattern:
             for h in has])
         self.split = int(np.count_nonzero(has[0]))
 
-    def fill(self, w_mu, w_lam, w_node, mass):
-        """The free block for these weights (cell, cell, node, face)."""
+    def fill(self, w_mu, w_lam, w_node, mass=None):
+        """The free block for these weights (cell, cell, node, face);
+        without mass, its viscous part alone."""
         nx, ny, dx, dy = self.grid.nx, self.grid.ny, self.grid.dx, \
             self.grid.dy
         ix2, iy2, ixy = 1.0 / (dx * dx), 1.0 / (dy * dy), 1.0 / (dx * dy)
@@ -311,8 +323,9 @@ class FreePattern:
         b = (wn * u_dn)[1:-1, 1:]
         su[0] = -ix2 * c0
         su[1] = a * u_dn[1:-1, :-1]
-        su[2] = ix2 * (c0 + c1) + a * u_up[1:-1, :-1] + b * u_dn[1:-1, 1:] \
-            + mass[:nu].reshape(nx + 1, ny)[1:-1]
+        su[2] = ix2 * (c0 + c1) + a * u_up[1:-1, :-1] + b * u_dn[1:-1, 1:]
+        if mass is not None:
+            su[2] += mass[:nu].reshape(nx + 1, ny)[1:-1]
         su[3] = b * u_up[1:-1, 1:]
         su[4] = -ix2 * c1
         su[5] = a * v_lt[1:-1, :-1] - ixy * l0
@@ -333,11 +346,20 @@ class FreePattern:
         sv[3] = b * u_up[1:, 1:-1] - ixy * l1
         sv[4] = a * v_lt[:-1, 1:-1]
         sv[5] = -iy2 * c0
-        sv[6] = iy2 * (c0 + c1) + a * v_rt[:-1, 1:-1] + b * v_lt[1:, 1:-1] \
-            + mass[nu:].reshape(nx, ny + 1)[:, 1:-1]
+        sv[6] = iy2 * (c0 + c1) + a * v_rt[:-1, 1:-1] + b * v_lt[1:, 1:-1]
+        if mass is not None:
+            sv[6] += mass[nu:].reshape(nx, ny + 1)[:, 1:-1]
         sv[7] = -iy2 * c1
         sv[8] = b * v_rt[1:, 1:-1]
         np.take(vals, gather[split:], out=data[split:], mode="clip")
+        self.fills += 1
+        return self.matrix
+
+    def set_mass(self, viscous_diagonal, mass):
+        """The matrix of a viscous-only ``fill`` whose diagonal was
+        ``viscous_diagonal``, plus diag(mass): the same values as ``fill``
+        with this mass."""
+        self.matrix.data[self.diag] = viscous_diagonal + mass.take(self.faces)
         return self.matrix
 
 
@@ -803,22 +825,201 @@ def _node_average(grid, cells):
     return s / c
 
 
+def _wall_traces(grid, bc: BoundaryData):
+    """The tangential wall traces at the nodes along each wall, as
+    ``sym_gradient``'s wall_tangential: u on the bottom and top walls at
+    u-face x, v on the left and right walls at v-face y."""
+    return (np.interp(grid.xf(), grid.xc(), bc.ub["bottom"][:, 0]),
+            np.interp(grid.xf(), grid.xc(), bc.ub["top"][:, 0]),
+            np.interp(grid.yf(), grid.yc(), bc.ub["left"][:, 1]),
+            np.interp(grid.yf(), grid.yc(), bc.ub["right"][:, 1]))
+
+
 def _d12_affine(grid, bc: BoundaryData):
     """Constant part of the node D12 rows coming from tangential wall
     traces (zero trace -> zero vector)."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     c = np.zeros((nx + 1, ny + 1))
-    xf, yf = grid.xf(), grid.yf()
-    ub_b = np.interp(xf, grid.xc(), bc.ub["bottom"][:, 0])
-    ub_t = np.interp(xf, grid.xc(), bc.ub["top"][:, 0])
-    vb_l = np.interp(yf, grid.yc(), bc.ub["left"][:, 1])
-    vb_r = np.interp(yf, grid.yc(), bc.ub["right"][:, 1])
+    ub_b, ub_t, vb_l, vb_r = _wall_traces(grid, bc)
     # du/dy one-sided rows carry -(2/dy) ub_t;  dv/dx rows -(2/dx) vb
     c[:, 0] += -2.0 / dy * ub_b
     c[:, -1] += 2.0 / dy * ub_t
     c[0, :] += -2.0 / dx * vb_l
     c[-1, :] += 2.0 / dx * vb_r
     return 0.5 * c.ravel()
+
+
+# ---------------------------------------------------------------------------
+# What a run's steps share: the fixed arrays, and the viscous data of one chi
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """What every step of one run reads and no step changes: the grid,
+    domain, penalty parameters, boundary data and viscosity model, and the
+    arrays that follow from them alone.  Each array is computed on its
+    first use, so a Problem built for a single call costs only what that
+    call reads.  ``driver.run`` builds one per run."""
+    grid: StaggeredGrid
+    domain: DomainSpec
+    params: PenaltyParams
+    bc: BoundaryData
+    model: ViscosityModel = None   # ViscosityModel.from_params by default
+
+    def __post_init__(self):
+        if self.model is None:
+            object.__setattr__(self, "model", ViscosityModel.from_params(
+                self.params, self.domain))
+
+    @cached_property
+    def ops(self):
+        return _grid_ops(self.grid)
+
+    def wall_distance(self):
+        """Each cell's distance to the nearest wall."""
+        return self.domain.boundary_distance(*self.grid.cell_xy())
+
+    @cached_property
+    def wall_cutoff(self):
+        """The viscosity model's wall cutoff on the cells."""
+        return self.model.cutoff.value(self.wall_distance())
+
+    @cached_property
+    def clear_of_walls(self):
+        """Whether each cell lies farther than h from every wall."""
+        return self.wall_distance() > self.params.h
+
+    @cached_property
+    def wall_traces(self):
+        return _wall_traces(self.grid, self.bc)
+
+    @cached_property
+    def c12(self):
+        return _d12_affine(self.grid, self.bc)
+
+    @cached_property
+    def boundary_values(self):
+        """(faces, values): the boundary faces and their Dirichlet values,
+        left, right, bottom and top wall."""
+        nx, ny, ops, ub = self.grid.nx, self.grid.ny, self.ops, self.bc.ub
+        uidx, vidx = ops["uidx"], ops["vidx"]
+        faces = np.concatenate([uidx(np.zeros(ny, int), np.arange(ny)),
+                                uidx(np.full(ny, nx), np.arange(ny)),
+                                vidx(np.arange(nx), np.zeros(nx, int)),
+                                vidx(np.arange(nx), np.full(nx, ny))])
+        return faces, np.concatenate([ub["left"][:, 0], ub["right"][:, 0],
+                                      ub["bottom"][:, 1], ub["top"][:, 1]])
+
+    @cached_property
+    def robin(self):
+        """Continuity's Robin closure and its matrix key
+        (``continuity.robin_closure``)."""
+        return robin_closure(self.grid, self.params, self.bc)
+
+    @cached_property
+    def normal_traces(self):
+        return {w: self.bc.normal_trace(w) for w in WALLS}
+
+    @cached_property
+    def ext_gradient(self):
+        """The boundary extension's full gradient (dudx, dudy, dvdx, dvdy)
+        and the off-diagonal entry of its symmetric gradient, for the
+        energy ledger.  The symmetric gradient's diagonal is dudx and dvdy,
+        and the divergence their sum, bit for bit."""
+        grid, u_ext, wt = self.grid, self.bc.u_ext, self.wall_traces
+        return (full_gradient(grid, u_ext.u, u_ext.v, wt),
+                sym_gradient(grid, u_ext.u, u_ext.v, wt)[1])
+
+    @cached_property
+    def inflow_term(self):
+        """The energy ledger's rate of the inflow walls' pressure
+        potential, sign folded in."""
+        bc, params, term = self.bc, self.params, 0.0
+        for w in WALLS:
+            edge = self.grid.dy if w in ("left", "right") else self.grid.dx
+            pin = np.where(bc.in_mask[w], pressure_potential(
+                bc.rho[w], params) * self.normal_traces[w], 0.0)
+            term -= tree_sum(pin) * edge
+        return term
+
+
+class ViscousState:
+    """The viscous data of one chi (body position) of one run.
+
+    Built with chi: the solidification viscosities mu_n, lam_n on cells
+    and the quadratic form's weights.  On first use: the face values that a
+    held body (``hold``, u-face and v-face booleans) and vacuum faces are
+    pinned at, taken from ``pin`` or else the boundary extension.  Per
+    step, ``coupling`` and ``operator`` reuse the pinned coupling and the
+    viscous part of the free block while the vacuum faces and the free
+    pattern stay the same.  ``driver.run`` builds a new state whenever chi
+    changes: every step for a free body, once per run for a held body or
+    none.
+    """
+
+    def __init__(self, problem: Problem, chi: np.ndarray,
+                 pin: VectorField = None, hold=None):
+        self.problem, self.chi, self.pin, self.hold = problem, chi, pin, hold
+        grid, vol = problem.grid, problem.grid.cell_volume
+        self.mu_n, self.lam_n = _solidify(chi, problem.model,
+                                          problem.wall_cutoff)
+        # weights of the quadratic form: 2 mu_n vol and lam_n vol on cells,
+        # 4 mu_n vol_n on nodes
+        self.w_mu = (2.0 * self.mu_n * vol).ravel()
+        self.w_lam = (self.lam_n * vol).ravel()
+        self.w_node = 4.0 * _node_average(grid, self.mu_n).ravel() \
+            * problem.ops["node_vol"]
+        self._vac = self._coupling = None
+        self._filled, self._fills, self._diagonal = None, 0, None
+
+    def pin_values(self):
+        """Face vector of ``pin``, or of the boundary extension without
+        one; None without either."""
+        f = self.pin if self.pin is not None else self.problem.bc.u_ext
+        return None if f is None else np.concatenate([f.u.ravel(),
+                                                      f.v.ravel()])
+
+    @cached_property
+    def held(self):
+        """(faces, values, pinned): the faces pinned before any vacuum face
+        and their values (the boundary data, then the pin on held faces),
+        and those faces as a mask."""
+        ops = self.problem.ops
+        faces, values = self.problem.boundary_values
+        if self.hold is None:
+            return faces, values, ops["boundary"]
+        hm = np.concatenate([np.asarray(self.hold[0], bool).ravel(),
+                             np.asarray(self.hold[1], bool).ravel()])
+        hm &= ops["interior"]
+        held = np.flatnonzero(hm)
+        # held faces without a pin are held at rest
+        pin = (np.zeros(held.size) if self.pin is None
+               else self.pin_values()[held])
+        return (np.concatenate([faces, held]),
+                np.concatenate([values, pin]), ops["boundary"] | hm)
+
+    def coupling(self, vac, x_full, pinned):
+        """``_pinned_coupling`` of the pinned values of x_full.  Within one
+        state the pinned faces and their values follow from the vacuum
+        faces ``vac`` alone, so the result is kept while they stay the
+        same."""
+        if self._vac is None or not np.array_equal(vac, self._vac):
+            p = self.problem
+            self._coupling = _pinned_coupling(
+                p.ops, np.where(pinned, x_full, 0.0), self.w_mu, self.w_lam,
+                self.w_node, p.c12)
+            self._vac = vac
+        return self._coupling
+
+    def operator(self, pattern: FreePattern, mass):
+        """pattern's free block of this state's viscous form plus
+        diag(mass).  The viscous part is filled again only when the pattern
+        changed or another fill overwrote it since."""
+        if self._filled is not pattern or self._fills != pattern.fills:
+            pattern.fill(self.w_mu, self.w_lam, self.w_node)
+            self._diagonal = pattern.matrix.data[pattern.diag]
+            self._filled, self._fills = pattern, pattern.fills
+        return pattern.set_mass(self._diagonal, mass)
 
 
 @dataclass
@@ -831,18 +1032,31 @@ class MomentumStepInfo:
     decades: float            # log10 of initial over final residual norm
 
 
-def _upwind_convection(grid, rho, vel, bc):
-    """Conservative upwind divergence of (m x u) on interior faces."""
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    u, v = vel.u, vel.v
-    rbu = np.empty((nx + 1, ny))
+def _face_density(grid, rho):
+    """The face densities as one face vector, and its u-face and v-face
+    views: the mean of the two cells beside a face, the one cell's on a
+    boundary face."""
+    nx, ny = grid.nx, grid.ny
+    nu = (nx + 1) * ny
+    out = np.empty(nu + nx * (ny + 1))
+    rbu = out[:nu].reshape(nx + 1, ny)
     rbu[1:-1, :] = 0.5 * (rho[:-1, :] + rho[1:, :])
     rbu[0, :] = rho[0, :]
     rbu[-1, :] = rho[-1, :]
-    rbv = np.empty((nx, ny + 1))
+    rbv = out[nu:].reshape(nx, ny + 1)
     rbv[:, 1:-1] = 0.5 * (rho[:, :-1] + rho[:, 1:])
     rbv[:, 0] = rho[:, 0]
     rbv[:, -1] = rho[:, -1]
+    return out, rbu, rbv
+
+
+def _upwind_convection(grid, rho, vel, traces):
+    """Conservative upwind divergence of (m x u) on interior faces, and the
+    face densities (``_face_density``); traces are the tangential wall
+    traces (``_wall_traces``)."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    u, v = vel.u, vel.v
+    rb, rbu, rbv = _face_density(grid, rho)
     mx = rbu * u
     my = rbv * v
 
@@ -860,8 +1074,7 @@ def _upwind_convection(grid, rho, vel, bc):
 
     fxn = np.empty((nx + 1, ny + 1))
     a_in = 0.5 * (v[:-1, :] + v[1:, :])           # nodes i=1..nx-1
-    ub_b = np.interp(grid.xf(), grid.xc(), bc.ub["bottom"][:, 0])
-    ub_t = np.interp(grid.xf(), grid.xc(), bc.ub["top"][:, 0])
+    ub_b, ub_t, vb_l, vb_r = traces
     fxn[0, :] = 0.0
     fxn[-1, :] = 0.0
     mid = np.where(a_in[:, 1:-1] > 0, mx[1:-1, :-1], mx[1:-1, 1:])
@@ -885,8 +1098,6 @@ def _upwind_convection(grid, rho, vel, bc):
 
     fyn = np.empty((nx + 1, ny + 1))
     b_in = 0.5 * (u[:, :-1] + u[:, 1:])           # nodes j=1..ny-1
-    vb_l = np.interp(grid.yf(), grid.yc(), bc.ub["left"][:, 1])
-    vb_r = np.interp(grid.yf(), grid.yc(), bc.ub["right"][:, 1])
     fyn[:, 0] = 0.0
     fyn[:, -1] = 0.0
     mid = np.where(b_in[1:-1, :] > 0, my[:-1, 1:-1], my[1:, 1:-1])
@@ -899,40 +1110,30 @@ def _upwind_convection(grid, rho, vel, bc):
     conv_v[:, 1:-1] = (fyc[:, 1:] - fyc[:, :-1]) / dy \
         + (fyn[1:, 1:-1] - fyn[:-1, 1:-1]) / dx
 
-    return conv_u, conv_v, rbu, rbv
+    return conv_u, conv_v, rb
 
 
-def _viscous_weights(grid, domain, chi, model, node_vol):
-    """Weights of the quadratic form: 2 mu_n vol and lam_n vol on cells,
-    4 mu_n vol_n on nodes."""
-    vol = grid.cell_volume
-    xc, yc = grid.cell_xy()
-    mu_n, lam_n = viscosity_fields(chi, model,
-                                   domain.boundary_distance(xc, yc))
-    mu_node = _node_average(grid, mu_n)
-    return ((2.0 * mu_n * vol).ravel(), (lam_n * vol).ravel(),
-            4.0 * mu_node.ravel() * node_vol)
-
-
-def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, bc, source):
+def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, traces,
+                    source):
     """Face vectors of the viscous solve: its right-hand side (old momentum
     less the explicit convection, pressure gradient and coupling source,
     plus ``source``), the new-density mass / dt, the new face densities and
-    the old face momentum."""
+    the old face momentum.  Each part's work arrays are freed once it is
+    added in, which keeps the step's memory peak low."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     vol = grid.cell_volume
-    conv_u, conv_v, rbu_old, rbv_old = _upwind_convection(grid, rho_old,
-                                                          vel, bc)
-
+    nu = (nx + 1) * ny
+    conv_u, conv_v, rb_old = _upwind_convection(grid, rho_old, vel, traces)
+    m_old = rb_old * np.concatenate([vel.u.ravel(), vel.v.ravel()])
+    del rb_old
+    rhs = m_old * vol / dt
     p = pressure(rho_new, params)
-    gp_u = np.zeros((nx + 1, ny))
-    gp_u[1:-1, :] = (p[1:, :] - p[:-1, :]) / dx
-    gp_v = np.zeros((nx, ny + 1))
-    gp_v[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / dy
-
     # coupling source eps * grad(rho) . grad(u), new density gradient
     grx_c, gry_c = cell_gradient(grid, rho_new)
-    ec_u = np.zeros((nx + 1, ny))
+
+    gp = np.zeros((nx + 1, ny))
+    gp[1:-1, :] = (p[1:, :] - p[:-1, :]) / dx
+    ec = np.zeros((nx + 1, ny))
     drdx_u = (rho_new[1:, :] - rho_new[:-1, :]) / dx
     drdy_u = 0.5 * (gry_c[:-1, :] + gry_c[1:, :])
     dudx = (vel.u[2:, :] - vel.u[:-2, :]) / (2 * dx)
@@ -940,9 +1141,14 @@ def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, bc, source):
     dudy[:, 1:-1] = (vel.u[1:-1, 2:] - vel.u[1:-1, :-2]) / (2 * dy)
     dudy[:, 0] = (vel.u[1:-1, 1] - vel.u[1:-1, 0]) / dy
     dudy[:, -1] = (vel.u[1:-1, -1] - vel.u[1:-1, -2]) / dy
-    ec_u[1:-1, :] = params.eps * (drdx_u * dudx + drdy_u * dudy)
+    ec[1:-1, :] = params.eps * (drdx_u * dudx + drdy_u * dudy)
+    del drdx_u, drdy_u, dudx, dudy
+    rhs[:nu] -= ((conv_u + gp + ec) * vol).ravel()
+    del conv_u, gp, ec
 
-    ec_v = np.zeros((nx, ny + 1))
+    gp = np.zeros((nx, ny + 1))
+    gp[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / dy
+    ec = np.zeros((nx, ny + 1))
     drdy_v = (rho_new[:, 1:] - rho_new[:, :-1]) / dy
     drdx_v = 0.5 * (grx_c[:, :-1] + grx_c[:, 1:])
     dvdy = (vel.v[:, 2:] - vel.v[:, :-2]) / (2 * dy)
@@ -950,32 +1156,18 @@ def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, bc, source):
     dvdx[1:-1, :] = (vel.v[2:, 1:-1] - vel.v[:-2, 1:-1]) / (2 * dx)
     dvdx[0, :] = (vel.v[1, 1:-1] - vel.v[0, 1:-1]) / dx
     dvdx[-1, :] = (vel.v[-1, 1:-1] - vel.v[-2, 1:-1]) / dx
-    ec_v[:, 1:-1] = params.eps * (drdy_v * dvdy + drdx_v * dvdx)
+    ec[:, 1:-1] = params.eps * (drdy_v * dvdy + drdx_v * dvdx)
+    del drdy_v, drdx_v, dvdy, dvdx
+    rhs[nu:] -= ((conv_v + gp + ec) * vol).ravel()
+    del conv_v, gp, ec, p, grx_c, gry_c
 
-    # new-density face mass, for the implicit mass term
-    rbu_new = np.empty((nx + 1, ny))
-    rbu_new[1:-1, :] = 0.5 * (rho_new[:-1, :] + rho_new[1:, :])
-    rbu_new[0, :] = rho_new[0, :]
-    rbu_new[-1, :] = rho_new[-1, :]
-    rbv_new = np.empty((nx, ny + 1))
-    rbv_new[:, 1:-1] = 0.5 * (rho_new[:, :-1] + rho_new[:, 1:])
-    rbv_new[:, 0] = rho_new[:, 0]
-    rbv_new[:, -1] = rho_new[:, -1]
-
-    mass = np.concatenate([(rbu_new * vol / dt).ravel(),
-                           (rbv_new * vol / dt).ravel()])
-    rhs = np.concatenate([
-        (rbu_old * vel.u * vol / dt - (conv_u + gp_u + ec_u) * vol).ravel(),
-        (rbv_old * vel.v * vol / dt - (conv_v + gp_v + ec_v) * vol).ravel()])
     if source is not None:
         src_u, src_v = source
         rhs += np.concatenate([(np.asarray(src_u) * vol).ravel(),
                                (np.asarray(src_v) * vol).ravel()])
-
-    face_rho = np.concatenate([rbu_new.ravel(), rbv_new.ravel()])
-    m_old = np.concatenate([(rbu_old * vel.u).ravel(),
-                            (rbv_old * vel.v).ravel()])
-    return rhs, mass, face_rho, m_old
+    # new-density face mass, for the implicit mass term
+    face_rho = _face_density(grid, rho_new)[0]
+    return rhs, face_rho * vol / dt, face_rho, m_old
 
 
 def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
@@ -985,7 +1177,8 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
                   model: ViscosityModel = None, source=None,
                   rigid_pin: VectorField = None, hold_mask=None,
                   rule: PreconditionerRule = None,
-                  history: SolutionHistory = None):
+                  history: SolutionHistory = None,
+                  state: ViscousState = None):
     """Advance the face momentum one step; returns (VectorField, info).
 
     rho_new must come from the same step's continuity update (sequential
@@ -1000,57 +1193,42 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     history, one run's ``SolutionHistory``, starts the viscous CG from the
     projection onto the run's recent solutions instead of from vel, and
     records this step's solution; without it CG starts from vel.
+    state, the run's ``ViscousState`` of this chi, stands in for chi,
+    model, rigid_pin and hold_mask and keeps what the next steps can reuse;
+    without it one is built for this call.
     """
     check_cfl(grid, vel, bc, dt)
     nx, ny = grid.nx, grid.ny
-    if model is None:
-        model = ViscosityModel.from_params(params, domain)
-    ops = _grid_ops(grid)
-    ndof = ops["nu"] + ops["nv"]
-    # helpers, so that their work arrays are freed before the solve
-    w_mu, w_lam, w_node = _viscous_weights(grid, domain, chi, model,
-                                           ops["node_vol"])
-    rhs, mass, face_rho, m_old = _explicit_terms(grid, rho_old, rho_new,
-                                                 vel, params, dt, bc, source)
+    if state is None:
+        state = ViscousState(Problem(grid, domain, params, bc, model), chi,
+                             rigid_pin, hold_mask)
+    problem = state.problem
+    ops = problem.ops
+    rhs, mass, face_rho, m_old = _explicit_terms(
+        grid, rho_old, rho_new, vel, params, dt, problem.wall_traces, source)
 
-    # Dirichlet values on boundary faces; vacuum faces get pinned too.
-    x_full = np.zeros(ndof)
-    uidx, vidx = ops["uidx"], ops["vidx"]
-    x_full[uidx(np.zeros(ny, int), np.arange(ny))] = bc.ub["left"][:, 0]
-    x_full[uidx(np.full(ny, nx), np.arange(ny))] = bc.ub["right"][:, 0]
-    x_full[vidx(np.arange(nx), np.zeros(nx, int))] = bc.ub["bottom"][:, 1]
-    x_full[vidx(np.arange(nx), np.full(nx, ny))] = bc.ub["top"][:, 1]
-
-    pinned = ops["boundary"].copy()
-    if hold_mask is not None:
-        hm = np.concatenate([np.asarray(hold_mask[0], bool).ravel(),
-                             np.asarray(hold_mask[1], bool).ravel()])
-        hm &= ~ops["boundary"]
-        if rigid_pin is not None:
-            pv = np.concatenate([rigid_pin.u.ravel(), rigid_pin.v.ravel()])
-            x_full[hm] = pv[hm]
-        pinned |= hm
-    vac = (~ops["boundary"]) & (face_rho <= VACUUM_FLOOR)
+    # Dirichlet values on boundary and held faces; vacuum faces get pinned
+    # too
+    faces, values, pinned = state.held
+    x_full = np.zeros(ops["nu"] + ops["nv"])
+    x_full[faces] = values
+    vac = ops["interior"] & (face_rho <= VACUUM_FLOOR)
     n_vac = int(np.count_nonzero(vac))
     if n_vac:
         if np.max(np.abs(m_old[vac])) > 1e-8:
             raise VacuumCell("vacuum face carries nonzero momentum")
-        pin_field = rigid_pin if rigid_pin is not None else bc.u_ext
-        if pin_field is not None:
-            pin_vals = np.concatenate([pin_field.u.ravel(),
-                                       pin_field.v.ravel()])
-            x_full[vac] = pin_vals[vac]
-        pinned |= vac
+        pin_values = state.pin_values()
+        if pin_values is not None:
+            x_full[vac] = pin_values[vac]
+        pinned = pinned | vac
 
     free = ~pinned
-    c12 = _d12_affine(grid, bc)
-    b_free = (rhs - _pinned_coupling(ops, np.where(pinned, x_full, 0.0),
-                                     w_mu, w_lam, w_node, c12))[free]
+    b_free = (rhs - state.coupling(vac, x_full, pinned))[free]
     # face vectors are freed once done with, to hold the step's memory
     # peak (the fill, the guess, the solve) where it was without a history
     del rhs, face_rho, m_old
     pattern = _free_pattern(grid, pinned)
-    Aff = pattern.fill(w_mu, w_lam, w_node, mass)
+    Aff = state.operator(pattern, mass)
 
     iters = 0
 
@@ -1073,7 +1251,8 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
                 if r0 > 0.0 and bnorm > 0.0 else 0.0)
         precond = rule.choose(max(need, 0.0))
     if precond == "multigrid":
-        M = _multigrid(pattern).preconditioner(w_mu, w_lam, w_node, mass)
+        M = _multigrid(pattern).preconditioner(state.w_mu, state.w_lam,
+                                               state.w_node, mass)
         maxiter = MG_MAXITER
     else:
         M = sparse.diags(1.0 / Aff.data[pattern.diag])
@@ -1094,9 +1273,10 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     v_new = x_full[ops["nu"]:].reshape(nx, ny + 1)
     out = VectorField(grid, u_new, v_new).check_finite()
 
-    r11, r22, rdv, r12 = _strains(ops, x_full, c12)
-    quad = tree_sum(w_mu * (r11 ** 2 + r22 ** 2)) \
-        + tree_sum(w_lam * rdv ** 2) + tree_sum(w_node * r12 ** 2)
+    r11, r22, rdv, r12 = _strains(ops, x_full, problem.c12)
+    quad = tree_sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
+        + tree_sum(state.w_lam * rdv ** 2) \
+        + tree_sum(state.w_node * r12 ** 2)
 
     minfo = MomentumStepInfo(
         iterations=iters, preconditioner=precond, solve_residual=rel,
@@ -1114,13 +1294,10 @@ def viscous_quadratic_form(grid: StaggeredGrid, domain: DomainSpec,
                            model: ViscosityModel = None) -> float:
     """E(u) of the assembled implicit operator; nonnegative for any
     admissible viscosities."""
-    if model is None:
-        model = ViscosityModel.from_params(params, domain)
-    ops = _grid_ops(grid)
-    w_mu, w_lam, w_node = _viscous_weights(grid, domain, chi, model,
-                                           ops["node_vol"])
+    state = ViscousState(Problem(grid, domain, params, bc, model), chi)
     x = np.concatenate([vel.u.ravel(), vel.v.ravel()])
-    c12 = _d12_affine(grid, bc) if bc is not None else 0.0
-    r11, r22, rdv, r12 = _strains(ops, x, c12)
-    return tree_sum(w_mu * (r11 ** 2 + r22 ** 2)) \
-        + tree_sum(w_lam * rdv ** 2) + tree_sum(w_node * r12 ** 2)
+    c12 = state.problem.c12 if bc is not None else 0.0
+    r11, r22, rdv, r12 = _strains(state.problem.ops, x, c12)
+    return tree_sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
+        + tree_sum(state.w_lam * rdv ** 2) \
+        + tree_sum(state.w_node * r12 ** 2)

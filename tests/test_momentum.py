@@ -8,7 +8,8 @@ from penaltyflow import driver, momentum
 from penaltyflow.body import (body_signed_distance, make_disc_body,
                               rigid_velocity_field)
 from penaltyflow.config import default_config
-from penaltyflow.continuity import PenaltyParams
+from penaltyflow.continuity import PenaltyParams, continuity_step
+from penaltyflow.diagnostics import ledger_step
 from penaltyflow.errors import NegativeDensity, VacuumCell
 from penaltyflow.fields import StaggeredGrid, VectorField, sym_gradient
 from penaltyflow.geometry import (DomainSpec, build_extension,
@@ -16,8 +17,9 @@ from penaltyflow.geometry import (DomainSpec, build_extension,
                                   resting_boundary, throughflow_boundary)
 from penaltyflow.momentum import (MG_MIN_LEVELS, MG_RATE, PROJECTION_DEPTH,
                                   FreePattern, MomentumStepInfo, Multigrid,
-                                  PreconditionerRule, SolutionHistory,
-                                  ViscosityModel, _coarser, _d12_affine,
+                                  PreconditionerRule, Problem,
+                                  SolutionHistory, ViscosityModel,
+                                  ViscousState, _coarser, _d12_affine,
                                   _face_layout, _free_pattern, _grid_ops,
                                   _pinned_coupling, _prolong, _restrict,
                                   momentum_step, multigrid_levels,
@@ -762,3 +764,87 @@ def test_history_keeps_the_first_two_steps(grid24, domain, params):
             assert np.allclose(with_h.v, without.v, rtol=0, atol=1e-8)
         vel = with_h
     assert len(history.diffs) == 3
+
+
+# ---------------------------------------------------------------------------
+# A run's Problem and the viscous state of one chi
+# ---------------------------------------------------------------------------
+
+def _held_scene(n, r, **body):
+    """Set-up of a held body on an n^2 grid with mollifier radius r and
+    the ``body`` config keys: problem, chi, hold mask, rigid pin, initial
+    density and velocity."""
+    cfg = default_config(nx=n, ny=n, r=r, body_mobile=False, **body)
+    domain, grid, params = cfg.make_domain(), cfg.make_grid(), \
+        cfg.make_params()
+    bc, _ = cfg.make_boundary(domain, grid)
+    body = cfg.make_body()
+    pin = rigid_velocity_field(grid, body.X, body.V, body.w)
+    return (Problem(grid, domain, params, bc), body_signed_distance(
+        body, grid), _hold96(grid, body), pin,
+        cfg.initial_density(grid), cfg.initial_velocity(grid, bc, body))
+
+
+def test_viscous_state_reused_equals_rebuilt_for_a_held_body(monkeypatch):
+    fills = []
+    fill = FreePattern.fill
+
+    def counted(self, *args):
+        fills.append(self)
+        return fill(self, *args)
+    monkeypatch.setattr(FreePattern, "fill", counted)
+    problem, chi, hold, pin, rho0, vel0 = _held_scene(32, 0.07)
+    grid, domain, params, bc = (problem.grid, problem.domain, problem.params,
+                                problem.bc)
+    state = ViscousState(problem, chi, pin, hold)
+    runs = []
+    for reuse in (True, False):
+        rho, vel, history, rows = rho0, vel0, SolutionHistory(), []
+        for step in range(6):
+            dt = 2e-3
+            rho1, _ = continuity_step(grid, rho, vel, params, dt, bc,
+                                      problem=problem if reuse else None)
+            kw = (dict(state=state) if reuse
+                  else dict(rigid_pin=pin, hold_mask=hold))
+            vel1, info = momentum_step(grid, domain, rho, rho1, vel, chi,
+                                       params, dt, bc, history=history,
+                                       **kw)
+            row = ledger_step(grid, domain, bc, params, rho, vel, rho1, vel1,
+                              chi, dt, (step + 1) * dt,
+                              state=state if reuse else None)
+            rows.append((rho1, vel1.u, vel1.v, info.visc_quadform,
+                         row.as_dict()))
+            rho, vel = rho1, vel1
+        runs.append(rows)
+        # the reused state fills the free block once, at its first step
+        assert len(fills) == (1 if reuse else 6)
+        fills.clear()
+    for got, want in zip(*runs):
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert got[3] == want[3] and got[4] == want[4]
+
+
+def test_viscous_state_refills_when_a_vacuum_face_appears():
+    # held at a rigid motion, so that a vacuum face is pinned at a nonzero
+    # value
+    problem, chi, hold, pin, rho, vel = _held_scene(48, 0.05, v0x=0.05,
+                                                    w0=1.0)
+    grid, domain, params, bc = (problem.grid, problem.domain, problem.params,
+                                problem.bc)
+    # a still pocket beside the body, emptied by the mass step
+    pocket = rho.copy()
+    pocket[6:9, 20:23] = 0.0
+    vel.u[5:10, 19:24] = 0.0
+    vel.v[5:10, 19:25] = 0.0
+    state = ViscousState(problem, chi, pin, hold)
+    _, info = momentum_step(grid, domain, rho, rho, vel, chi, params, 2e-3,
+                            bc, state=state)
+    assert info.pinned_vacuum_faces == 0
+    # chi is unchanged, the pinned set and values are not
+    got, info = momentum_step(grid, domain, rho, pocket, vel, chi, params,
+                              2e-3, bc, state=state)
+    want, _ = momentum_step(grid, domain, rho, pocket, vel, chi, params,
+                            2e-3, bc, rigid_pin=pin, hold_mask=hold)
+    assert info.pinned_vacuum_faces > 0
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
