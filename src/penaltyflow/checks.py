@@ -29,7 +29,7 @@ from .diagnostics import (effective_viscous_flux, energy_total,
 from .errors import ErosionEmpty, PenaltyflowError
 from .fields import (MollifierKernel, StaggeredGrid, VectorField,
                      divergence, face_gradient, integrate, mollify,
-                     sym_gradient, tree_sum)
+                     sym_gradient)
 from .geometry import (Disc, DomainSpec, Rectangle, build_extension,
                        classify_boundary, erode, resting_boundary,
                        signed_distance, throughflow_boundary, wall_cutoff)
@@ -274,7 +274,7 @@ def _c14():
     ii, jj = np.meshgrid(np.arange(-m, m + 1),
                          np.arange(-(w.shape[1] - 1) // 2,
                                    (w.shape[1] - 1) // 2 + 1), indexing="ij")
-    ok = (abs(tree_sum(w) - 1.0) < 1e-12
+    ok = (abs(np.sum(w) - 1.0) < 1e-12
           and np.all(w >= 0)
           and abs(np.sum(w * ii)) < 1e-14 and abs(np.sum(w * jj)) < 1e-14
           and np.max(np.abs(w - w[::-1, :])) < 1e-15

@@ -20,8 +20,7 @@ from scipy.sparse.linalg import cg
 
 from .errors import CflViolation, HistoryTooShort, LinearSolveDiverged
 from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
-                     faces_to_centers, integrate, run_chunked, stencil_csr,
-                     tree_sum)
+                     faces_to_centers, integrate, run_chunked, stencil_csr)
 from .geometry import WALLS, BoundaryData
 
 CG_RTOL = 1e-13          # tighter than the 1e-10 contract so the mass
@@ -240,7 +239,7 @@ def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
         raise LinearSolveDiverged("non-finite density after the solve")
     clipped = 0.0
     if np.min(rho_new) < 0:
-        clipped = -tree_sum(np.minimum(rho_new, 0.0)) * vol
+        clipped = -np.sum(np.minimum(rho_new, 0.0)) * vol
         rho_new = np.maximum(rho_new, 0.0)
 
     # total outward boundary flux per face, both parts at the new state:
@@ -251,9 +250,9 @@ def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
     total = {w: tr[w] * robin[w][1] - (tr[w] - bc.rho[w]) * robin[w][0]
              for w in WALLS}
     flen = {w: dy if w in ("left", "right") else dx for w in WALLS}
-    in_flux = tree_sum(np.concatenate(
+    in_flux = np.sum(np.concatenate(
         [np.where(bc.in_mask[w], total[w], 0.0) * flen[w] for w in WALLS]))
-    out_flux = tree_sum(np.concatenate(
+    out_flux = np.sum(np.concatenate(
         [np.where(bc.out_mask[w], total[w], 0.0) * flen[w] for w in WALLS]))
 
     mass_old = integrate(grid, rho)
@@ -385,6 +384,6 @@ def renormalized_residual(grid: StaggeredGrid, bc: BoundaryData,
             # boundary fluxes are implicit in the scheme: new-state traces
             flux = (b(tr1[w]) * un[w]
                     + bp(tr1[w]) * (tr1[w] - bc.rho[w]) * np.abs(kk[w]))
-            bnd += tree_sum(flux * psi_edge[w]) * flen[w]
+            bnd += np.sum(flux * psi_edge[w]) * flen[w]
         lhs += dt * bnd
     return lhs - rhs

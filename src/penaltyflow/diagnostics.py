@@ -19,7 +19,7 @@ from .continuity import PenaltyParams
 from .errors import ProbeOutside
 from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
                      faces_to_centers, full_gradient, integrate, interp_cell,
-                     sym_gradient, tree_sum)
+                     sym_gradient)
 from .geometry import WALLS, BoundaryData, DomainSpec
 from .momentum import (Problem, ViscosityModel, ViscousState, pressure,
                        pressure_potential, pressure_potential_d1,
@@ -136,7 +136,7 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     p2x = pressure_potential_d2(0.5 * (rm[1:, :] + rm[:-1, :]), params)
     p2y = pressure_potential_d2(0.5 * (rm[:, 1:] + rm[:, :-1]), params)
     eps_term = params.eps * grid.cell_volume * (
-        tree_sum(p2x * gfx ** 2) + tree_sum(p2y * gfy ** 2))
+        np.sum(p2x * gfx ** 2) + np.sum(p2y * gfy ** 2))
     del gfx, gfy, p2x, p2y
 
     un = problem.normal_traces
@@ -148,7 +148,7 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     for w in WALLS:
         pout = np.where(bc.out_mask[w],
                         pressure_potential(tr[w], params) * un[w], 0.0)
-        outflow_term += tree_sum(pout) * vol_edge[w]
+        outflow_term += np.sum(pout) * vol_edge[w]
         if np.any(bc.in_mask[w]):
             any_in = True
             gap = (pressure_potential(bc.rho[w], params)
@@ -156,7 +156,7 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
                    * (bc.rho[w] - tr[w])
                    - pressure_potential(tr[w], params))
             gin = np.where(bc.in_mask[w], gap * np.abs(un[w]), 0.0)
-            convexity_term += tree_sum(gin) * vol_edge[w]
+            convexity_term += np.sum(gin) * vol_edge[w]
             slack_min = min(slack_min, float(np.min(gap[bc.in_mask[w]])))
     if not any_in:
         slack_min = 0.0
@@ -278,10 +278,10 @@ def surface_force_torque(grid: StaggeredGrid, domain: DomainSpec,
     nxt = np.roll(pts, -1, axis=0)
     prv = np.roll(pts, 1, axis=0)
     ds = 0.5 * np.hypot(nxt[:, 0] - prv[:, 0], nxt[:, 1] - prv[:, 1])
-    Fx = tree_sum(txv * ds)
-    Fy = tree_sum(tyv * ds)
+    Fx = np.sum(txv * ds)
+    Fy = np.sum(tyv * ds)
     rx = pts[:, 0] - body.X[0]
     ry = pts[:, 1] - body.X[1]
-    torque = tree_sum((rx * tyv - ry * txv) * ds)
+    torque = np.sum((rx * tyv - ry * txv) * ds)
     return np.array([Fx, Fy]), float(torque)
 

@@ -13,8 +13,9 @@ Exposed tensor fields (symmetric gradient, stress) are stored at cell
 centers; the off-diagonal entry is evaluated at nodes and averaged back.
 That single convention is used everywhere a tensor leaves this module.
 
-Reductions go through ``tree_sum`` (fixed binary tree) so serial and
-parallel stencil assembly produce bitwise-identical results.
+Reductions are ``np.sum`` over whole arrays.  The parallel stencils
+(``run_chunked``) write disjoint slices of their outputs, so an array and
+its sum come out bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -57,22 +58,6 @@ def run_chunked(n_items: int, fn) -> None:
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         for f in futs:
             f.result()
-
-
-def tree_sum(values) -> float:
-    """Deterministic reduction: strict binary tree with zero padding.
-
-    The tree shape depends only on the element count, never on the worker
-    count, so parallel and serial assembly reduce identically.
-    """
-    a = np.asarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        if a.size % 2:
-            a = np.concatenate([a, [0.0]])
-        a = a[0::2] + a[1::2]
-    return float(a[0])
 
 
 @dataclass(frozen=True)
@@ -308,12 +293,12 @@ def full_gradient(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray,
 
 
 def integrate(grid: StaggeredGrid, values: np.ndarray, mask=None) -> float:
-    """Mask-weighted cell integral with a deterministic reduction order."""
+    """Mask-weighted cell integral."""
     if mask is not None:
         vals = np.where(mask, values, 0.0)
     else:
         vals = values
-    return tree_sum(vals) * grid.cell_volume
+    return float(np.sum(vals)) * grid.cell_volume
 
 
 def stencil_csr(cols, vals, has, ncols, rows=None):
@@ -357,7 +342,7 @@ class MollifierKernel:
         q = np.hypot(ii * dx, jj * dy) / radius
         # Wendland-type C2 bump; sampled then renormalized to unit sum.
         w = np.where(q < 1.0, (1.0 - q) ** 4 * (1.0 + 4.0 * q), 0.0)
-        w /= tree_sum(w)
+        w /= np.sum(w)
         return cls(radius=radius, dx=dx, dy=dy, weights=w)
 
 

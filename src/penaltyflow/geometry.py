@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (CollarTooWide, ErosionEmpty, ExtensionDivergenceNegative,
                      ExtensionTraceError, InvalidShape)
-from .fields import StaggeredGrid, VectorField, divergence, tree_sum
+from .fields import StaggeredGrid, VectorField, divergence
 
 WALLS = ("bottom", "right", "top", "left")
 NORMALS = {"bottom": (0.0, -1.0), "right": (1.0, 0.0),
@@ -265,7 +265,7 @@ def build_extension(bc: BoundaryData, domain: DomainSpec, grid: StaggeredGrid):
     _require_corner_taper(bc, un, domain, grid, scale)
 
     # Split off any flux imbalance before building the streamfunction.
-    q_net = tree_sum(np.concatenate([un[w] * face_len[w] for w in WALLS]))
+    q_net = np.sum(np.concatenate([un[w] * face_len[w] for w in WALLS]))
     un_bal = {w: un[w].copy() for w in WALLS}
     excess = {w: np.zeros_like(un[w]) for w in WALLS}
     thresh = 1e-13 * scale * (2 * (domain.Lx + domain.Ly))
@@ -276,7 +276,7 @@ def build_extension(bc: BoundaryData, domain: DomainSpec, grid: StaggeredGrid):
             part = {w: np.maximum(un[w], 0.0) for w in WALLS}
         else:
             part = {w: np.minimum(un[w], 0.0) for w in WALLS}
-        q_part = tree_sum(np.concatenate(
+        q_part = np.sum(np.concatenate(
             [part[w] * face_len[w] for w in WALLS]))
         frac = q_net / q_part
         for w in WALLS:

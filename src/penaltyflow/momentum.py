@@ -24,8 +24,7 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from .continuity import PenaltyParams, check_cfl, robin_closure
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
 from .fields import (StaggeredGrid, VectorField, cell_gradient,
-                     faces_to_centers, full_gradient, run_chunked,
-                     stencil_csr, sym_gradient, tree_sum)
+                     full_gradient, run_chunked, stencil_csr, sym_gradient)
 from .geometry import (WALLS, BoundaryData, CutoffProfile, DomainSpec,
                        wall_cutoff)
 
@@ -939,7 +938,7 @@ class Problem:
             edge = self.grid.dy if w in ("left", "right") else self.grid.dx
             pin = np.where(bc.in_mask[w], pressure_potential(
                 bc.rho[w], params) * self.normal_traces[w], 0.0)
-            term -= tree_sum(pin) * edge
+            term -= np.sum(pin) * edge
         return term
 
 
@@ -1274,9 +1273,9 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     out = VectorField(grid, u_new, v_new).check_finite()
 
     r11, r22, rdv, r12 = _strains(ops, x_full, problem.c12)
-    quad = tree_sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
-        + tree_sum(state.w_lam * rdv ** 2) \
-        + tree_sum(state.w_node * r12 ** 2)
+    quad = np.sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
+        + np.sum(state.w_lam * rdv ** 2) \
+        + np.sum(state.w_node * r12 ** 2)
 
     minfo = MomentumStepInfo(
         iterations=iters, preconditioner=precond, solve_residual=rel,
@@ -1298,6 +1297,6 @@ def viscous_quadratic_form(grid: StaggeredGrid, domain: DomainSpec,
     x = np.concatenate([vel.u.ravel(), vel.v.ravel()])
     c12 = state.problem.c12 if bc is not None else 0.0
     r11, r22, rdv, r12 = _strains(state.problem.ops, x, c12)
-    return tree_sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
-        + tree_sum(state.w_lam * rdv ** 2) \
-        + tree_sum(state.w_node * r12 ** 2)
+    return np.sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
+        + np.sum(state.w_lam * rdv ** 2) \
+        + np.sum(state.w_node * r12 ** 2)

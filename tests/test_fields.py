@@ -12,7 +12,7 @@ from penaltyflow.fields import (MollifierKernel, ScalarField, StaggeredGrid,
                                 VectorField, divergence, face_gradient,
                                 integrate, interp_cell, mollify, read_field,
                                 run_chunked, set_num_workers, sym_gradient,
-                                tree_sum, write_field, write_vti)
+                                write_field, write_vti)
 
 
 def test_grid_invariants():
@@ -92,7 +92,7 @@ def test_mollifier_kernel_invariants(grid64):
     k = MollifierKernel.build(0.05, grid64.dx, grid64.dy)
     w = k.weights
     assert np.all(w >= 0)
-    assert abs(tree_sum(w) - 1.0) < 1e-12
+    assert abs(np.sum(w) - 1.0) < 1e-12
     assert np.allclose(w, w[::-1, :]) and np.allclose(w, w[:, ::-1])
     mx = (w.shape[0] - 1) // 2
     my = (w.shape[1] - 1) // 2
@@ -141,17 +141,6 @@ def test_integrate_mask_additivity(grid24, rng):
     scale = integrate(grid24, np.abs(f))
     assert abs(split - total) <= 8 * np.finfo(float).eps * scale
     assert integrate(grid24, f) == integrate(grid24, f)
-
-
-def test_tree_sum_worker_invariance(rng):
-    a = rng.normal(size=10001)
-    s1 = tree_sum(a)
-    set_num_workers(4)
-    try:
-        s2 = tree_sum(a)
-    finally:
-        set_num_workers(1)
-    assert s1 == s2
 
 
 def test_run_chunked_bitwise(grid64, rng):
