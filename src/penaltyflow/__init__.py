@@ -21,9 +21,9 @@ from .fields import (MollifierKernel, ScalarField, StaggeredGrid,
 from .geometry import (BoundaryData, CutoffProfile, Disc, DomainSpec,
                        Rectangle, build_extension, classify_boundary,
                        erode, signed_distance, throughflow_boundary)
-from .momentum import (ViscosityModel, momentum_step, penalty_ramp,
-                       pressure, pressure_potential, stress,
-                       viscosity_fields)
+from .momentum import (Problem, ViscosityModel, ViscousState,
+                       momentum_step, penalty_ramp, pressure,
+                       pressure_potential, stress, viscosity_fields)
 
 __version__ = "0.1.0"
 

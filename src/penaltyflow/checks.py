@@ -33,8 +33,8 @@ from .fields import (MollifierKernel, StaggeredGrid, VectorField,
 from .geometry import (Disc, DomainSpec, Rectangle, build_extension,
                        classify_boundary, erode, resting_boundary,
                        signed_distance, throughflow_boundary, wall_cutoff)
-from .momentum import (ViscosityModel, penalty_ramp, pressure,
-                       pressure_potential, pressure_potential_d1,
+from .momentum import (Problem, ViscosityModel, ViscousState, penalty_ramp,
+                       pressure, pressure_potential, pressure_potential_d1,
                        momentum_step, stress, viscosity_fields,
                        viscous_quadratic_form)
 
@@ -388,7 +388,7 @@ def _c20():
     rho = 1.0 + 0.3 * np.abs(rng.normal(size=(g.nx, g.ny)))
     vel = VectorField.zeros(g)
     m0 = integrate(g, rho)
-    rho1, info = continuity_step(g, rho, vel, params, 1e-3, bc)
+    rho1, info = continuity_step(Problem(g, dom, params, bc), rho, vel, 1e-3)
     drift = abs(integrate(g, rho1) - m0)
     # rho != rho_B so the smoothed negative part leaks a touch of flux at
     # resting walls; the budget must still close exactly
@@ -412,7 +412,7 @@ def _c21():
     vel = VectorField(g, np.full(g.shape("ufaces"), 0.2),
                       np.zeros(g.shape("vfaces")))
     rho = np.ones((g.nx, g.ny))
-    rho1, info = continuity_step(g, rho, vel, params, 5e-3, bc)
+    rho1, info = continuity_step(Problem(g, dom, params, bc), rho, vel, 5e-3)
     err = np.max(np.abs(rho1 - 1.0))
     return _ok(err < 1e-11 and info.mass_residual < 1e-11,
                f"constant state drift {err:.1e}")
@@ -424,6 +424,7 @@ def _c22():
     dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
     bc = throughflow_boundary(dom, g, 0.2, 1.0)
+    problem = Problem(g, dom, params, bc)
     rng = np.random.default_rng(8)
     ok = True
     for _ in range(5):
@@ -434,7 +435,7 @@ def _c22():
         vel = VectorField(g, u, v)
         vmax = max(vel.max_speed(), 0.2)
         dt = 0.4 * g.dx / vmax
-        rho1, _ = continuity_step(g, rho, vel, params, dt, bc)
+        rho1, _ = continuity_step(problem, rho, vel, dt)
         ok &= np.min(rho1) >= 0.0
     return _ok(ok, "nonnegativity under the advective limit")
 
@@ -451,7 +452,7 @@ def _c23():
     v = rng.normal(0, 0.1, size=g.shape("vfaces"))
     vel = VectorField(g, u, v)
     dt = 0.25 * g.dx / 0.6
-    rho1, info = continuity_step(g, rho, vel, params, dt, bc)
+    rho1, info = continuity_step(Problem(g, dom, params, bc), rho, vel, dt)
     hist_r = [rho, rho1]
     hist_u = [vel, vel]
     d_id = renormalized_residual(g, bc, params, hist_r, hist_u, dt,
@@ -559,12 +560,14 @@ def _c28():
     params = PenaltyParams(n_solid=1e4, lam=-0.05)
     body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
     chi = body_signed_distance(body, g)
+    bc = resting_boundary(dom, g, 1.0)
+    state = ViscousState(Problem(g, dom, params, bc), chi)
     rng = np.random.default_rng(11)
     worst = np.inf
     for _ in range(100):
         vel = VectorField(g, rng.normal(size=g.shape("ufaces")),
                           rng.normal(size=g.shape("vfaces")))
-        worst = min(worst, viscous_quadratic_form(g, dom, chi, params, vel))
+        worst = min(worst, viscous_quadratic_form(state, vel))
     return _ok(worst >= -1e-10, f"min quadratic form {worst:.2e}")
 
 
@@ -578,7 +581,8 @@ def _c29():
     X, V, w = np.array([0.45, 0.55]), np.array([0.1, -0.2]), 0.7
     rig = rigid_velocity_field(g, X, V, w)
     bc = _rigid_trace_boundary(g, dom, X, V, w)
-    quad = viscous_quadratic_form(g, dom, chi, params, rig, bc)
+    quad = viscous_quadratic_form(ViscousState(Problem(g, dom, params, bc),
+                                               chi), rig)
     return _ok(abs(quad) <= 1e-20,
                f"viscous energy of a rigid field: {quad:.2e}")
 
@@ -609,7 +613,8 @@ def _c30():
     body = make_disc_body((0.5, 0.5), 0.2, 0.03, 2.0)
     chi = body_signed_distance(body, g)
     vel = VectorField.zeros(g)
-    vel1, _ = momentum_step(g, dom, rho, rho, vel, chi, params, 2e-3, bc)
+    state = ViscousState(Problem(g, dom, params, bc), chi)
+    vel1, _ = momentum_step(state, rho, rho, vel, 2e-3)
     m = vel1.max_speed()
     return _ok(m <= 1e-12, f"max |u'| = {m:.1e}")
 
@@ -629,7 +634,8 @@ def _c31():
     chi = np.full((g.nx, g.ny), -1.0)
     vel = VectorField(g, np.full(g.shape("ufaces"), 0.3),
                       np.zeros(g.shape("vfaces")))
-    vel1, _ = momentum_step(g, dom, rho, rho, vel, chi, params, 5e-3, bc)
+    state = ViscousState(Problem(g, dom, params, bc), chi)
+    vel1, _ = momentum_step(state, rho, rho, vel, 5e-3)
     err = max(np.max(np.abs(vel1.u - 0.3)), np.max(np.abs(vel1.v)))
     return _ok(err < 1e-10, f"translation drift {err:.1e}")
 
@@ -647,8 +653,8 @@ def _c32():
     iters = []
     for n in (1e3, 1e4):
         params = PenaltyParams(n_solid=n, r_moll=0.04)
-        v1, info = momentum_step(g, dom, rho, rho, vel, chi, params, 2e-3,
-                                 bc)
+        state = ViscousState(Problem(g, dom, params, bc), chi)
+        v1, info = momentum_step(state, rho, rho, vel, 2e-3)
         iters.append(info.iterations)
         if info.solve_residual > 1e-8:
             return _ok(False, f"residual {info.solve_residual}")
@@ -835,8 +841,8 @@ def _c42():
     rho = np.ones((g.nx, g.ny))
     zero = VectorField.zeros(g)
     chi = np.full((g.nx, g.ny), -1.0)
-    row = ledger_step(g, dom, bc, params, rho, zero, rho, zero, chi, 1e-3,
-                      1e-3)
+    state = ViscousState(Problem(g, dom, params, bc), chi)
+    row = ledger_step(state, rho, zero, rho, zero, 1e-3, 1e-3)
     vals = [row.dissipation, row.eps_term, row.outflow_term,
             row.conv_coupling, row.pressure_dilation, row.inflow_term,
             row.uinf_stress, row.eps_coupling, row.energy_residual]

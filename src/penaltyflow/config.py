@@ -7,7 +7,7 @@ regularization knob would invalidate a whole study.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,23 +18,6 @@ from .errors import ConfigError, InvalidShape, KernelUnresolved, ProbeOutside
 from .fields import MollifierKernel, StaggeredGrid, VectorField
 from .geometry import (BoundaryData, DomainSpec, build_extension,
                        resting_boundary, throughflow_boundary)
-
-_SCHEMA = {
-    "domain": {"Lx": 1.0, "Ly": 1.0, "h": 0.1},
-    "grid": {"nx": 96, "ny": 96},
-    "params": {"a": 1.0, "gamma": 5.0 / 3.0, "delta": 1e-3, "beta": 8.0,
-               "eps": 1e-3, "n": 1e3, "r": 0.03, "N": 64.0,
-               "mu": 0.1, "lam": 0.1},
-    "boundary": {"profile": "throughflow", "speed": 0.2, "rho_b": 1.0,
-                 "taper": 0.0},
-    "initial": {"rho0": 1.0, "u0": "stream"},
-    "body": {"present": True, "mobile": True, "x0": 0.5, "y0": 0.5,
-             "radius": 0.15, "rho_s": 2.0, "markers": 64, "v0x": 0.0,
-             "v0y": 0.0, "w0": 0.0},
-    "time": {"t_end": 0.1, "cfl": 0.4, "dt": 0.0},
-    "output": {"dir": "out", "cadence": 10, "snapshots": False,
-               "vtk": False, "workers": 1},
-}
 
 _PROFILES = ("throughflow", "zero")
 _U0_CHOICES = ("extension", "zero", "rigid", "stream")
@@ -80,7 +63,6 @@ class RunConfig:
     cadence: int = 10
     snapshots: bool = False
     vtk: bool = False
-    workers: int = 1
 
     def with_updates(self, **kw) -> "RunConfig":
         return replace(self, **kw)
@@ -160,8 +142,8 @@ class RunConfig:
             raise ConfigError(f"profile must be one of {_PROFILES}")
         if self.t_end <= 0 or self.cfl <= 0 or self.cfl > 1:
             raise ConfigError("need t_end > 0 and cfl in (0, 1]")
-        if self.cadence < 1 or self.workers < 1:
-            raise ConfigError("cadence and workers must be >= 1")
+        if self.cadence < 1:
+            raise ConfigError("cadence must be >= 1")
         # what BoundaryData and regularize_initial_density would reject in
         # set-up, checked on the scalars alone
         for key in ("rho0", "rho_b"):
@@ -209,20 +191,20 @@ def _coerce(key, default, raw):
         raise ConfigError(f"cannot parse '{key} = {raw}'") from exc
 
 
-_FIELD_BY_SECTION_KEY = {
-    ("boundary", "profile"): "profile",
-    ("boundary", "speed"): "speed",
-    ("boundary", "rho_b"): "rho_b",
-    ("boundary", "taper"): "taper",
-    ("initial", "rho0"): "rho0",
-    ("initial", "u0"): "u0",
-    ("body", "present"): "body_present",
-    ("body", "mobile"): "body_mobile",
-    ("time", "t_end"): "t_end",
-    ("time", "cfl"): "cfl",
-    ("time", "dt"): "dt",
-    ("output", "dir"): "outdir",
-}
+# The config file's section of each RunConfig field, and the key of the
+# fields whose key is not their name; the defaults are RunConfig's own.
+_SECTIONS = {
+    "domain": "Lx Ly h", "grid": "nx ny",
+    "params": "a gamma delta beta eps n r N mu lam",
+    "boundary": "profile speed rho_b taper", "initial": "rho0 u0",
+    "body": "body_present body_mobile x0 y0 radius rho_s markers v0x v0y w0",
+    "time": "t_end cfl dt", "output": "outdir cadence snapshots vtk"}
+_KEYS = {"body_present": "present", "body_mobile": "mobile", "outdir": "dir"}
+_SECTION_OF = {f: s for s, names in _SECTIONS.items() for f in names.split()}
+# section -> key -> (field, default), in RunConfig's field order
+_SCHEMA = {s: {_KEYS.get(f.name, f.name): (f.name, f.default)
+               for f in fields(RunConfig) if _SECTION_OF[f.name] == s}
+           for s in _SECTIONS}
 
 
 def load_config(path) -> RunConfig:
@@ -238,8 +220,8 @@ def load_config(path) -> RunConfig:
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-            fname = _FIELD_BY_SECTION_KEY.get((section, key), key)
-            values[fname] = _coerce(key, _SCHEMA[section][key], raw)
+            fname, default = _SCHEMA[section][key]
+            values[fname] = _coerce(key, default, raw)
     return RunConfig(**values).validate()
 
 
@@ -251,7 +233,7 @@ def write_example_config(path):
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, default in keys.items():
+        for key, (_, default) in keys.items():
             lines.append(f"{key} = {default}")
         lines.append("")
     with open(path, "w") as f:

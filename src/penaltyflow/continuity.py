@@ -20,7 +20,7 @@ from scipy.sparse.linalg import cg
 
 from .errors import CflViolation, HistoryTooShort, LinearSolveDiverged
 from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
-                     faces_to_centers, integrate, run_chunked, stencil_csr)
+                     faces_to_centers, integrate, stencil_csr)
 from .geometry import WALLS, BoundaryData
 
 CG_RTOL = 1e-13          # tighter than the 1e-10 contract so the mass
@@ -86,23 +86,10 @@ def _upwind_fluxes(grid, rho, u, v):
     """Interior advective mass fluxes; boundary faces handled separately."""
     fx = np.zeros((grid.nx + 1, grid.ny))
     fy = np.zeros((grid.nx, grid.ny + 1))
-
-    def work_x(lo, hi):
-        lo_ = max(lo, 1)
-        hi_ = min(hi, grid.nx)
-        if hi_ <= lo_:
-            return
-        uu = u[lo_:hi_, :]
-        up = np.where(uu > 0, rho[lo_ - 1:hi_ - 1, :], rho[lo_:hi_, :])
-        fx[lo_:hi_, :] = uu * up
-
-    def work_y(lo, hi):
-        vv = v[lo:hi, 1:-1]
-        up = np.where(vv > 0, rho[lo:hi, :-1], rho[lo:hi, 1:])
-        fy[lo:hi, 1:-1] = vv * up
-
-    run_chunked(grid.nx + 1, work_x)
-    run_chunked(grid.nx, work_y)
+    uu = u[1:-1, :]
+    fx[1:-1, :] = uu * np.where(uu > 0, rho[:-1, :], rho[1:, :])
+    vv = v[:, 1:-1]
+    fy[:, 1:-1] = vv * np.where(vv > 0, rho[:, :-1], rho[:, 1:])
     return fx, fy
 
 
@@ -116,40 +103,14 @@ class ContinuityStepInfo:
     source_total: float = 0.0
 
 
-_diffusion = None   # (key, K, diagonal positions, last dt, A, M), one grid
-
-
-def robin_closure(grid, params, bc):
-    """(robin, key): each wall's smoothed negative part of ub.n and ub.n
-    itself, and the key of the diffusion matrix they close.  Both are fixed
-    for a run (``Problem.robin``)."""
-    robin = {}
-    for w in WALLS:
-        un = bc.normal_trace(w)
-        robin[w] = (smoothed_negative_part(un, params.bc_sharpness), un)
-    key = (grid.nx, grid.ny, grid.dx, grid.dy, params.eps,
-           tuple(robin[w][0].tobytes() + robin[w][1].tobytes()
-                 for w in WALLS))
-    return robin, key
-
-
-def _diffusion_matrix(grid, params, dt, robin, key):
-    """vol I + dt K and its Jacobi preconditioner.  The unit-dt diffusion
-    and Robin part K is assembled once per grid and boundary data (``key``
-    of ``robin_closure``); the step matrix is kept while dt stays the
-    same."""
-    global _diffusion
-    if _diffusion is None or _diffusion[0] != key:
-        _diffusion = (key, *_unit_diffusion(grid, params, robin), None,
-                      None, None)
-    key, K, diag, last_dt, A, M = _diffusion
-    if dt != last_dt:
-        data = dt * K.data
-        data[diag] += grid.cell_volume
-        A = sparse.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
-        M = sparse.diags(1.0 / data[diag])
-        _diffusion = (key, K, diag, dt, A, M)
-    return A, M
+def _diffusion_matrix(K, diag, vol, dt):
+    """vol I + dt K and its Jacobi preconditioner, from the unit-dt
+    diffusion and Robin part K and its diagonal positions
+    (``_unit_diffusion``)."""
+    data = dt * K.data
+    data[diag] += vol
+    return (sparse.csr_matrix((data, K.indices, K.indptr), shape=K.shape),
+            sparse.diags(1.0 / data[diag]))
 
 
 def _unit_diffusion(grid, params, robin):
@@ -185,17 +146,17 @@ def _unit_diffusion(grid, params, robin):
     return K, K.indptr[:-1] + has[:2].sum(axis=0, dtype=np.intp)
 
 
-def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
-                    params: PenaltyParams, dt: float, bc: BoundaryData,
-                    source=None, problem=None):
-    """One conservative step of the regularized continuity equation.
+def continuity_step(problem, rho: np.ndarray, vel: VectorField, dt: float,
+                    source=None):
+    """One conservative step of the regularized continuity equation on the
+    run's ``momentum.Problem``, which keeps the Robin closure and the
+    diffusion matrix.
 
     Returns (rho_new, ContinuityStepInfo).  The global budget
     d(total mass) + dt * (boundary fluxes) = dt * (source) closes to the
-    linear-solve residual.  problem, the run's ``momentum.Problem`` for
-    these grid, params and bc, supplies the Robin closure; without it the
-    closure is computed for this call.
+    linear-solve residual.
     """
+    grid, bc = problem.grid, problem.bc
     check_cfl(grid, vel, bc, dt)
     if np.min(rho) < 0:
         raise ValueError("continuity_step requires rho >= 0")
@@ -208,9 +169,8 @@ def continuity_step(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
 
     # boundary fluxes are implicit: advective part with the interior-cell
     # trace, diffusive part via the smoothed-negative-part Robin closure
-    robin, key = (problem.robin if problem is not None
-                  else robin_closure(grid, params, bc))
-    A, M = _diffusion_matrix(grid, params, dt, robin, key)
+    robin = problem.robin
+    A, M = problem.diffusion(dt)
 
     b = vol * rho_star
     b[0, :] += dt * dy * np.abs(robin["left"][0]) * bc.rho["left"]

@@ -20,10 +20,9 @@ from .errors import ProbeOutside
 from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
                      faces_to_centers, full_gradient, integrate, interp_cell,
                      sym_gradient)
-from .geometry import WALLS, BoundaryData, DomainSpec
-from .momentum import (Problem, ViscosityModel, ViscousState, pressure,
-                       pressure_potential, pressure_potential_d1,
-                       pressure_potential_d2, stress)
+from .geometry import WALLS, DomainSpec
+from .momentum import (Problem, ViscousState, pressure, pressure_potential,
+                       pressure_potential_d1, pressure_potential_d2, stress)
 
 CSV_SCHEMA = ("t", "E", "dissipation", "eps_term", "outflow_term",
               "convexity_slack_min", "mass_residual", "energy_residual",
@@ -75,12 +74,9 @@ def _edge_traces(arr):
             "bottom": arr[:, 0], "top": arr[:, -1]}
 
 
-def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
-                params: PenaltyParams, rho0, vel0: VectorField,
-                rho1, vel1: VectorField, chi: np.ndarray, dt: float,
-                t_new: float, model: ViscosityModel = None,
-                E0: float = None,
-                state: ViscousState = None) -> EnergyLedgerRow:
+def ledger_step(state: ViscousState, rho0, vel0: VectorField, rho1,
+                vel1: VectorField, dt: float, t_new: float,
+                E0: float = None) -> EnergyLedgerRow:
     """Assemble every energy-accounting term for one accepted step.
 
     Rate terms are evaluated at the step endpoint, matching the implicit
@@ -88,13 +84,12 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     side) then shrinks first order in dt, which is what the dt-halving
     consistency check expects of this splitting.  E0, when given, is the
     energy of (rho0, vel0), the previous row's E; it is computed otherwise.
-    state, the run's ``momentum.ViscousState`` of chi, supplies the
-    viscosities and (through its Problem) the boundary extension's fixed
-    terms; without it they are computed for this call.
+    state, the run's ``momentum.ViscousState`` of the step's chi, supplies
+    the viscosities and (through its Problem) the grid, the boundary data
+    and the boundary extension's fixed terms.
     """
-    if state is None:
-        state = ViscousState(Problem(grid, domain, params, bc, model), chi)
     problem = state.problem
+    grid, params, bc = problem.grid, problem.params, problem.bc
     u_ext = bc.u_ext
     vol_edge = {w: grid.dy if w in ("left", "right") else grid.dx
                 for w in WALLS}
@@ -107,8 +102,9 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
     um = vel1
 
     mu_n, lam_n = state.mu_n, state.lam_n
-    (exx, exy, eyx, eyy), e12 = problem.ext_gradient
-    e11, e22 = exx, eyy
+    # the symmetric gradient's diagonal is the full gradient's, and the
+    # divergence their sum, bit for bit (``full_gradient``)
+    exx, exy, eyx, eyy, e12 = problem.ext_gradient
     # each term's work arrays are freed once it is summed, which keeps the
     # step's memory peak low
 
@@ -117,17 +113,17 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
                 np.zeros(grid.ny + 1), np.zeros(grid.ny + 1))
     wu = um.u - u_ext.u
     wv = um.v - u_ext.v
-    d11, d12, d22 = sym_gradient(grid, wu, wv, zeros_wt)
-    div_w = divergence(grid, wu, wv)
+    wxx, wxy, wyx, wyy, w12 = full_gradient(grid, wu, wv, zeros_wt)
+    div_w = wxx + wyy
     dissipation = integrate(
-        grid, 2.0 * mu_n * (d11 ** 2 + 2.0 * d12 ** 2 + d22 ** 2)
+        grid, 2.0 * mu_n * (wxx ** 2 + 2.0 * w12 ** 2 + wyy ** 2)
         + lam_n * div_w ** 2)
     # a right-hand-side rate (signs folded in, like those below) on the
     # same strain
-    s11, s12, s22 = stress(e11, e12, e22, mu_n, lam_n)
+    s11, s12, s22 = stress(exx, e12, eyy, mu_n, lam_n)
     uinf_stress = -integrate(
-        grid, s11 * d11 + 2.0 * s12 * d12 + s22 * d22)
-    del d11, d12, d22, div_w, s11, s12, s22
+        grid, s11 * wxx + 2.0 * s12 * w12 + s22 * wyy)
+    del w12, div_w, s11, s12, s22
 
     # face-difference assembly: this is the pairing the implicit diffusion
     # actually dissipates, so the step residual stays second order in dt
@@ -174,7 +170,6 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
                                    * (exx + eyy))
     inflow_term = problem.inflow_term
 
-    wxx, wxy, wyx, wyy = full_gradient(grid, wu, wv, zeros_wt)
     uec, vec = faces_to_centers(grid, u_ext.u, u_ext.v)
     grx, gry = cell_gradient(grid, rm)
     eps_coupling = params.eps * integrate(
@@ -194,13 +189,11 @@ def ledger_step(grid: StaggeredGrid, domain: DomainSpec, bc: BoundaryData,
 
 
 def rigidity_measure(grid: StaggeredGrid, vel: VectorField, chi: np.ndarray,
-                     margin: float = None, strain=None) -> float:
+                     strain=None) -> float:
     """Squared symmetric-gradient content of the velocity over the solid
-    core compact (cells deeper than `margin` inside the core).  strain, if
-    given, is ``sym_gradient`` of vel."""
-    if margin is None:
-        margin = 2.0 * max(grid.dx, grid.dy)
-    mask = chi >= margin
+    core compact (cells deeper than 2 max(dx, dy) inside the core).
+    strain, if given, is ``sym_gradient`` of vel."""
+    mask = chi >= 2.0 * max(grid.dx, grid.dy)
     if not np.any(mask):
         return 0.0
     d11, d12, d22 = (sym_gradient(grid, vel.u, vel.v) if strain is None
@@ -217,17 +210,12 @@ def effective_viscous_flux(grid: StaggeredGrid, rho: np.ndarray,
         - (params.lam + 2.0 * params.mu) * divergence(grid, vel.u, vel.v)
 
 
-def fluid_mask(grid: StaggeredGrid, domain: DomainSpec, chi: np.ndarray,
-               params: PenaltyParams, margin: float = None,
-               problem: Problem = None) -> np.ndarray:
-    """Canonical fluid compact: excludes the body collar and the wall
-    collar.  problem, the run's ``momentum.Problem``, supplies the cells
-    clear of the wall collar."""
-    if margin is None:
-        margin = 2.0 * max(grid.dx, grid.dy)
-    if problem is None:
-        problem = Problem(grid, domain, params, None)
-    return (chi < -(params.r_moll + margin)) & problem.clear_of_walls
+def fluid_mask(problem: Problem, chi: np.ndarray) -> np.ndarray:
+    """Canonical fluid compact: excludes the body collar (2 max(dx, dy)
+    past the mollification radius) and the wall collar (the run's
+    ``momentum.Problem`` keeps the cells clear of it)."""
+    margin = 2.0 * max(problem.grid.dx, problem.grid.dy)
+    return (chi < -(problem.params.r_moll + margin)) & problem.clear_of_walls
 
 
 def interior_pressure_norm(grid: StaggeredGrid, rho: np.ndarray,

@@ -18,8 +18,8 @@ from .diagnostics import (CSV_SCHEMA, fluid_mask, interior_pressure_norm,
                           ledger_step, rigidity_measure,
                           surface_force_torque)
 from .errors import ConfigError, PenaltyflowError
-from .fields import (MollifierKernel, VectorField, set_num_workers,
-                     sym_gradient, write_field, write_vti)
+from .fields import (MollifierKernel, VectorField, sym_gradient,
+                     write_field, write_vti)
 from .momentum import (PreconditionerRule, Problem, SolutionHistory,
                        ViscousState, momentum_step, sound_speed_max)
 
@@ -141,7 +141,6 @@ def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
     if outdir is None:
         outdir = os.environ.get("PENALTYFLOW_OUTDIR", cfg.outdir)
     out = _Outputs(outdir)
-    set_num_workers(cfg.workers)
     try:
         report = _run_inner(cfg, out, keep_fields)
     except PenaltyflowError as exc:
@@ -149,7 +148,6 @@ def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
         raise
     finally:
         out.close()
-        set_num_workers(1)
     out.write_report(report.to_json_dict())
     return report
 
@@ -207,16 +205,14 @@ def _run_inner(cfg, out, keep_fields):
 
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = _timestep(cfg, grid, params, vel, bc, rho, cfg.t_end - t)
-        rho_new, cinfo = continuity_step(grid, rho, vel, params, dt, bc,
-                                         problem=problem)
+        rho_new, cinfo = continuity_step(problem, rho, vel, dt)
         if viscous is None:
             pin = None
             if body is not None:
                 pin = rigid_velocity_field(grid, body.X, body.V, body.w)
             viscous = ViscousState(problem, chi, pin, hold)
-        vel_new, _ = momentum_step(grid, domain, rho, rho_new, vel, chi,
-                                   params, dt, bc, rule=rule,
-                                   history=history, state=viscous)
+        vel_new, _ = momentum_step(viscous, rho, rho_new, vel, dt,
+                                   rule=rule, history=history)
         guard_margin = float("nan")
         defect = 0.0
         body_new = body
@@ -239,16 +235,15 @@ def _run_inner(cfg, out, keep_fields):
                 break
 
         chi_new = chi if body_new is body else chi_of(body_new)
-        row = ledger_step(grid, domain, bc, params, rho, vel, rho_new,
-                          vel_new, chi, dt, t + dt, E0=E_prev, state=viscous)
+        row = ledger_step(viscous, rho, vel, rho_new, vel_new, dt, t + dt,
+                          E0=E_prev)
         E_prev = row.E
         row.mass_residual = cinfo.mass_residual
         if body_new is not None:
             strain = sym_gradient(grid, vel_new.u, vel_new.v)
             row.rigidity = rigidity_measure(grid, vel_new, chi_new,
                                             strain=strain)
-            kmask = fluid_mask(grid, domain, chi_new, params,
-                               problem=problem)
+            kmask = fluid_mask(problem, chi_new)
             row.pnorm_gamma, row.pnorm_beta = interior_pressure_norm(
                 grid, rho_new, kmask, params)
             force, torque = surface_force_torque(grid, domain, rho_new,

@@ -13,15 +13,12 @@ Exposed tensor fields (symmetric gradient, stress) are stored at cell
 centers; the off-diagonal entry is evaluated at nodes and averaged back.
 That single convention is used everywhere a tensor leaves this module.
 
-Reductions are ``np.sum`` over whole arrays.  The parallel stencils
-(``run_chunked``) write disjoint slices of their outputs, so an array and
-its sum come out bitwise the same for any worker count.
+Reductions are ``np.sum`` over whole arrays.
 """
 
 from __future__ import annotations
 
 import base64
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,32 +29,6 @@ from .errors import KernelUnresolved
 # Spatial dimension of the discretization.  The formulas in the solver are
 # dimension-generic; the grid layout below is the 2-D instantiation.
 DIM = 2
-
-_WORKERS = 1
-
-
-def set_num_workers(k: int) -> None:
-    global _WORKERS
-    if k < 1:
-        raise ValueError("worker count must be >= 1")
-    _WORKERS = int(k)
-
-
-def run_chunked(n_items: int, fn) -> None:
-    """Apply fn(lo, hi) over [0, n_items) in contiguous chunks.
-
-    Chunks write to disjoint output slices, so the result is bitwise
-    identical for any worker count.
-    """
-    if _WORKERS == 1 or n_items < 4 * _WORKERS:
-        fn(0, n_items)
-        return
-    bounds = np.linspace(0, n_items, _WORKERS + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        futs = [pool.submit(fn, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        for f in futs:
-            f.result()
 
 
 @dataclass(frozen=True)
@@ -176,14 +147,7 @@ class VectorField:
 
 def divergence(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conservative cell-centered divergence of a face velocity field."""
-    out = np.empty((grid.nx, grid.ny))
-
-    def work(lo, hi):
-        out[lo:hi, :] = ((u[lo + 1:hi + 1, :] - u[lo:hi, :]) / grid.dx
-                         + (v[lo:hi, 1:] - v[lo:hi, :-1]) / grid.dy)
-
-    run_chunked(grid.nx, work)
-    return out
+    return (u[1:, :] - u[:-1, :]) / grid.dx + (v[:, 1:] - v[:, :-1]) / grid.dy
 
 
 def face_gradient(grid: StaggeredGrid, f: np.ndarray):
@@ -256,40 +220,36 @@ def sym_gradient(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray,
     wall_tangential: optional (ub_bottom, ub_top, vb_left, vb_right) traces
     sampled at u-face x / v-face y coordinates.
     """
-    d11 = np.empty((grid.nx, grid.ny))
-    d22 = np.empty((grid.nx, grid.ny))
-
-    def work(lo, hi):
-        d11[lo:hi, :] = (u[lo + 1:hi + 1, :] - u[lo:hi, :]) / grid.dx
-        d22[lo:hi, :] = (v[lo:hi, 1:] - v[lo:hi, :-1]) / grid.dy
-
-    run_chunked(grid.nx, work)
-
-    if wall_tangential is None:
-        ub_b = ub_t = vb_l = vb_r = None
-    else:
-        ub_b, ub_t, vb_l, vb_r = wall_tangential
-    d12n = 0.5 * (_dudy_nodes(grid, u, ub_b, ub_t)
-                  + _dvdx_nodes(grid, v, vb_l, vb_r))
-    d12 = 0.25 * (d12n[:-1, :-1] + d12n[1:, :-1]
-                  + d12n[:-1, 1:] + d12n[1:, 1:])
-    return d11, d12, d22
+    d11 = (u[1:, :] - u[:-1, :]) / grid.dx
+    d22 = (v[:, 1:] - v[:, :-1]) / grid.dy
+    dyn, dxn = _node_differences(grid, u, v, wall_tangential)
+    return d11, _to_cells(0.5 * (dyn + dxn)), d22
 
 
 def full_gradient(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray,
                   wall_tangential=None):
-    """Velocity gradient (dudx, dudy, dvdx, dvdy) at cell centers."""
+    """Velocity gradient (dudx, dudy, dvdx, dvdy) at cell centers, and the
+    off-diagonal entry D12 of ``sym_gradient``.  The symmetric gradient's
+    D11 and D22 are dudx and dvdy, and the divergence is dudx + dvdy, bit
+    for bit."""
     dudx = (u[1:, :] - u[:-1, :]) / grid.dx
     dvdy = (v[:, 1:] - v[:, :-1]) / grid.dy
-    if wall_tangential is None:
-        ub_b = ub_t = vb_l = vb_r = None
-    else:
-        ub_b, ub_t, vb_l, vb_r = wall_tangential
-    dyn = _dudy_nodes(grid, u, ub_b, ub_t)
-    dudy = 0.25 * (dyn[:-1, :-1] + dyn[1:, :-1] + dyn[:-1, 1:] + dyn[1:, 1:])
-    dxn = _dvdx_nodes(grid, v, vb_l, vb_r)
-    dvdx = 0.25 * (dxn[:-1, :-1] + dxn[1:, :-1] + dxn[:-1, 1:] + dxn[1:, 1:])
-    return dudx, dudy, dvdx, dvdy
+    dyn, dxn = _node_differences(grid, u, v, wall_tangential)
+    return (dudx, _to_cells(dyn), _to_cells(dxn), dvdy,
+            _to_cells(0.5 * (dyn + dxn)))
+
+
+def _node_differences(grid, u, v, wall_tangential):
+    """du/dy and dv/dx at nodes (``_dudy_nodes``, ``_dvdx_nodes``)."""
+    ub_b, ub_t, vb_l, vb_r = wall_tangential or (None,) * 4
+    return (_dudy_nodes(grid, u, ub_b, ub_t),
+            _dvdx_nodes(grid, v, vb_l, vb_r))
+
+
+def _to_cells(nodes):
+    """Node field to cells: the mean of each cell's four corners."""
+    return 0.25 * (nodes[:-1, :-1] + nodes[1:, :-1]
+                   + nodes[:-1, 1:] + nodes[1:, 1:])
 
 
 def integrate(grid: StaggeredGrid, values: np.ndarray, mask=None) -> float:

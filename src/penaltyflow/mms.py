@@ -14,7 +14,7 @@ import sympy as sp
 from .continuity import PenaltyParams, continuity_step
 from .fields import StaggeredGrid, VectorField, integrate
 from .geometry import WALLS, BoundaryData, DomainSpec
-from .momentum import momentum_step
+from .momentum import Problem, ViscousState, momentum_step
 
 X, Y, T = sp.symbols("x y t", real=True)
 
@@ -112,10 +112,10 @@ def continuity_convergence(nx_list=(32, 64, 128, 256), t_end=0.1,
         nsteps = int(np.ceil(t_end / dt))
         dt = t_end / nsteps
         t = 0.0
+        problem = Problem(grid, domain, params, bc)
         for _ in range(nsteps):
             src = _sample(man["source"], t + 0.5 * dt, xc, yc)
-            rho, _info = continuity_step(grid, rho, vel, params, dt, bc,
-                                         source=src)
+            rho, _info = continuity_step(problem, rho, vel, dt, source=src)
             t += dt
         exact = _sample(man["rho"], t_end, xc, yc)
         errors.append(integrate(grid, np.abs(rho - exact)))
@@ -151,8 +151,8 @@ def momentum_convergence(nx_list=(16, 32, 64, 128), t_end=0.05,
             src = (_sample(man["src_x"], tm, xu, yu),
                    _sample(man["src_y"], tm, xv, yv))
             bc = _mms_boundary(grid, domain, man, t + dt, rho_b=1.0)
-            vel, _info = momentum_step(grid, domain, rho, rho, vel, chi,
-                                       params, dt, bc, source=src)
+            state = ViscousState(Problem(grid, domain, params, bc), chi)
+            vel, _info = momentum_step(state, rho, rho, vel, dt, source=src)
             t += dt
         eu = vel.u - _sample(man["u"], t_end, xu, yu)
         ev = vel.v - _sample(man["v"], t_end, xv, yv)

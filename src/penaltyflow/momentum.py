@@ -14,17 +14,18 @@ source are explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .continuity import PenaltyParams, check_cfl, robin_closure
+from .continuity import (PenaltyParams, _diffusion_matrix, _unit_diffusion,
+                         check_cfl, smoothed_negative_part)
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
 from .fields import (StaggeredGrid, VectorField, cell_gradient,
-                     full_gradient, run_chunked, stencil_csr, sym_gradient)
+                     full_gradient, stencil_csr)
 from .geometry import (WALLS, BoundaryData, CutoffProfile, DomainSpec,
                        wall_cutoff)
 
@@ -44,7 +45,6 @@ class ViscosityModel:
     stiffness: float          # solidification strength
     offset: float             # erosion radius added back inside the ramp
     cutoff: CutoffProfile     # wall cutoff keeping walls penalty-free
-    ramp: callable = field(default=penalty_ramp, repr=False)
 
     @classmethod
     def from_params(cls, params: PenaltyParams, domain: DomainSpec):
@@ -60,7 +60,7 @@ def viscosity_fields(chi: np.ndarray, model: ViscosityModel,
 
 def _solidify(chi, model, cutoff):
     """``viscosity_fields`` from the wall cutoff's values on the cells."""
-    bump = model.stiffness * model.ramp(chi + model.offset) * cutoff
+    bump = model.stiffness * penalty_ramp(chi + model.offset) * cutoff
     return model.mu + bump, model.lam + bump
 
 
@@ -114,7 +114,7 @@ def stress(d11, d12, d22, mu_n, lam_n):
 
 # ---------------------------------------------------------------------------
 # Implicit viscous operator: the face layout, and the strain operators
-# cached per grid.
+# memoized per grid.
 # ---------------------------------------------------------------------------
 
 def _face_layout(grid: StaggeredGrid):
@@ -149,17 +149,11 @@ def _face_layout(grid: StaggeredGrid):
             "d12_slots": _d12_slots(grid)}
 
 
-_ops_cache: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _grid_ops(grid: StaggeredGrid):
     """The face layout plus the sparse strain operators D11, D22, div and
-    D12 (face vector -> cells / nodes), cached per grid.  Each row's
+    D12 (face vector -> cells / nodes), memoized per grid.  Each row's
     columns are a fixed stencil in increasing order: u faces, then v."""
-    key = (grid.nx, grid.ny, grid.dx, grid.dy)
-    hit = _ops_cache.get(key)
-    if hit is not None:
-        return hit
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     layout = _face_layout(grid)
     uidx, vidx = layout["uidx"], layout["vidx"]
@@ -187,11 +181,7 @@ def _grid_ops(grid: StaggeredGrid):
     has = np.stack([j > 0, j < ny, i > 0, i < nx]).reshape(4, -1)
     g_d12 = stencil_csr(cols, vals, has, ndof)
 
-    ops = dict(layout, g_d11=g_d11, g_d22=g_d22, g_div=g_div, g_d12=g_d12)
-    if len(_ops_cache) > 6:
-        _ops_cache.clear()
-    _ops_cache[key] = ops
-    return ops
+    return dict(layout, g_d11=g_d11, g_d22=g_d22, g_div=g_div, g_d12=g_d12)
 
 
 def _d12_slots(grid):
@@ -360,20 +350,6 @@ class FreePattern:
         with this mass."""
         self.matrix.data[self.diag] = viscous_diagonal + mass.take(self.faces)
         return self.matrix
-
-
-_pattern: FreePattern | None = None   # current grid and pinned set only
-
-
-def _free_pattern(grid: StaggeredGrid, pinned: np.ndarray) -> FreePattern:
-    """The cached pattern, rebuilt when the grid or the pinned set changes."""
-    global _pattern
-    p = _pattern
-    if (p is None or (p.grid.nx, p.grid.ny, p.grid.dx, p.grid.dy)
-            != (grid.nx, grid.ny, grid.dx, grid.dy)
-            or not np.array_equal(p.pinned, pinned)):
-        p = _pattern = FreePattern(grid, pinned, _grid_ops(grid))
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +594,6 @@ class Multigrid:
         return _chebyshev(A, dinv, lam, x, b - A @ x)
 
 
-_hierarchy: Multigrid | None = None   # built on the current _pattern only
-
-
-def _multigrid(pattern: FreePattern) -> Multigrid:
-    """The cached hierarchy, rebuilt when the fine pattern changes."""
-    global _hierarchy
-    if _hierarchy is None or _hierarchy.levels[0] is not pattern:
-        _hierarchy = Multigrid(pattern)
-    return _hierarchy
-
-
 # ---------------------------------------------------------------------------
 # Choice of the viscous CG's preconditioner, step by step
 # ---------------------------------------------------------------------------
@@ -849,26 +814,64 @@ def _d12_affine(grid, bc: BoundaryData):
 
 
 # ---------------------------------------------------------------------------
-# What a run's steps share: the fixed arrays, and the viscous data of one chi
+# What a run's steps share: the fixed arrays, the solver data of the current
+# pinned set and dt, and the viscous data of one chi
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Problem:
-    """What every step of one run reads and no step changes: the grid,
-    domain, penalty parameters, boundary data and viscosity model, and the
-    arrays that follow from them alone.  Each array is computed on its
-    first use, so a Problem built for a single call costs only what that
-    call reads.  ``driver.run`` builds one per run."""
+    """One run's grid, domain, penalty parameters and boundary data, and
+    what its steps compute from them.
+
+    The viscosity model and the arrays that follow from these alone are
+    computed on first use, so a Problem built for a single call costs only
+    what that call reads.  Two slots follow the run as it steps: the free
+    pattern of the current pinned set, with its multigrid hierarchy once a
+    step takes the V-cycle (``free_pattern``, ``multigrid``), and
+    continuity's step matrix of the last dt (``diffusion``).  A replaced
+    slot is freed at once.  ``driver.run`` builds one per run, so runs
+    share nothing but the strain operators of their grid (``_grid_ops``).
+    """
     grid: StaggeredGrid
     domain: DomainSpec
     params: PenaltyParams
     bc: BoundaryData
-    model: ViscosityModel = None   # ViscosityModel.from_params by default
 
     def __post_init__(self):
-        if self.model is None:
-            object.__setattr__(self, "model", ViscosityModel.from_params(
-                self.params, self.domain))
+        self._pattern = self._multigrid = self._diffusion = None
+
+    @cached_property
+    def model(self):
+        return ViscosityModel.from_params(self.params, self.domain)
+
+    def free_pattern(self, pinned: np.ndarray) -> FreePattern:
+        """The free pattern of this pinned set: the kept one while the set
+        stays the same, else a new one, which drops the hierarchy."""
+        p = self._pattern
+        if p is None or not np.array_equal(p.pinned, pinned):
+            p = self._pattern = FreePattern(self.grid, pinned, self.ops)
+            self._multigrid = None
+        return p
+
+    def multigrid(self) -> Multigrid:
+        """The hierarchy on the current free pattern, built on first use."""
+        if self._multigrid is None:
+            self._multigrid = Multigrid(self._pattern)
+        return self._multigrid
+
+    @cached_property
+    def unit_diffusion(self):
+        """Continuity's unit-dt diffusion and Robin matrix K and the CSR
+        position of each row's diagonal (``continuity._unit_diffusion``)."""
+        return _unit_diffusion(self.grid, self.params, self.robin)
+
+    def diffusion(self, dt: float):
+        """Continuity's step matrix vol I + dt K and its Jacobi
+        preconditioner, kept while dt stays the same."""
+        if self._diffusion is None or self._diffusion[0] != dt:
+            self._diffusion = (dt, *_diffusion_matrix(
+                *self.unit_diffusion, self.grid.cell_volume, dt))
+        return self._diffusion[1:]
 
     @cached_property
     def ops(self):
@@ -911,9 +914,10 @@ class Problem:
 
     @cached_property
     def robin(self):
-        """Continuity's Robin closure and its matrix key
-        (``continuity.robin_closure``)."""
-        return robin_closure(self.grid, self.params, self.bc)
+        """Continuity's Robin closure: each wall's smoothed negative part of
+        ub.n, and ub.n itself."""
+        return {w: (smoothed_negative_part(un, self.params.bc_sharpness), un)
+                for w, un in self.normal_traces.items()}
 
     @cached_property
     def normal_traces(self):
@@ -921,13 +925,10 @@ class Problem:
 
     @cached_property
     def ext_gradient(self):
-        """The boundary extension's full gradient (dudx, dudy, dvdx, dvdy)
-        and the off-diagonal entry of its symmetric gradient, for the
-        energy ledger.  The symmetric gradient's diagonal is dudx and dvdy,
-        and the divergence their sum, bit for bit."""
-        grid, u_ext, wt = self.grid, self.bc.u_ext, self.wall_traces
-        return (full_gradient(grid, u_ext.u, u_ext.v, wt),
-                sym_gradient(grid, u_ext.u, u_ext.v, wt)[1])
+        """The boundary extension's ``full_gradient``, for the energy
+        ledger."""
+        u_ext = self.bc.u_ext
+        return full_gradient(self.grid, u_ext.u, u_ext.v, self.wall_traces)
 
     @cached_property
     def inflow_term(self):
@@ -953,7 +954,8 @@ class ViscousState:
     viscous part of the free block while the vacuum faces and the free
     pattern stay the same.  ``driver.run`` builds a new state whenever chi
     changes: every step for a free body, once per run for a held body or
-    none.
+    none.  ``momentum_step``, ``ledger_step`` and ``viscous_quadratic_form``
+    take one, and read the run's Problem through it.
     """
 
     def __init__(self, problem: Problem, chi: np.ndarray,
@@ -1063,13 +1065,8 @@ def _upwind_convection(grid, rho, vel, traces):
     conv_v = np.zeros((nx, ny + 1))
 
     # x-momentum: x-fluxes at cell centers, y-fluxes at nodes
-    fxc = np.empty((nx, ny))
-
-    def wx(lo, hi):
-        a = 0.5 * (u[lo:hi, :] + u[lo + 1:hi + 1, :])
-        fxc[lo:hi, :] = a * np.where(a > 0, mx[lo:hi, :], mx[lo + 1:hi + 1, :])
-
-    run_chunked(nx, wx)
+    a = 0.5 * (u[:-1, :] + u[1:, :])
+    fxc = a * np.where(a > 0, mx[:-1, :], mx[1:, :])
 
     fxn = np.empty((nx + 1, ny + 1))
     a_in = 0.5 * (v[:-1, :] + v[1:, :])           # nodes i=1..nx-1
@@ -1087,13 +1084,8 @@ def _upwind_convection(grid, rho, vel, traces):
         + (fxn[1:-1, 1:] - fxn[1:-1, :-1]) / dy
 
     # y-momentum: y-fluxes at cell centers, x-fluxes at nodes
-    fyc = np.empty((nx, ny))
-
-    def wy(lo, hi):
-        a = 0.5 * (v[lo:hi, :-1] + v[lo:hi, 1:])
-        fyc[lo:hi, :] = a * np.where(a > 0, my[lo:hi, :-1], my[lo:hi, 1:])
-
-    run_chunked(nx, wy)
+    a = 0.5 * (v[:, :-1] + v[:, 1:])
+    fyc = a * np.where(a > 0, my[:, :-1], my[:, 1:])
 
     fyn = np.empty((nx + 1, ny + 1))
     b_in = 0.5 * (u[:, :-1] + u[:, 1:])           # nodes j=1..ny-1
@@ -1169,42 +1161,31 @@ def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, traces,
     return rhs, face_rho * vol / dt, face_rho, m_old
 
 
-def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
-                  rho_old: np.ndarray, rho_new: np.ndarray,
-                  vel: VectorField, chi: np.ndarray,
-                  params: PenaltyParams, dt: float, bc: BoundaryData,
-                  model: ViscosityModel = None, source=None,
-                  rigid_pin: VectorField = None, hold_mask=None,
-                  rule: PreconditionerRule = None,
-                  history: SolutionHistory = None,
-                  state: ViscousState = None):
+def momentum_step(state: ViscousState, rho_old: np.ndarray,
+                  rho_new: np.ndarray, vel: VectorField, dt: float,
+                  source=None, rule: PreconditionerRule = None,
+                  history: SolutionHistory = None):
     """Advance the face momentum one step; returns (VectorField, info).
 
-    rho_new must come from the same step's continuity update (sequential
-    splitting).  rigid_pin supplies replacement velocities for faces that
-    fell below the vacuum floor (defaults to the boundary extension).
-    hold_mask (u-face and v-face booleans) tethers those faces to the
-    rigid_pin values inside the implicit solve; used by the held-body
-    diagnostic mode, not by the free-motion scheme.
+    state is the run's ``ViscousState`` of this chi: its Problem, its pin
+    and its hold mask, and what the next steps can reuse.  rho_new must
+    come from the same step's continuity update (sequential splitting).
+    Faces that fell below the vacuum floor are pinned at the state's pin
+    (the boundary extension without one).
     rule, one run's ``PreconditionerRule``, picks the viscous CG's
     preconditioner (Jacobi or the V-cycle of ``Multigrid``) and records
     this step's solve; without it the CG is Jacobi-preconditioned.
     history, one run's ``SolutionHistory``, starts the viscous CG from the
     projection onto the run's recent solutions instead of from vel, and
     records this step's solution; without it CG starts from vel.
-    state, the run's ``ViscousState`` of this chi, stands in for chi,
-    model, rigid_pin and hold_mask and keeps what the next steps can reuse;
-    without it one is built for this call.
     """
-    check_cfl(grid, vel, bc, dt)
-    nx, ny = grid.nx, grid.ny
-    if state is None:
-        state = ViscousState(Problem(grid, domain, params, bc, model), chi,
-                             rigid_pin, hold_mask)
     problem = state.problem
-    ops = problem.ops
+    grid, ops = problem.grid, problem.ops
+    check_cfl(grid, vel, problem.bc, dt)
+    nx, ny = grid.nx, grid.ny
     rhs, mass, face_rho, m_old = _explicit_terms(
-        grid, rho_old, rho_new, vel, params, dt, problem.wall_traces, source)
+        grid, rho_old, rho_new, vel, problem.params, dt, problem.wall_traces,
+        source)
 
     # Dirichlet values on boundary and held faces; vacuum faces get pinned
     # too
@@ -1226,7 +1207,7 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     # face vectors are freed once done with, to hold the step's memory
     # peak (the fill, the guess, the solve) where it was without a history
     del rhs, face_rho, m_old
-    pattern = _free_pattern(grid, pinned)
+    pattern = problem.free_pattern(pinned)
     Aff = state.operator(pattern, mass)
 
     iters = 0
@@ -1250,7 +1231,7 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
                 if r0 > 0.0 and bnorm > 0.0 else 0.0)
         precond = rule.choose(max(need, 0.0))
     if precond == "multigrid":
-        M = _multigrid(pattern).preconditioner(state.w_mu, state.w_lam,
+        M = problem.multigrid().preconditioner(state.w_mu, state.w_lam,
                                                state.w_node, mass)
         maxiter = MG_MAXITER
     else:
@@ -1272,14 +1253,10 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     v_new = x_full[ops["nu"]:].reshape(nx, ny + 1)
     out = VectorField(grid, u_new, v_new).check_finite()
 
-    r11, r22, rdv, r12 = _strains(ops, x_full, problem.c12)
-    quad = np.sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
-        + np.sum(state.w_lam * rdv ** 2) \
-        + np.sum(state.w_node * r12 ** 2)
-
     minfo = MomentumStepInfo(
         iterations=iters, preconditioner=precond, solve_residual=rel,
-        visc_quadform=quad, pinned_vacuum_faces=n_vac,
+        visc_quadform=viscous_quadratic_form(state, out),
+        pinned_vacuum_faces=n_vac,
         decades=(float(np.log10(r0 / res)) if r0 > 0.0 and res > 0.0
                  else 0.0))
     if rule is not None:
@@ -1287,16 +1264,12 @@ def momentum_step(grid: StaggeredGrid, domain: DomainSpec,
     return out, minfo
 
 
-def viscous_quadratic_form(grid: StaggeredGrid, domain: DomainSpec,
-                           chi: np.ndarray, params: PenaltyParams,
-                           vel: VectorField, bc: BoundaryData = None,
-                           model: ViscosityModel = None) -> float:
-    """E(u) of the assembled implicit operator; nonnegative for any
-    admissible viscosities."""
-    state = ViscousState(Problem(grid, domain, params, bc, model), chi)
+def viscous_quadratic_form(state: ViscousState, vel: VectorField) -> float:
+    """E(u) of the assembled implicit operator of this state's chi, with
+    its Problem's wall traces; nonnegative for any admissible
+    viscosities."""
     x = np.concatenate([vel.u.ravel(), vel.v.ravel()])
-    c12 = state.problem.c12 if bc is not None else 0.0
-    r11, r22, rdv, r12 = _strains(state.problem.ops, x, c12)
+    r11, r22, rdv, r12 = _strains(state.problem.ops, x, state.problem.c12)
     return np.sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
         + np.sum(state.w_lam * rdv ** 2) \
         + np.sum(state.w_node * r12 ** 2)

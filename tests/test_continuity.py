@@ -11,6 +11,7 @@ from penaltyflow.errors import CflViolation, HistoryTooShort
 from penaltyflow.fields import StaggeredGrid, VectorField, integrate
 from penaltyflow.geometry import (WALLS, DomainSpec, classify_boundary,
                                   resting_boundary, throughflow_boundary)
+from penaltyflow.momentum import Problem
 
 
 def test_params_invariants():
@@ -134,8 +135,9 @@ def test_continuity_cfl_guard(grid24, domain, params):
     vel = VectorField(grid24, np.full(grid24.shape("ufaces"), 1.0),
                       np.zeros(grid24.shape("vfaces")))
     with pytest.raises(CflViolation):
-        continuity_step(grid24, np.ones(grid24.shape("centers")), vel,
-                        params, 0.2 * grid24.dx / 0.2, bc)
+        continuity_step(Problem(grid24, domain, params, bc),
+                        np.ones(grid24.shape("centers")), vel,
+                        0.2 * grid24.dx / 0.2)
 
 
 def test_pure_diffusion_conserves_mass(grid24, domain, rng):
@@ -146,8 +148,8 @@ def test_pure_diffusion_conserves_mass(grid24, domain, rng):
     bc = resting_boundary(domain, grid24, 1.0)
     rho = np.abs(rng.normal(1.0, 0.5, size=grid24.shape("centers")))
     m0 = integrate(grid24, rho)
-    rho1, info = continuity_step(grid24, rho, VectorField.zeros(grid24),
-                                 params, 1e-3, bc)
+    rho1, info = continuity_step(Problem(grid24, domain, params, bc), rho,
+                                 VectorField.zeros(grid24), 1e-3)
     assert abs(integrate(grid24, rho1) - m0) <= 1e-12 * m0
     assert info.mass_residual <= 1e-12
 
@@ -160,8 +162,9 @@ def test_budget_closes_for_any_boundary_data(grid24, domain, params, rng):
     vel = VectorField(grid24, u, v)
     dt = 0.4 * grid24.dx / max(vel.max_speed(), 0.3)
     # a changing dt (CFL steps) must rescale the reused diffusion operator
+    problem = Problem(grid24, domain, params, bc)
     for factor in (1.0, 0.5, 0.5, 1.0):
-        _, info = continuity_step(grid24, rho, vel, params, factor * dt, bc)
+        _, info = continuity_step(problem, rho, vel, factor * dt)
         assert info.mass_residual <= 1e-10
 
 
@@ -175,20 +178,22 @@ def test_constant_state_is_steady(grid24, domain, params):
     vel = VectorField(grid24, np.full(grid24.shape("ufaces"), 0.2),
                       np.zeros(grid24.shape("vfaces")))
     rho = np.ones(grid24.shape("centers"))
-    rho1, info = continuity_step(grid24, rho, vel, params, 5e-3, bc)
+    rho1, info = continuity_step(Problem(grid24, domain, params, bc), rho,
+                                 vel, 5e-3)
     assert np.max(np.abs(rho1 - 1.0)) < 1e-11
     assert info.mass_residual < 1e-11
 
 
 def test_positivity_under_cfl(grid24, domain, params, rng):
-    bc = throughflow_boundary(domain, grid24, 0.2, 1.0)
+    problem = Problem(grid24, domain, params,
+                      throughflow_boundary(domain, grid24, 0.2, 1.0))
     for _ in range(5):
         rho = np.abs(rng.normal(1.0, 1.0, size=grid24.shape("centers")))
         rho[rng.integers(0, 24), rng.integers(0, 24)] = 0.0
         vel = VectorField(grid24, rng.normal(0, 0.2, grid24.shape("ufaces")),
                           rng.normal(0, 0.2, grid24.shape("vfaces")))
         dt = 0.4 * grid24.dx / max(vel.max_speed(), 0.2)
-        rho1, _ = continuity_step(grid24, rho, vel, params, dt, bc)
+        rho1, _ = continuity_step(problem, rho, vel, dt)
         assert np.min(rho1) >= 0.0
 
 
@@ -197,7 +202,8 @@ def test_inflow_brings_in_boundary_density(grid24, domain, params):
     bc = throughflow_boundary(domain, grid24, 0.2, 2.0)
     rho = np.ones(grid24.shape("centers"))
     vel = VectorField.zeros(grid24)
-    rho1, info = continuity_step(grid24, rho, vel, params, 2e-3, bc)
+    rho1, info = continuity_step(Problem(grid24, domain, params, bc), rho,
+                                 vel, 2e-3)
     assert info.inflow_flux < 0.0  # mass enters
     # on saturated inflow faces the total flux is exactly rho_B ub.n,
     # independent of the interior state
@@ -214,7 +220,8 @@ def test_renormalized_b_identity_matches_budget(grid24, domain, params, rng):
     vel = VectorField(grid24, rng.normal(0, 0.1, grid24.shape("ufaces")),
                       rng.normal(0, 0.1, grid24.shape("vfaces")))
     dt = 0.25 * grid24.dx / 0.6
-    rho1, info = continuity_step(grid24, rho, vel, params, dt, bc)
+    rho1, info = continuity_step(Problem(grid24, domain, params, bc), rho,
+                                 vel, dt)
     defect = renormalized_residual(
         grid24, bc, params, [rho, rho1], [vel, vel], dt,
         lambda z: z, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
@@ -227,7 +234,8 @@ def test_renormalized_b_constant_is_exact(grid24, domain, params, rng):
     vel = VectorField(grid24, rng.normal(0, 0.1, grid24.shape("ufaces")),
                       rng.normal(0, 0.1, grid24.shape("vfaces")))
     dt = 1e-3
-    rho1, _ = continuity_step(grid24, rho, vel, params, dt, bc)
+    rho1, _ = continuity_step(Problem(grid24, domain, params, bc), rho, vel,
+                              dt)
     psi = np.ones(grid24.shape("centers"))
     defect = renormalized_residual(
         grid24, bc, params, [rho, rho1], [vel, vel], dt,

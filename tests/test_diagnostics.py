@@ -12,7 +12,7 @@ from penaltyflow.errors import ProbeOutside
 from penaltyflow.fields import VectorField
 from penaltyflow.geometry import (DomainSpec, build_extension,
                                   resting_boundary, throughflow_boundary)
-from penaltyflow.momentum import pressure_potential
+from penaltyflow.momentum import Problem, ViscousState, pressure_potential
 
 
 def test_energy_total_cases(grid24):
@@ -41,8 +41,8 @@ def test_ledger_static_equilibrium_all_zero(grid24, domain, params):
     rho = np.ones(grid24.shape("centers"))
     zero = VectorField.zeros(grid24)
     chi = np.full(grid24.shape("centers"), -1.0)
-    row = ledger_step(grid24, domain, bc, params, rho, zero, rho, zero,
-                      chi, 1e-3, 1e-3)
+    state = ViscousState(Problem(grid24, domain, params, bc), chi)
+    row = ledger_step(state, rho, zero, rho, zero, 1e-3, 1e-3)
     for name in ("dissipation", "eps_term", "outflow_term", "conv_coupling",
                  "pressure_dilation", "inflow_term", "uinf_stress",
                  "eps_coupling", "energy_residual"):
@@ -62,12 +62,11 @@ def test_ledger_pure_diffusion_hand_oracle(domain):
     rho0[:3, :] = 1.4
     rho0[5:, :] = 0.7
     dt = 1e-6
-    rho1, info = continuity_step(g, rho0, VectorField.zeros(g), params, dt,
-                                 bc)
+    problem = Problem(g, dom, params, bc)
+    rho1, info = continuity_step(problem, rho0, VectorField.zeros(g), dt)
     zero = VectorField.zeros(g)
-    chi = np.full((8, 8), -1.0)
-    row = ledger_step(g, dom, bc, params, rho0, zero, rho1, zero, chi, dt,
-                      dt)
+    state = ViscousState(problem, np.full((8, 8), -1.0))
+    row = ledger_step(state, rho0, zero, rho1, zero, dt, dt)
 
     # hand-computed energy and diffusion terms (plain loops, no package
     # operators)
@@ -109,14 +108,13 @@ def test_ledger_sign_structure_on_dynamic_state(grid24, domain, params,
     from penaltyflow.momentum import momentum_step
     rho = np.ones(grid24.shape("centers"))
     vel = bc.u_ext.copy()
-    chi = np.full(grid24.shape("centers"), -1.0)
+    problem = Problem(grid24, domain, params, bc)
+    state = ViscousState(problem, np.full(grid24.shape("centers"), -1.0))
     dt = 1e-3
     for _ in range(3):
-        rho1, _ = continuity_step(grid24, rho, vel, params, dt, bc)
-        vel1, _ = momentum_step(grid24, domain, rho, rho1, vel, chi, params,
-                                dt, bc)
-        row = ledger_step(grid24, domain, bc, params, rho, vel, rho1, vel1,
-                          chi, dt, dt)
+        rho1, _ = continuity_step(problem, rho, vel, dt)
+        vel1, _ = momentum_step(state, rho, rho1, vel, dt)
+        row = ledger_step(state, rho, vel, rho1, vel1, dt, dt)
         assert row.dissipation >= -1e-12
         assert row.eps_term >= -1e-12
         assert row.outflow_term >= -1e-12
@@ -203,7 +201,9 @@ def test_interior_pressure_norms(grid24, domain, params):
 def test_fluid_mask_excludes_collars(grid64, domain, params):
     body = make_disc_body((0.5, 0.5), 0.15, params.r_moll, 2.0)
     chi = body_signed_distance(body, grid64)
-    mask = fluid_mask(grid64, domain, chi, params)
+    problem = Problem(grid64, domain, params,
+                      resting_boundary(domain, grid64, 1.0))
+    mask = fluid_mask(problem, chi)
     xc, yc = grid64.cell_xy()
     wd = domain.boundary_distance(xc, yc)
     assert not np.any(mask & (wd <= params.h))
@@ -248,10 +248,10 @@ def test_energy_conservation_identity_inflow_slack(grid24, domain, params):
     bc.u_ext, _ = build_extension(bc, domain, grid24)
     rho = 0.8 * np.ones(grid24.shape("centers"))
     vel = bc.u_ext.copy()
-    rho1, _ = continuity_step(grid24, rho, vel, params, 1e-3, bc)
-    chi = np.full(grid24.shape("centers"), -1.0)
-    row = ledger_step(grid24, domain, bc, params, rho, vel, rho1, vel, chi,
-                      1e-3, 1e-3)
+    problem = Problem(grid24, domain, params, bc)
+    rho1, _ = continuity_step(problem, rho, vel, 1e-3)
+    state = ViscousState(problem, np.full(grid24.shape("centers"), -1.0))
+    row = ledger_step(state, rho, vel, rho1, vel, 1e-3, 1e-3)
     assert row.convexity_slack_min >= 0.0
     # independent recomputation of the minimum gap on the inflow wall
     tr = rho1[0, :]

@@ -10,8 +10,8 @@ from penaltyflow.body import rigid_velocity_field
 from penaltyflow.errors import KernelUnresolved
 from penaltyflow.fields import (MollifierKernel, ScalarField, StaggeredGrid,
                                 VectorField, divergence, face_gradient,
-                                integrate, interp_cell, mollify, read_field,
-                                run_chunked, set_num_workers, sym_gradient,
+                                full_gradient, integrate, interp_cell,
+                                mollify, read_field, sym_gradient,
                                 write_field, write_vti)
 
 
@@ -88,6 +88,21 @@ def test_sym_gradient_affine_cases(grid24):
     assert np.allclose(e22, 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("traces", [False, True])
+def test_full_gradient_holds_the_strain_bit_for_bit(grid24, rng, traces):
+    # the energy ledger reads D11, D22, D12 and div off one full_gradient
+    u = rng.normal(size=grid24.shape("ufaces"))
+    v = rng.normal(size=grid24.shape("vfaces"))
+    wt = None
+    if traces:
+        wt = tuple(rng.normal(size=n) for n in (25, 25, 25, 25))
+    dudx, _, _, dvdy, d12 = full_gradient(grid24, u, v, wt)
+    want = sym_gradient(grid24, u, v, wt)
+    for got, ref in zip((dudx, d12, dvdy), want):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(dudx + dvdy, divergence(grid24, u, v))
+
+
 def test_mollifier_kernel_invariants(grid64):
     k = MollifierKernel.build(0.05, grid64.dx, grid64.dy)
     w = k.weights
@@ -141,25 +156,6 @@ def test_integrate_mask_additivity(grid24, rng):
     scale = integrate(grid24, np.abs(f))
     assert abs(split - total) <= 8 * np.finfo(float).eps * scale
     assert integrate(grid24, f) == integrate(grid24, f)
-
-
-def test_run_chunked_bitwise(grid64, rng):
-    u = rng.normal(size=grid64.shape("ufaces"))
-    v = rng.normal(size=grid64.shape("vfaces"))
-    serial = divergence(grid64, u, v)
-    set_num_workers(4)
-    try:
-        parallel = divergence(grid64, u, v)
-    finally:
-        set_num_workers(1)
-    assert np.array_equal(serial, parallel)
-
-
-def test_run_chunked_covers_range():
-    seen = []
-    run_chunked(17, lambda lo, hi: seen.append((lo, hi)))
-    covered = sorted(seen)
-    assert covered[0][0] == 0 and covered[-1][1] == 17
 
 
 def test_interp_cell_affine(grid24, rng):

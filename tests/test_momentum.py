@@ -4,14 +4,16 @@ from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
 
 import reference_builders as ref
-from penaltyflow import driver, momentum
-from penaltyflow.body import (body_signed_distance, make_disc_body,
-                              rigid_velocity_field)
+from penaltyflow import driver
+from penaltyflow.body import (body_signed_distance, body_step,
+                              make_disc_body, rigid_velocity_field)
 from penaltyflow.config import default_config
-from penaltyflow.continuity import PenaltyParams, continuity_step
+from penaltyflow.continuity import (PenaltyParams, continuity_step,
+                                    regularize_initial_density)
 from penaltyflow.diagnostics import ledger_step
 from penaltyflow.errors import NegativeDensity, VacuumCell
-from penaltyflow.fields import StaggeredGrid, VectorField, sym_gradient
+from penaltyflow.fields import (MollifierKernel, StaggeredGrid, VectorField,
+                                sym_gradient)
 from penaltyflow.geometry import (DomainSpec, build_extension,
                                   classify_boundary,
                                   resting_boundary, throughflow_boundary)
@@ -20,7 +22,7 @@ from penaltyflow.momentum import (MG_MIN_LEVELS, MG_RATE, PROJECTION_DEPTH,
                                   PreconditionerRule, Problem,
                                   SolutionHistory, ViscosityModel,
                                   ViscousState, _coarser, _d12_affine,
-                                  _face_layout, _free_pattern, _grid_ops,
+                                  _face_layout, _grid_ops,
                                   _pinned_coupling, _prolong, _restrict,
                                   momentum_step, multigrid_levels,
                                   penalty_ramp, pressure,
@@ -101,12 +103,13 @@ def test_viscous_quadform_nonnegative(grid24, domain, rng):
     params = PenaltyParams(n_solid=1e4, lam=-0.05)
     body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
     chi = body_signed_distance(body, grid24)
+    state = ViscousState(Problem(grid24, domain, params,
+                                 resting_boundary(domain, grid24, 1.0)), chi)
     worst = np.inf
     for _ in range(100):
         vel = VectorField(grid24, rng.normal(size=grid24.shape("ufaces")),
                           rng.normal(size=grid24.shape("vfaces")))
-        worst = min(worst, viscous_quadratic_form(grid24, domain, chi,
-                                                  params, vel))
+        worst = min(worst, viscous_quadratic_form(state, vel))
     assert worst >= -1e-10
 
 
@@ -126,7 +129,8 @@ def test_rigid_field_in_viscous_kernel(grid24, domain):
     bc.ub["top"][:, 1] = rig.v[:, -1]
     bc.ub["top"][:, 0] = V[0] - w * (domain.Ly - X[1])
     bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    quad = viscous_quadratic_form(grid24, domain, chi, params, rig, bc)
+    quad = viscous_quadratic_form(
+        ViscousState(Problem(grid24, domain, params, bc), chi), rig)
     assert abs(quad) <= 1e-20
 
 
@@ -136,9 +140,9 @@ def test_static_equilibrium_single_step(grid24, domain, params):
     body = make_disc_body((0.5, 0.5), 0.2, 0.03, 2.0)
     chi = body_signed_distance(body, grid24)
     rho = np.ones(grid24.shape("centers"))
-    vel1, info = momentum_step(grid24, domain, rho, rho,
-                               VectorField.zeros(grid24), chi, params,
-                               2e-3, bc)
+    state = ViscousState(Problem(grid24, domain, params, bc), chi)
+    vel1, info = momentum_step(state, rho, rho, VectorField.zeros(grid24),
+                               2e-3)
     assert vel1.max_speed() <= 1e-12
     assert info.pinned_vacuum_faces == 0
 
@@ -153,8 +157,8 @@ def test_uniform_translation_steady(grid24, domain):
                       np.zeros(grid24.shape("vfaces")))
     rho = np.ones(grid24.shape("centers"))
     chi = np.full(grid24.shape("centers"), -1.0)
-    vel1, _ = momentum_step(grid24, domain, rho, rho, vel, chi, params,
-                            5e-3, bc)
+    state = ViscousState(Problem(grid24, domain, params, bc), chi)
+    vel1, _ = momentum_step(state, rho, rho, vel, 5e-3)
     assert np.max(np.abs(vel1.u - 0.3)) < 1e-10
     assert np.max(np.abs(vel1.v)) < 1e-10
 
@@ -186,8 +190,8 @@ def test_stiffness_increase_still_converges(grid24, domain):
     vel = bc.u_ext.copy()
     for n in (1e3, 1e4):
         params = PenaltyParams(n_solid=n, r_moll=0.09)
-        _, info = momentum_step(grid24, domain, rho, rho, vel, chi, params,
-                                2e-3, bc)
+        state = ViscousState(Problem(grid24, domain, params, bc), chi)
+        _, info = momentum_step(state, rho, rho, vel, 2e-3)
         assert info.solve_residual <= 1e-8
 
 
@@ -199,8 +203,9 @@ def test_vacuum_faces_pinned_or_rejected(grid24, domain, params):
     rho_new = np.ones(grid24.shape("centers"))
     rho_new[10:12, 10:12] = 0.0  # post-transport vacuum pocket
     vel = VectorField.zeros(grid24)
-    vel1, info = momentum_step(grid24, domain, np.ones_like(rho_new),
-                               rho_new, vel, chi, params, 1e-3, bc)
+    state = ViscousState(Problem(grid24, domain, params, bc), chi)
+    vel1, info = momentum_step(state, np.ones_like(rho_new), rho_new, vel,
+                               1e-3)
     assert info.pinned_vacuum_faces > 0
     vel1.check_finite()
     # vacuum faces carry the pinned replacement exactly; neighbors may
@@ -212,8 +217,7 @@ def test_vacuum_faces_pinned_or_rejected(grid24, domain, params):
     vel_bad = VectorField(grid24, np.full(grid24.shape("ufaces"), 0.5),
                           np.zeros(grid24.shape("vfaces")))
     with pytest.raises(VacuumCell):
-        momentum_step(grid24, domain, np.ones_like(rho_new), rho_new,
-                      vel_bad, chi, params, 1e-3, bc)
+        momentum_step(state, np.ones_like(rho_new), rho_new, vel_bad, 1e-3)
 
 
 def test_momentum_mms_first_order():
@@ -235,8 +239,8 @@ def test_held_body_hold_mask(grid24, domain, params):
     vel = bc.u_ext.copy()
     rho = np.ones(grid24.shape("centers"))
     p2 = PenaltyParams(n_solid=1e3, r_moll=0.09)
-    vel1, _ = momentum_step(grid24, domain, rho, rho, vel, chi, p2, 2e-3,
-                            bc, rigid_pin=pin, hold_mask=hold)
+    state = ViscousState(Problem(grid24, domain, p2, bc), chi, pin, hold)
+    vel1, _ = momentum_step(state, rho, rho, vel, 2e-3)
     assert np.all(vel1.u[hold[0]] == 0.0)
     assert np.all(vel1.v[hold[1]] == 0.0)
 
@@ -327,19 +331,28 @@ def test_fixed_pattern_diagonal_positions(which, rng):
 
 def test_fixed_pattern_rebuilds_when_pinned_set_changes(rng):
     grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
-    ops = _grid_ops(grid)
+    domain = DomainSpec(1.3, 0.9, 0.1)
+    problem = Problem(grid, domain, PenaltyParams(),
+                      resting_boundary(domain, grid, 1.0))
+    ops = problem.ops
     sets = _pinned_sets(ops, grid)
     w = _random_weights(ops, grid, rng)
-    first = _free_pattern(grid, sets["boundary"])
-    assert _free_pattern(grid, sets["boundary"].copy()) is first
-    held = _free_pattern(grid, sets["hold"])
+    first = problem.free_pattern(sets["boundary"])
+    assert problem.free_pattern(sets["boundary"].copy()) is first
+    hierarchy = problem.multigrid()
+    assert problem.multigrid() is hierarchy
+    assert hierarchy.levels[0] is first
+    held = problem.free_pattern(sets["hold"])
     assert held is not first
+    # the hierarchy goes with the pattern it was built on
+    assert problem.multigrid() is not hierarchy
+    assert problem.multigrid().levels[0] is held
     assert held.matrix.shape[0] == np.count_nonzero(~sets["hold"])
     A = _oracle_operator(ops, *w)
     free = ~sets["hold"]
     diff = held.fill(*w) - A[free][:, free]
     assert np.max(np.abs(diff.toarray())) <= 1e-12 * np.max(np.abs(A.data))
-    assert _free_pattern(grid, sets["boundary"]) is not held
+    assert problem.free_pattern(sets["boundary"]) is not held
 
 
 def test_fixed_pattern_memory_within_free_block(grid64, rng):
@@ -363,9 +376,9 @@ _GRIDS = {"20x13": (20, 13, 1.3 / 20, 0.9 / 13),
 
 
 @pytest.mark.parametrize("size", ["20x13", "96"])
-def test_strain_operators_bitwise_equal_to_reference(size, monkeypatch):
+def test_strain_operators_bitwise_equal_to_reference(size):
     grid = StaggeredGrid(*_GRIDS[size])
-    monkeypatch.setattr(momentum, "_ops_cache", {})
+    _grid_ops.cache_clear()
     ops, want = _grid_ops(grid), ref.strain_operators(grid)
     for name in ("g_d11", "g_d22", "g_div", "g_d12"):
         ref.assert_same_csr(ops[name], want[name])
@@ -534,8 +547,10 @@ def test_multigrid_pcg_matches_jacobi_at_96(which):
         # a fresh rule for a mobile body takes the V-cycle at its first
         # step; without a rule the CG is Jacobi-preconditioned
         rule = PreconditionerRule(grid, mobile_body=True) if mg else None
-        v, info = momentum_step(grid, domain, rho_old, rho_new, vel, chi,
-                                params, 2e-3, bc, hold_mask=hold, rule=rule)
+        state = ViscousState(Problem(grid, domain, params, bc), chi,
+                             hold=hold)
+        v, info = momentum_step(state, rho_old, rho_new, vel, 2e-3,
+                                rule=rule)
         out[info.preconditioner] = (np.concatenate([v.u.ravel(),
                                                     v.v.ravel()]), info)
     (xj, ij), (xm, im) = out["jacobi"], out["multigrid"]
@@ -746,13 +761,13 @@ def test_history_keeps_the_first_two_steps(grid24, domain, params):
     body = make_disc_body((0.5, 0.5), 0.2, 0.09, 2.0)
     chi = body_signed_distance(body, grid24)
     rho = np.ones(grid24.shape("centers"))
+    state = ViscousState(Problem(grid24, domain, params, bc), chi)
     history = SolutionHistory()
     vel = bc.u_ext.copy()
     for step in range(3):
-        kw = dict(grid=grid24, domain=domain, rho_old=rho, rho_new=rho,
-                  vel=vel, chi=chi, params=params, dt=2e-3, bc=bc)
-        with_h, info_h = momentum_step(**kw, history=history)
-        without, info = momentum_step(**kw)
+        with_h, info_h = momentum_step(state, rho, rho, vel, 2e-3,
+                                       history=history)
+        without, info = momentum_step(state, rho, rho, vel, 2e-3)
         if step < 2:
             # x0 = vel until the history holds two solutions
             assert info_h.iterations == info.iterations
@@ -794,24 +809,19 @@ def test_viscous_state_reused_equals_rebuilt_for_a_held_body(monkeypatch):
         return fill(self, *args)
     monkeypatch.setattr(FreePattern, "fill", counted)
     problem, chi, hold, pin, rho0, vel0 = _held_scene(32, 0.07)
-    grid, domain, params, bc = (problem.grid, problem.domain, problem.params,
-                                problem.bc)
-    state = ViscousState(problem, chi, pin, hold)
+    reused = ViscousState(problem, chi, pin, hold)
     runs = []
     for reuse in (True, False):
         rho, vel, history, rows = rho0, vel0, SolutionHistory(), []
         for step in range(6):
             dt = 2e-3
-            rho1, _ = continuity_step(grid, rho, vel, params, dt, bc,
-                                      problem=problem if reuse else None)
-            kw = (dict(state=state) if reuse
-                  else dict(rigid_pin=pin, hold_mask=hold))
-            vel1, info = momentum_step(grid, domain, rho, rho1, vel, chi,
-                                       params, dt, bc, history=history,
-                                       **kw)
-            row = ledger_step(grid, domain, bc, params, rho, vel, rho1, vel1,
-                              chi, dt, (step + 1) * dt,
-                              state=state if reuse else None)
+            state = (reused if reuse
+                     else ViscousState(problem, chi, pin, hold))
+            rho1, _ = continuity_step(problem, rho, vel, dt)
+            vel1, info = momentum_step(state, rho, rho1, vel, dt,
+                                       history=history)
+            row = ledger_step(state, rho, vel, rho1, vel1, dt,
+                              (step + 1) * dt)
             rows.append((rho1, vel1.u, vel1.v, info.visc_quadform,
                          row.as_dict()))
             rho, vel = rho1, vel1
@@ -830,21 +840,69 @@ def test_viscous_state_refills_when_a_vacuum_face_appears():
     # value
     problem, chi, hold, pin, rho, vel = _held_scene(48, 0.05, v0x=0.05,
                                                     w0=1.0)
-    grid, domain, params, bc = (problem.grid, problem.domain, problem.params,
-                                problem.bc)
     # a still pocket beside the body, emptied by the mass step
     pocket = rho.copy()
     pocket[6:9, 20:23] = 0.0
     vel.u[5:10, 19:24] = 0.0
     vel.v[5:10, 19:25] = 0.0
     state = ViscousState(problem, chi, pin, hold)
-    _, info = momentum_step(grid, domain, rho, rho, vel, chi, params, 2e-3,
-                            bc, state=state)
+    _, info = momentum_step(state, rho, rho, vel, 2e-3)
     assert info.pinned_vacuum_faces == 0
     # chi is unchanged, the pinned set and values are not
-    got, info = momentum_step(grid, domain, rho, pocket, vel, chi, params,
-                              2e-3, bc, state=state)
-    want, _ = momentum_step(grid, domain, rho, pocket, vel, chi, params,
-                            2e-3, bc, rigid_pin=pin, hold_mask=hold)
+    got, info = momentum_step(state, rho, pocket, vel, 2e-3)
+    want, _ = momentum_step(ViscousState(problem, chi, pin, hold), rho,
+                            pocket, vel, 2e-3)
     assert info.pinned_vacuum_faces > 0
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+def _stepping(cfg, dt):
+    """One run's steps as ``driver.run`` takes them, at a fixed dt and
+    without the guard and probes: yields each step's ledger row, density
+    and velocity."""
+    domain, grid, params = cfg.make_domain(), cfg.make_grid(), \
+        cfg.make_params()
+    bc, _ = cfg.make_boundary(domain, grid)
+    problem = Problem(grid, domain, params, bc)
+    body = cfg.make_body()
+    kernel = MollifierKernel.build(params.r_moll, grid.dx, grid.dy)
+    rho = regularize_initial_density(grid, cfg.initial_density(grid),
+                                     params, bc)
+    vel = cfg.initial_velocity(grid, bc, body)
+    hold = None if cfg.body_mobile else _hold96(grid, body)
+    rule = PreconditionerRule(grid, mobile_body=cfg.body_mobile)
+    history, state, t = SolutionHistory(), None, 0.0
+    while True:
+        rho1, _ = continuity_step(problem, rho, vel, dt)
+        if state is None:
+            state = ViscousState(problem, body_signed_distance(body, grid),
+                                 rigid_velocity_field(grid, body.X, body.V,
+                                                      body.w), hold)
+        vel1, _ = momentum_step(state, rho, rho1, vel, dt, rule=rule,
+                                history=history)
+        t += dt
+        yield ledger_step(state, rho, vel, rho1, vel1, dt, t), rho1, vel1
+        if cfg.body_mobile:
+            body, _ = body_step(grid, domain, body, vel1, kernel, dt)
+            state = None
+        rho, vel = rho1, vel1
+
+
+def test_interleaved_runs_step_as_they_do_alone():
+    # a held body and a free one on one grid with different boundary
+    # speeds: their pinned sets, free patterns and Robin closures differ
+    cfgs = (default_config(nx=32, ny=32, r=0.07, body_mobile=False),
+            default_config(nx=32, ny=32, r=0.07, speed=0.35))
+    alone = [[next(run) for _ in range(6)]
+             for run in (_stepping(c, 2e-3) for c in cfgs)]
+    runs = [_stepping(c, 2e-3) for c in cfgs]
+    together = [[], []]
+    for _ in range(6):
+        for steps, run in zip(together, runs):
+            steps.append(next(run))
+    for got_run, want_run in zip(together, alone):
+        for (got, *fields), (want, *want_fields) in zip(got_run, want_run):
+            assert got.as_dict() == want.as_dict()
+            assert np.array_equal(fields[0], want_fields[0])
+            assert np.array_equal(fields[1].u, want_fields[1].u)
+            assert np.array_equal(fields[1].v, want_fields[1].v)
