@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -415,6 +414,8 @@ def sweep(cfg: RunConfig, param: str, values, jobs: int = 1) -> SweepReport:
 
     tasks = [(c, param) for c in configs]
     if jobs > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             payloads = list(pool.map(_sweep_worker, tasks))
     else:

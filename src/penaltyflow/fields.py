@@ -22,7 +22,7 @@ import base64
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from .errors import KernelUnresolved
 
@@ -282,12 +282,17 @@ def stencil_csr(cols, vals, has, ncols, rows=None):
 
 @dataclass(frozen=True)
 class MollifierKernel:
-    """Compact, radially symmetric, unit-mass smoothing stencil."""
+    """Compact, radially symmetric, unit-mass smoothing stencil.
+
+    ``spectra`` holds the stencil's real FFT for each padded shape that
+    ``mollify`` has used; a run builds one kernel and fills it once per
+    field shape."""
 
     radius: float
     dx: float
     dy: float
     weights: np.ndarray = field(repr=False, default=None)
+    spectra: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, radius: float, dx: float, dy: float) -> "MollifierKernel":
@@ -306,10 +311,36 @@ class MollifierKernel:
         return cls(radius=radius, dx=dx, dy=dy, weights=w)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest length >= n whose only prime factors are 2, 3 and 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def mollify(values: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
-    """Discrete convolution with zero extension outside the domain."""
-    return ndimage.convolve(np.asarray(values, dtype=np.float64),
-                            kernel.weights, mode="constant", cval=0.0)
+    """Discrete convolution with zero extension outside the domain.
+
+    Computed as a product of real FFTs over the field zero-padded to at
+    least ``shape + 2m`` on each axis (m the stencil's half-width, so the
+    linear convolution does not wrap around), rounded up to a length with
+    no prime factor above 5; the result is cropped at the stencil centre.
+    It matches the direct convolution to round-off (a few ulps of
+    ``max|values|``)."""
+    f = np.asarray(values, dtype=np.float64)
+    w = kernel.weights
+    pad = tuple(_fft_length(n + k - 1) for n, k in zip(f.shape, w.shape))
+    spectrum = kernel.spectra.get(pad)
+    if spectrum is None:
+        spectrum = kernel.spectra[pad] = np.fft.rfft2(w, pad)
+    full = np.fft.irfft2(np.fft.rfft2(f, pad) * spectrum, pad)
+    mx, my = w.shape[0] // 2, w.shape[1] // 2
+    return full[mx:mx + f.shape[0], my:my + f.shape[1]]
 
 
 def interp_uface(grid: StaggeredGrid, u: np.ndarray, x, y):

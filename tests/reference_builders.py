@@ -2,11 +2,12 @@
 sums, COO -> CSR conversions, Kronecker products, boolean slicing and the
 60-sweep relaxation.  The solver builds the same arrays by index
 arithmetic; ``test_momentum.py`` and ``test_continuity.py`` compare the two
-bit for bit.
+bit for bit.  Also the direct convolution that ``fields.mollify`` computes
+by FFT; ``test_fields.py`` compares the two to round-off.
 """
 
 import numpy as np
-from scipy import sparse
+from scipy import ndimage, sparse
 
 from penaltyflow.continuity import smoothed_negative_part
 from penaltyflow.fields import integrate
@@ -28,6 +29,12 @@ def assert_same_csr(got, want):
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert_bitwise(getattr(got, name), getattr(want, name))
+
+
+def mollify_direct(values, kernel):
+    """Convolution with the kernel's stencil, zero outside the array."""
+    return ndimage.convolve(np.asarray(values, dtype=np.float64),
+                            kernel.weights, mode="constant", cval=0.0)
 
 
 def regularize_by_sweeps(grid, rho0, params, bc, sweeps=60):

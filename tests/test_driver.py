@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import penaltyflow
 from penaltyflow import driver
 from penaltyflow.cli import main as cli_main
 from penaltyflow.config import (default_config, load_config,
@@ -155,6 +159,23 @@ def test_sweep_parallel_jobs_match_serial():
     serial = sweep(cfg, "n", [1e2, 1e3], jobs=1)
     parallel = sweep(cfg, "n", [1e2, 1e3], jobs=2)
     assert serial.run_summaries == parallel.run_summaries
+
+
+def test_run_loads_no_unused_modules():
+    # a fresh interpreter: this test session has already imported them
+    script = (
+        "import sys\n"
+        "from penaltyflow.config import default_config\n"
+        "from penaltyflow.driver import run\n"
+        "run(default_config(t_end=0.004, nx=32, ny=32, r=0.07, dt=2e-3),"
+        " outdir=False)\n"
+        "print(' '.join(m for m in ('scipy.ndimage', 'scipy.special',"
+        " 'multiprocessing') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(penaltyflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_sweep_dx_changes_grid():

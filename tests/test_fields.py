@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import reference_builders as ref
 from penaltyflow.body import rigid_velocity_field
 from penaltyflow.errors import KernelUnresolved
 from penaltyflow.fields import (MollifierKernel, ScalarField, StaggeredGrid,
@@ -135,6 +136,23 @@ def test_mollify_constant_affine_monotone(grid64, rng):
     assert np.max(np.abs((mollify(aff, k) - aff)[interior])) < 1e-10
     f = np.abs(rng.normal(size=grid64.shape("centers")))
     assert np.min(mollify(f, k)) >= 0.0
+
+
+@pytest.mark.parametrize("nx, ny, r", [
+    (48, 48, 0.05),     # sweep48: 5x5 stencil
+    (96, 96, 0.03),     # free96 and held96: 5x5
+    (192, 192, 0.03),   # stiff192: 11x11
+    (40, 24, 0.1),      # dx != dy: 9x5
+])
+def test_mollify_matches_direct_convolution(nx, ny, r, rng):
+    g = StaggeredGrid(nx, ny, 1 / nx, 1 / ny)
+    k = MollifierKernel.build(r, g.dx, g.dy)
+    for loc in ("ufaces", "vfaces"):
+        f = rng.normal(size=g.shape(loc))
+        got = mollify(f, k)
+        assert got.shape == f.shape
+        err = np.max(np.abs(got - ref.mollify_direct(f, k)))
+        assert err <= 1e-14 * np.max(np.abs(f))
 
 
 def test_integrate_values(grid24):
