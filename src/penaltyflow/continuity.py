@@ -23,8 +23,9 @@ from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
                      faces_to_centers, integrate, stencil_csr)
 from .geometry import WALLS, BoundaryData
 
-CG_RTOL = 1e-13          # tighter than the 1e-10 contract so the mass
-CG_MAXITER_FACTOR = 10   # budget closes at 1e-10 after the iterative solve
+MASS_BUDGET_TOL = 1e-10  # a step's relative mass budget residual, at most
+CG_RTOL = 1e-13          # tighter than MASS_BUDGET_TOL so the mass
+CG_MAXITER_FACTOR = 10   # budget closes at it after the iterative solve
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,9 @@ class PenaltyParams:
             raise ValueError("beta must exceed max(9/2, gamma)")
         if self.eps <= 0 or self.delta <= 0 or self.bc_sharpness <= 0:
             raise ValueError("eps, delta and bc_sharpness must be positive")
+        if not self.delta < 1:
+            # the density clamp [delta, 1/delta] is empty from delta = 1 on
+            raise ValueError("delta must be below 1")
         # n_solid = 0 is allowed: it switches the solidification off
         # (the resting-data scenario uses it).
         if self.n_solid < 0 or self.r_moll <= 0 or self.h <= 0:

@@ -3,20 +3,24 @@ parameter sweeps, and run/sweep reports."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .body import (body_signed_distance, body_step, collision_guard,
                    rigid_velocity_field, t0_lower_bound)
 from .config import RunConfig
-from .continuity import continuity_step
+from .continuity import MASS_BUDGET_TOL, continuity_step
 from .diagnostics import (CSV_SCHEMA, fluid_mask, interior_pressure_norm,
                           ledger_step, rigidity_measure,
                           surface_force_torque)
-from .errors import ConfigError, PenaltyflowError
+from .errors import ConfigError, MassBudgetError, PenaltyflowError
 from .fields import (MollifierKernel, VectorField, sym_gradient,
                      write_field, write_vti)
 from .momentum import (PreconditionerRule, Problem, SolutionHistory,
@@ -76,10 +80,12 @@ def _timestep(cfg, grid, params, vel, bc, rho, remaining):
 class _Outputs:
     """A run's accepted rows.  With an output directory they also stream to
     diagnostics.csv and body.csv, each row written as its step is
-    accepted, and report.json is written when the run ends."""
+    accepted, and report.json is written when the run ends, with the
+    run's ``versions`` block whether it completed or failed."""
 
-    def __init__(self, outdir):
+    def __init__(self, outdir, versions):
         self.outdir = outdir or None
+        self.versions = versions
         self.rows, self.body_rows = [], []
         self._files = []
         if self.outdir:
@@ -110,7 +116,8 @@ class _Outputs:
     def write_report(self, data):
         if self.outdir:
             with open(os.path.join(self.outdir, "report.json"), "w") as f:
-                json.dump(data, f, indent=2, sort_keys=True)
+                json.dump(dict(data, versions=self.versions), f, indent=2,
+                          sort_keys=True)
                 f.write("\n")
 
     def write_failure(self, exc):
@@ -129,25 +136,74 @@ def _csv_line(values):
     return ",".join(repr(float(v)) for v in values) + "\n"
 
 
+# numpy's and scipy's bundled OpenBLAS copies, by the package that ships
+# each and the suffix of its symbols (numpy's is the ILP64 build)
+_OPENBLAS = ((np, "64_"), (scipy, ""))
+
+
+@functools.cache
+def _openblas_libraries():
+    """(path, get, set) of each bundled OpenBLAS this process has mapped,
+    looked up once per process; empty where the packages bundle none."""
+    import ctypes
+    import glob
+    found = []
+    for package, suffix in _OPENBLAS:
+        libs = os.path.join(os.path.dirname(package.__path__[0]),
+                            package.__name__ + ".libs", "libscipy_openblas*")
+        for path in sorted(glob.glob(libs)):
+            try:
+                # NOLOAD: only a copy that is already mapped, never a new one
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            found.append((os.path.realpath(path), get, put))
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set every bundled OpenBLAS to one thread for the block and restore
+    the caller's counts after it; yields each library's path and count."""
+    libs = _openblas_libraries()
+    saved = [get() for _, get, _ in libs]
+    try:
+        for _, _, put in libs:
+            put(1)
+        yield [{"library": path, "threads": get()} for path, get, _ in libs]
+    finally:
+        for (_, _, put), count in zip(libs, saved):
+            put(count)
+
+
 def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
     """Execute one configured run; writes diagnostics.csv, body.csv and
     report.json under the output directory (unless outdir is False).
 
     The CSV rows are written as the steps are accepted, so a run that
     raises keeps them; a PenaltyflowError is recorded under ``error`` in
-    report.json and then re-raised."""
+    report.json and then re-raised.  The run computes with one BLAS thread,
+    so its outputs do not depend on the caller's thread count, which is
+    restored on exit."""
     cfg.validate()
     if outdir is None:
         outdir = os.environ.get("PENALTYFLOW_OUTDIR", cfg.outdir)
-    out = _Outputs(outdir)
-    try:
-        report = _run_inner(cfg, out, keep_fields)
-    except PenaltyflowError as exc:
-        out.write_failure(exc)
-        raise
-    finally:
-        out.close()
-    out.write_report(report.to_json_dict())
+    with _one_blas_thread() as blas:
+        out = _Outputs(outdir, {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas})
+        try:
+            report = _run_inner(cfg, out, keep_fields)
+        except PenaltyflowError as exc:
+            out.write_failure(exc)
+            raise
+        finally:
+            out.close()
+        out.write_report(report.to_json_dict())
     return report
 
 
@@ -205,6 +261,10 @@ def _run_inner(cfg, out, keep_fields):
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = _timestep(cfg, grid, params, vel, bc, rho, cfg.t_end - t)
         rho_new, cinfo = continuity_step(problem, rho, vel, dt)
+        if not cinfo.mass_residual <= MASS_BUDGET_TOL:
+            raise MassBudgetError(
+                f"relative mass budget residual {cinfo.mass_residual:.3e} "
+                f"exceeds {MASS_BUDGET_TOL:g} in the step from t = {t!r}")
         if viscous is None:
             pin = None
             if body is not None:

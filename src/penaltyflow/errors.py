@@ -41,6 +41,10 @@ class LinearSolveDiverged(PenaltyflowError):
     pass
 
 
+class MassBudgetError(PenaltyflowError):
+    """A step's relative mass budget residual exceeded its limit."""
+
+
 class NegativeDensity(PenaltyflowError):
     pass
 

@@ -144,14 +144,6 @@ def erode(shape, r: float):
     raise InvalidShape(f"unsupported shape {type(shape).__name__}")
 
 
-def dilate(shape, r: float):
-    if r < 0:
-        raise InvalidShape("dilation radius must be nonnegative")
-    if isinstance(shape, Disc):
-        return Disc(shape.cx, shape.cy, shape.radius + r)
-    raise InvalidShape("dilation implemented for discs only")
-
-
 # ---------------------------------------------------------------------------
 # Boundary data
 # ---------------------------------------------------------------------------

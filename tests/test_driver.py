@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 import penaltyflow
 from penaltyflow import driver
@@ -11,7 +15,8 @@ from penaltyflow.cli import main as cli_main
 from penaltyflow.config import (default_config, load_config,
                                 write_example_config)
 from penaltyflow.driver import run, sweep
-from penaltyflow.errors import ConfigError, LinearSolveDiverged
+from penaltyflow.errors import (ConfigError, LinearSolveDiverged,
+                                MassBudgetError)
 
 
 def test_example_config_roundtrip(tmp_path):
@@ -49,6 +54,14 @@ def test_out_of_range_params_and_grid_rejected():
         default_config(gamma=1.4)
     with pytest.raises(ConfigError, match="8x8"):
         default_config(nx=4)
+
+
+def test_delta_of_one_or_more_rejected():
+    # the initial density's clamp [delta, 1/delta] is empty from delta = 1
+    for delta in (1.0, 2.0, 1e11):
+        with pytest.raises(ConfigError, match="delta"):
+            default_config(delta=delta)
+    default_config(delta=0.5)
 
 
 @pytest.mark.parametrize("key", ["rho0", "rho_b"])
@@ -112,6 +125,12 @@ def test_default_run_outputs(tmp_path):
     assert report["steps"] == rep.steps
     assert report["aggregates"]["max_mass_residual"] <= 1e-10
     assert "error" not in report
+    versions = report["versions"]
+    assert versions["python"] == platform.python_version()
+    assert versions["numpy"] == np.__version__
+    assert versions["scipy"] == scipy.__version__
+    assert all(b["threads"] == 1 and os.path.isfile(b["library"])
+               for b in versions["blas"])
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):
@@ -256,6 +275,34 @@ def test_failing_run_keeps_rows_and_reports_the_error(tmp_path,
     assert report["error"] == {"type": "LinearSolveDiverged",
                                "message": "planted on the third solve",
                                "step": 3, "t": whole.rows[1].t}
+    assert report["versions"] == json.loads(
+        (tmp_path / "whole" / "report.json").read_text())["versions"]
+
+
+def test_mass_budget_guard_stops_the_run(tmp_path, monkeypatch):
+    cfg = default_config(t_end=0.01, nx=32, ny=32, r=0.07, dt=2e-3)
+    whole = run(cfg, outdir=str(tmp_path / "whole"))
+    step, calls = driver.continuity_step, []
+
+    def leak_on_third(*args, **kwargs):
+        calls.append(None)
+        rho, info = step(*args, **kwargs)
+        if len(calls) == 3:
+            info = dataclasses.replace(info, mass_residual=1e-9)
+        return rho, info
+    monkeypatch.setattr(driver, "continuity_step", leak_on_third)
+    with pytest.raises(MassBudgetError, match="1.000e-09"):
+        run(cfg, outdir=str(tmp_path / "failed"))
+    for name in ("diagnostics.csv", "body.csv"):
+        kept = (tmp_path / "failed" / name).read_text().splitlines()
+        assert kept == (tmp_path / "whole" / name).read_text() \
+            .splitlines()[:3]
+    report = json.loads((tmp_path / "failed" / "report.json").read_text())
+    assert report["steps"] == 2
+    assert report["aggregates"] == driver._aggregate(whole.rows[:2])
+    assert report["error"]["type"] == "MassBudgetError"
+    assert report["error"]["step"] == 3
+    assert report["error"]["t"] == whole.rows[1].t
 
 
 def test_cli_run_and_sweep(tmp_path, capsys):
