@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .errors import CflViolation, HistoryTooShort, LinearSolveDiverged
-from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
-                     faces_to_centers, integrate, stencil_csr)
+from .fields import (StaggeredGrid, VectorField, cell_gradient, cg,
+                     divergence, faces_to_centers, integrate, jacobi,
+                     stencil_csr)
 from .geometry import WALLS, BoundaryData
 
 MASS_BUDGET_TOL = 1e-10  # a step's relative mass budget residual, at most
@@ -114,7 +114,7 @@ def _diffusion_matrix(K, diag, vol, dt):
     data = dt * K.data
     data[diag] += vol
     return (sparse.csr_matrix((data, K.indices, K.indptr), shape=K.shape),
-            sparse.diags(1.0 / data[diag]))
+            jacobi(data[diag]))
 
 
 def _unit_diffusion(grid, params, robin):
@@ -186,15 +186,8 @@ def continuity_step(problem, rho: np.ndarray, vel: VectorField, dt: float,
         b += dt * vol * source
         src_total = integrate(grid, source)
 
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, info = cg(A, b.ravel(), x0=rho_star.ravel().copy(), M=M,
-                 rtol=CG_RTOL, atol=0.0,
-                 maxiter=CG_MAXITER_FACTOR * nx * ny, callback=count)
+    x, info, iters = cg(A, b.ravel(), rho_star.ravel(), M, CG_RTOL,
+                        CG_MAXITER_FACTOR * nx * ny)
     if info != 0:
         raise LinearSolveDiverged(f"continuity diffusion CG: info={info}")
     rho_new = x.reshape(nx, ny)

@@ -280,6 +280,45 @@ def stencil_csr(cols, vals, has, ncols, rows=None):
                              shape=(indptr.size - 1, ncols))
 
 
+def cg(A, b, x0, M, rtol, maxiter, r=None):
+    """``scipy.sparse.linalg.cg`` with atol = 0, operation for operation and
+    so bit for bit, without its operator wrappers: A is used as ``A @ p``,
+    M is a callable z = M(r), and ``r``, if given, is b - A x0 and is
+    overwritten.  Returns (x, info, iterations); info is 0 on convergence
+    and maxiter when the iterations run out."""
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b.copy(), 0, 0
+    atol = rtol * float(bnorm)
+    x = x0.copy()
+    if r is None:
+        r = b - A @ x if x.any() else b.copy()
+    w = np.empty_like(x)      # alpha p, then alpha q
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0, it
+        z = M(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += np.multiply(alpha, p, out=w)
+        r -= np.multiply(alpha, q, out=w)
+        rho_prev = rho
+    return x, maxiter, maxiter
+
+
+def jacobi(diagonal):
+    """The Jacobi preconditioner for ``cg``.  Not a bound ``dinv.__mul__``:
+    numpy may write a product into an operand that one reference holds."""
+    dinv = 1.0 / diagonal
+    return lambda r: dinv * r
+
+
 @dataclass(frozen=True)
 class MollifierKernel:
     """Compact, radially symmetric, unit-mass smoothing stencil.

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from .continuity import (PenaltyParams, _diffusion_matrix, _unit_diffusion,
                          check_cfl, smoothed_negative_part)
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
-from .fields import (StaggeredGrid, VectorField, cell_gradient,
-                     full_gradient, stencil_csr)
+from .fields import (StaggeredGrid, VectorField, cell_gradient, cg,
+                     full_gradient, jacobi, stencil_csr)
 from .geometry import (WALLS, BoundaryData, CutoffProfile, DomainSpec,
                        wall_cutoff)
 
@@ -383,25 +382,9 @@ def multigrid_levels(grid: StaggeredGrid) -> int:
     return n
 
 
-def _prolong_component(c, f):
-    """One face component from a coarse grid into f on the fine one, with
-    the face normal along axis 0: linear along the normal, 3/4-1/4 along
-    the tangent.  Past a wall the tangent neighbour is the face itself, so
-    constants are kept."""
-    even, odd = f[0::2, 0::2], f[0::2, 1::2]
-    np.multiply(c, 0.75, out=even)
-    even[:, 1:] += 0.25 * c[:, :-1]
-    even[:, 0] += 0.25 * c[:, 0]
-    np.multiply(c, 0.75, out=odd)
-    odd[:, :-1] += 0.25 * c[:, 1:]
-    odd[:, -1] += 0.25 * c[:, -1]
-    mid = f[1::2]
-    np.add(f[0:-2:2], f[2::2], out=mid)
-    mid *= 0.5
-
-
 def _restrict_component(f, c):
-    """The transpose of ``_prolong_component``: f on the fine grid into c."""
+    """One face component, normal along axis 0, from f on the fine grid
+    into c: the transpose of the prolongation (``_transfer``)."""
     t = f[0::2].copy()
     half = 0.5 * f[1::2]
     t[:-1] += half
@@ -415,20 +398,8 @@ def _restrict_component(f, c):
     c[:, -1] += 0.25 * to[:, -1]
 
 
-def _prolong(coarse: StaggeredGrid, x):
-    """Every face of ``coarse`` to every face of the grid twice as fine."""
-    nx, ny = coarse.nx, coarse.ny
-    nu, nu_fine = (nx + 1) * ny, (2 * nx + 1) * 2 * ny
-    out = np.empty(nu_fine + 2 * nx * (2 * ny + 1))
-    _prolong_component(x[:nu].reshape(nx + 1, ny),
-                       out[:nu_fine].reshape(2 * nx + 1, 2 * ny))
-    _prolong_component(x[nu:].reshape(nx, ny + 1).T,
-                       out[nu_fine:].reshape(2 * nx, 2 * ny + 1).T)
-    return out
-
-
 def _restrict(coarse: StaggeredGrid, x):
-    """The transpose of ``_prolong``: fine faces to the faces of coarse."""
+    """The transpose of the prolongation: fine faces to those of coarse."""
     nx, ny = coarse.nx, coarse.ny
     nu, nu_fine = (nx + 1) * ny, (2 * nx + 1) * 2 * ny
     out = np.empty(nu + nx * (ny + 1))
@@ -468,11 +439,11 @@ def _tangent_factor(m):
 
 
 def _transfer(coarse: StaggeredGrid, fine_free, coarse_free):
-    """``_prolong`` as a CSR matrix over free fine rows and free coarse
-    columns.  u faces (normal x) and v faces (normal y) are Kronecker
-    products of the 1-D factors: a fine face's four slots are the pairs
-    (slot of the first factor, slot of the second), in increasing column
-    order."""
+    """The prolongation from ``coarse`` as a CSR matrix over free fine rows
+    and free coarse columns.  u faces (normal x) and v faces (normal y) are
+    Kronecker products of the 1-D factors: a fine face's four slots are the
+    pairs (slot of the first factor, slot of the second), in increasing
+    column order."""
     nx, ny = coarse.nx, coarse.ny
     nu = (2 * nx + 1) * 2 * ny
     cols = np.empty((4, fine_free.size), dtype=np.int32)
@@ -559,8 +530,8 @@ class Multigrid:
 
     def preconditioner(self, w_mu, w_lam, w_node, mass):
         """Fill the coarse levels from the fine weights and return the
-        V-cycle as a LinearOperator.  Level 0's matrix must already hold
-        the fill of the same weights.  The operator owns this step's
+        V-cycle as a callable z = M(r).  Level 0's matrix must already
+        hold the fill of the same weights.  The callable owns this step's
         smoother data and coarsest factorization, freed with it."""
         for p in self.levels[1:]:
             nx, ny = p.grid.nx, p.grid.ny
@@ -580,9 +551,7 @@ class Multigrid:
         # fewer L + U entries and a faster factorization than COLAMD
         lu = splu(self.levels[-1].matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                   options={"SymmetricMode": True})
-        return LinearOperator(self.levels[0].matrix.shape,
-                              matvec=lambda b: self._vcycle(smooth, lu, b),
-                              dtype=np.float64)
+        return lambda b: self._vcycle(smooth, lu, b)
 
     def _vcycle(self, smooth, lu, b, k=0):
         if k == len(smooth):
@@ -602,7 +571,9 @@ class Multigrid:
 # hierarchy has r_k times the fine level's unknowns, and so about r_k times
 # its nonzeros (at most 9 a row).  Each term is the median of 7 timings at
 # 96^2 and 192^2, n = 1e5, with and without a hold mask, on a 2-core x86
-# VM; the range is over those four cases:
+# VM, with scipy's cg; the range is over those four cases.  fields.cg
+# costs less per iteration, but new values would move held96's choices of
+# preconditioner, and with them its outputs and seed-0 reference:
 JACOBI_MATVECS = 2.0      # a Jacobi-CG iteration: its matvec, the diagonal
                           # scaling and CG's vector updates; 2.0-2.1
 MG_LEVEL_MATVECS = 11.0   # a V-cycle's visit to one level, in that level's
@@ -1210,19 +1181,14 @@ def momentum_step(state: ViscousState, rho_old: np.ndarray,
     pattern = problem.free_pattern(pinned)
     Aff = state.operator(pattern, mass)
 
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
     x0 = np.concatenate([vel.u.ravel(), vel.v.ravel()])[free]
     if history is not None:
         # before the preconditioner, so that their work vectors never
         # coexist
         x0 = history.guess(pattern, Aff, b_free, x0)
     # the preconditioner rule weighs the decades this solve must gain
-    r0 = float(np.linalg.norm(b_free - Aff @ x0))
+    r = b_free - Aff @ x0
+    r0 = float(np.linalg.norm(r))
     rtol = 1e-10
     bnorm = float(np.linalg.norm(b_free))
     precond = "jacobi"
@@ -1235,11 +1201,10 @@ def momentum_step(state: ViscousState, rho_old: np.ndarray,
                                                state.w_node, mass)
         maxiter = MG_MAXITER
     else:
-        M = sparse.diags(1.0 / Aff.data[pattern.diag])
+        M = jacobi(Aff.data[pattern.diag])
         maxiter = 10 * nx * ny
     del mass
-    sol, info = cg(Aff, b_free, x0=x0, M=M, rtol=rtol, atol=0.0,
-                   maxiter=maxiter, callback=count)
+    sol, info, iters = cg(Aff, b_free, x0, M, rtol, maxiter, r)
     res = float(np.linalg.norm(b_free - Aff @ sol))
     rel = res / bnorm if bnorm > 0 else res
     if info != 0 and rel > 1e-8:

@@ -3,7 +3,9 @@ sums, COO -> CSR conversions, Kronecker products, boolean slicing and the
 60-sweep relaxation.  The solver builds the same arrays by index
 arithmetic; ``test_momentum.py`` and ``test_continuity.py`` compare the two
 bit for bit.  Also the direct convolution that ``fields.mollify`` computes
-by FFT; ``test_fields.py`` compares the two to round-off.
+by FFT; ``test_fields.py`` compares the two to round-off.  And the
+matrix-free prolongation that the stored multigrid transfers are checked
+against.
 """
 
 import numpy as np
@@ -255,3 +257,34 @@ def transfer(coarse, fine_free, coarse_free):
         [sparse.kron(_normal_factor(nx), _tangent_factor(ny)),
          sparse.kron(_tangent_factor(nx), _normal_factor(ny))], format="csr")
     return P[fine_free][:, coarse_free]
+
+
+def _prolong_component(c, f):
+    """One face component from a coarse grid into f on the fine one, with
+    the face normal along axis 0: linear along the normal, 3/4-1/4 along
+    the tangent.  Past a wall the tangent neighbour is the face itself, so
+    constants are kept."""
+    even, odd = f[0::2, 0::2], f[0::2, 1::2]
+    np.multiply(c, 0.75, out=even)
+    even[:, 1:] += 0.25 * c[:, :-1]
+    even[:, 0] += 0.25 * c[:, 0]
+    np.multiply(c, 0.75, out=odd)
+    odd[:, :-1] += 0.25 * c[:, 1:]
+    odd[:, -1] += 0.25 * c[:, -1]
+    mid = f[1::2]
+    np.add(f[0:-2:2], f[2::2], out=mid)
+    mid *= 0.5
+
+
+def prolong(coarse, x):
+    """Every face of ``coarse`` to every face of the grid twice as fine,
+    matrix-free: the operator that ``momentum._transfer`` stores over the
+    free faces, and whose transpose ``momentum._restrict`` applies."""
+    nx, ny = coarse.nx, coarse.ny
+    nu, nu_fine = (nx + 1) * ny, (2 * nx + 1) * 2 * ny
+    out = np.empty(nu_fine + 2 * nx * (2 * ny + 1))
+    _prolong_component(x[:nu].reshape(nx + 1, ny),
+                       out[:nu_fine].reshape(2 * nx + 1, 2 * ny))
+    _prolong_component(x[nu:].reshape(nx, ny + 1).T,
+                       out[nu_fine:].reshape(2 * nx, 2 * ny + 1).T)
+    return out

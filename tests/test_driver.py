@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import penaltyflow
-from penaltyflow import driver
+from penaltyflow import continuity, driver, momentum
 from penaltyflow.cli import main as cli_main
 from penaltyflow.config import (default_config, load_config,
                                 write_example_config)
@@ -277,6 +277,47 @@ def test_failing_run_keeps_rows_and_reports_the_error(tmp_path,
                                "step": 3, "t": whole.rows[1].t}
     assert report["versions"] == json.loads(
         (tmp_path / "whole" / "report.json").read_text())["versions"]
+
+
+@pytest.mark.parametrize("stage, module, knob, value, grid, message", [
+    # one MG-PCG iteration cannot gain ten decades; 96^2 takes the V-cycle
+    ("momentum_step", momentum, "MG_MAXITER", 1, dict(),
+     "momentum viscous CG: info=1, rel residual"),
+    # no recursive residual falls below a zero tolerance; this one reaches
+    # exactly zero on the way, and CG's next step divides 0 by 0
+    pytest.param("continuity_step", continuity, "CG_RTOL", 0.0,
+                 dict(nx=32, ny=32, r=0.07),
+                 "continuity diffusion CG: info=10240",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:invalid value:RuntimeWarning")),
+], ids=["momentum", "continuity"])
+def test_a_solve_that_does_not_converge_stops_the_run(
+        tmp_path, monkeypatch, stage, module, knob, value, grid, message):
+    cfg = default_config(t_end=0.01, dt=2e-3, **grid)
+    whole = run(cfg, outdir=str(tmp_path / "whole"))
+    assert whole.steps == 5
+    step, calls = getattr(driver, stage), []
+
+    def starve_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            monkeypatch.setattr(module, knob, value)
+        return step(*args, **kwargs)
+    monkeypatch.setattr(driver, stage, starve_third)
+    with pytest.raises(LinearSolveDiverged, match=message):
+        run(cfg, outdir=str(tmp_path / "failed"))
+    assert len(calls) == 3
+    for name in ("diagnostics.csv", "body.csv"):
+        kept = (tmp_path / "failed" / name).read_text().splitlines()
+        assert kept == (tmp_path / "whole" / name).read_text() \
+            .splitlines()[:3]
+    report = json.loads((tmp_path / "failed" / "report.json").read_text())
+    assert report["steps"] == 2
+    assert report["aggregates"] == driver._aggregate(whole.rows[:2])
+    error = report["error"]
+    assert error["type"] == "LinearSolveDiverged"
+    assert error["message"].startswith(message)
+    assert (error["step"], error["t"]) == (3, whole.rows[1].t)
 
 
 def test_mass_budget_guard_stops_the_run(tmp_path, monkeypatch):

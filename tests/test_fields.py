@@ -5,15 +5,19 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import cg as scipy_cg
 
 import reference_builders as ref
 from penaltyflow.body import rigid_velocity_field
 from penaltyflow.errors import KernelUnresolved
 from penaltyflow.fields import (MollifierKernel, ScalarField, StaggeredGrid,
-                                VectorField, divergence, face_gradient,
-                                full_gradient, integrate, interp_cell,
+                                VectorField, cg, divergence, face_gradient,
+                                full_gradient, integrate, interp_cell, jacobi,
                                 mollify, read_field, sym_gradient,
                                 write_field, write_vti)
+from penaltyflow.momentum import FreePattern, Multigrid, _face_layout
 
 
 def test_grid_invariants():
@@ -252,3 +256,55 @@ def test_write_vti_binary_arrays(tmp_path, rng):
         data = np.frombuffer(raw[4:], dtype="<f8")
         want = fields[a.get("Name")].T.ravel()  # x-fastest cell order
         assert np.array_equal(data.view(np.uint64), want.view(np.uint64))
+
+
+def _viscous_block(n, rng):
+    """The free block of a random viscous operator on an n x n grid with
+    its boundary pinned, with its pattern and fill weights."""
+    grid = StaggeredGrid(n, n, 1 / n, 1 / n)
+    layout = _face_layout(grid)
+    pattern = FreePattern(grid, layout["boundary"], layout)
+    vol = grid.cell_volume
+    mu = rng.uniform(0.5, 1.5, n * n) * vol
+    w = (2 * mu, 0.5 * mu, rng.uniform(0.5, 1.5, (n + 1) ** 2) * vol,
+         rng.uniform(50.0, 100.0, layout["boundary"].size) * vol)
+    return pattern.fill(*w), pattern, w
+
+
+@pytest.mark.parametrize("n, precond, x0, b, maxiter", [
+    (24, "jacobi", "random", "random", 1000),
+    (24, "jacobi", "zero", "random", 1000),
+    (24, "jacobi", "random", "zero", 1000),
+    (24, "jacobi", "random", "random", 3),
+    (48, "multigrid", "random", "random", 300),
+    (48, "multigrid", "zero", "random", 300),
+    (48, "multigrid", "random", "random", 2),
+    # above 32768 unknowns, where numpy reuses a temporary operand
+    (132, "jacobi", "random", "random", 2000),
+])
+def test_cg_is_scipy_cg_bit_for_bit(n, precond, x0, b, maxiter, rng):
+    A, pattern, w = _viscous_block(n, rng)
+    size = A.shape[0]
+    x0 = rng.normal(size=size) if x0 == "random" else np.zeros(size)
+    b = rng.normal(size=size) if b == "random" else np.zeros(size)
+    if precond == "jacobi":
+        M, want_M = jacobi(A.diagonal()), sparse.diags(1.0 / A.diagonal())
+    else:
+        M = Multigrid(pattern).preconditioner(*w)
+        want_M = LinearOperator(A.shape, matvec=M, dtype=np.float64)
+    iters = []
+    want, want_info = scipy_cg(A, b, x0=x0.copy(), M=want_M, rtol=1e-10,
+                               atol=0.0, maxiter=maxiter,
+                               callback=iters.append)
+    x0_before = x0.copy()
+    x, info, iterations = cg(A, b, x0, M, 1e-10, maxiter)
+    ref.assert_bitwise(x, want)
+    assert (info, iterations) == (want_info, len(iters))
+    ref.assert_bitwise(x0, x0_before)
+    # the caller's initial residual gives the same solve
+    x, info, iterations = cg(A, b, x0, M, 1e-10, maxiter, r=b - A @ x0)
+    ref.assert_bitwise(x, want)
+    assert (info, iterations) == (want_info, len(iters))
+    if b.any():
+        assert iterations > 0
+        assert (info == 0) == (iterations < maxiter)
