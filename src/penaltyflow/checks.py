@@ -1,7 +1,8 @@
-"""Self-contained property battery behind `penaltyflow verify`.
+"""The property suite: every invariant that needs no pytest machinery.
 
-Every module's invariants run as named checks returning (passed, detail);
-failures are data, collected into a machine-readable report.  The --fast
+Each check returns (passed, detail); failures are data, collected into a
+machine-readable report.  `penaltyflow verify` runs the battery, and
+`tests/test_checks.py` runs its fast entries as tier-1 tests.  The --fast
 subset skips the manufactured-solution convergence studies and the long
 marches.
 """
@@ -26,7 +27,7 @@ from .continuity import (PenaltyParams, continuity_step,
 from .diagnostics import (effective_viscous_flux, energy_total,
                           interior_pressure_norm, ledger_step,
                           rigidity_measure, surface_force_torque)
-from .errors import ErosionEmpty, PenaltyflowError
+from .errors import ErosionEmpty, InvalidMargin, InvalidShape, NegativeDensity
 from .fields import (MollifierKernel, StaggeredGrid, VectorField,
                      divergence, face_gradient, integrate, mollify,
                      sym_gradient)
@@ -48,6 +49,9 @@ def check(name, fast=True):
     return deco
 
 
+DOM = DomainSpec(1, 1, 0.1)
+
+
 def _grid(n=32, L=1.0):
     return StaggeredGrid(n, n, L / n, L / n)
 
@@ -56,20 +60,38 @@ def _ok(cond, detail=""):
     return bool(cond), detail
 
 
+def _raises(exc, fn, *args):
+    """True when fn(*args) raises exc; any other exception propagates."""
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+
+def _rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 # ------------------------------------------------------------------ geometry
 
 @check("boundary_classification_signs")
 def _c1():
-    g = _grid(16)
-    dom = DomainSpec(1, 1, 0.1)
-    bc = resting_boundary(dom, g, 1.0)
+    bc = resting_boundary(DOM, _grid(16), 1.0)
     bc.ub["left"][:, 0] = 0.2   # pointing inward on the left wall
     bc.ub["right"][:, 0] = 0.2  # pointing outward on the right wall
     im, om = classify_boundary(bc.ub)
-    total = all(np.all(im[w] ^ om[w] == np.ones_like(im[w])) for w in im)
-    return _ok(np.all(im["left"]) and np.all(om["right"])
-               and np.all(om["top"]) and total,
-               "inflow/outflow signs and exact partition")
+    # resting walls (u_B . n = 0) go to the outflow side
+    ok = (np.all(im["left"]) and np.all(om["right"])
+          and np.all(om["top"]) and np.all(om["bottom"]))
+    rng = np.random.default_rng(0)
+    bc = resting_boundary(DOM, _grid(24), 1.0)
+    for w in bc.ub:
+        bc.ub[w][:] = rng.normal(size=bc.ub[w].shape)
+    for masks in (classify_boundary(bc.ub), (im, om)):
+        ok &= all(np.all(masks[0][w] ^ masks[1][w]) for w in masks[0])
+    return _ok(ok, "inflow/outflow signs and exact partition")
 
 
 @check("signed_distance_disc_exact")
@@ -78,11 +100,23 @@ def _c2():
     vals = [signed_distance(d, 0.4, 0.6) - 0.15,
             signed_distance(d, 0.55, 0.6),
             signed_distance(d, 0.65, 0.6) + 0.1]
-    return _ok(max(abs(v) for v in vals) < 1e-14, f"residuals {vals}")
+    d = Disc(0.3, 0.4, 0.15)
+    tight = [signed_distance(d, 0.3, 0.4) - 0.15,
+             signed_distance(d, 0.45, 0.4),
+             signed_distance(d, 0.55, 0.4) + 0.1]
+    return _ok(max(abs(v) for v in vals) < 1e-14
+               and max(abs(v) for v in tight) <= 1e-15,
+               f"residuals {vals + tight}")
 
 
 @check("signed_distance_rect_gradient_norm")
 def _c3():
+    # values, the corner's euclidean distance included
+    r = Rectangle(0.0, 0.0, 1.0, 2.0)
+    vals = [signed_distance(r, 0.5, 1.0) - 0.5,
+            signed_distance(r, 0.0, 1.0),
+            signed_distance(r, -0.3, 1.0) + 0.3,
+            signed_distance(r, -0.3, -0.4) + 0.5]
     # piecewise-linear signed distance: centered differences give |grad|=1
     # exactly away from the kink sets (interior medial axis, the boundary
     # band, and the exterior corner fans where the nearest feature is a
@@ -108,115 +142,114 @@ def _c3():
         & (np.abs((x1 - x_in) - (y1 - y_in)) > m) \
         & (np.abs((y_in - y0) - (y1 - y_in)) > m)
     err = np.max(np.abs(np.hypot(gx, gy)[keep] - 1.0))
-    return _ok(err <= 5e-2 * g.dx, f"max |grad|-1 = {err}")
+    return _ok(err <= 5e-2 * g.dx and max(abs(v) for v in vals) < 1e-12,
+               f"max |grad|-1 = {err}, values {vals}")
 
 
 @check("erode_composition_identity")
 def _c4():
     d = Disc(0.5, 0.5, 0.15)
-    e = erode(d, 0.03)
-    pts = np.random.default_rng(0).uniform(0.2, 0.8, size=(50, 2))
-    lhs = signed_distance(e, pts[:, 0], pts[:, 1])
-    rhs = signed_distance(d, pts[:, 0], pts[:, 1]) - 0.03
-    ok1 = np.max(np.abs(lhs - rhs)) < 1e-14 and abs(e.radius - 0.12) < 1e-15
-    ok2 = erode(d, 0.0).radius == d.radius
-    try:
-        erode(d, 0.15)
-        ok3 = False
-    except ErosionEmpty:
-        ok3 = True
-    return _ok(ok1 and ok2 and ok3, "shift identity, r=0, empty erosion")
+    rng = np.random.default_rng(0)
+    ok = abs(erode(d, 0.03).radius - 0.12) < 1e-15
+    for r, lo, hi, count in ((0.03, 0.2, 0.8, 50), (0.04, 0.0, 1.0, 100)):
+        pts = rng.uniform(lo, hi, size=(count, 2))
+        lhs = signed_distance(erode(d, r), pts[:, 0], pts[:, 1])
+        rhs = signed_distance(d, pts[:, 0], pts[:, 1]) - r
+        ok &= np.max(np.abs(lhs - rhs)) < 1e-14
+    ok &= erode(d, 0.0) == d
+    ok &= _raises(ErosionEmpty, erode, d, 0.15)
+    ok &= _raises(InvalidShape, Disc, 0.5, 0.5, 0.0)
+    return _ok(ok, "shift identity, r=0, empty erosion, zero radius")
 
 
 @check("extension_zero_trace")
 def _c5():
-    g = _grid(48)
-    dom = DomainSpec(1, 1, 0.1)
-    bc = resting_boundary(dom, g, 1.0)
-    u_ext, rep = build_extension(bc, dom, g)
-    return _ok(u_ext.max_speed() == 0.0 and rep.trace_error == 0.0,
-               "zero trace extends to zero")
+    ok = True
+    for n in (48, 64):
+        g = _grid(n)
+        u_ext, rep = build_extension(resting_boundary(DOM, g, 1.0), DOM, g)
+        ok &= u_ext.max_speed() == 0.0 and rep.trace_error == 0.0
+    return _ok(ok, "zero trace extends to zero")
 
 
 @check("extension_throughflow_clauses")
 def _c6():
     g = _grid(64)
-    dom = DomainSpec(1, 1, 0.1)
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
-    u_ext, rep = build_extension(bc, dom, g)
+    bc = throughflow_boundary(DOM, g, 0.2, 1.0)
+    u_ext, rep = build_extension(bc, DOM, g)
+    # the clauses recomputed from the field, not read off the report
+    div = divergence(g, u_ext.u, u_ext.v)
+    div_min = float(np.min(div[DOM.collar_mask(g, DOM.h, "centers")]))
+    far_u = ~DOM.collar_mask(g, 2 * DOM.h, "ufaces")
+    far_v = ~DOM.collar_mask(g, 2 * DOM.h, "vfaces")
     return _ok(rep.trace_error <= 1e-10
+               and np.allclose(u_ext.u[0, :], bc.ub["left"][:, 0],
+                               atol=1e-12)
+               and np.allclose(u_ext.u[-1, :], bc.ub["right"][:, 0],
+                               atol=1e-12)
                and rep.div_min_inner_collar >= -rep.div_roundoff
-               and rep.max_outside_outer_collar == 0.0,
-               f"trace {rep.trace_error:.2e}, "
-               f"div_min {rep.div_min_inner_collar:.2e}")
+               and div_min >= -1e-12
+               and rep.max_outside_outer_collar == 0.0
+               and np.all(u_ext.u[far_u] == 0.0)
+               and np.all(u_ext.v[far_v] == 0.0),
+               f"trace {rep.trace_error:.2e}, div_min {div_min:.2e}")
 
 
-@check("extension_net_outflow_clauses")
+@check("extension_unbalanced_clauses")
 def _c7():
     g = _grid(64)
-    dom = DomainSpec(1, 1, 0.1)
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
-    bc.ub["right"][:, 0] *= 1.7  # outflow exceeds inflow
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    u_ext, rep = build_extension(bc, dom, g)
-    return _ok(rep.trace_error <= 1e-10
-               and rep.div_min_inner_collar >= -rep.div_roundoff
-               and rep.max_outside_outer_collar == 0.0,
-               f"div_min {rep.div_min_inner_collar:.2e}")
-
-
-@check("extension_net_inflow_clauses")
-def _c7b():
-    g = _grid(64)
-    dom = DomainSpec(1, 1, 0.1)
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
-    bc.ub["right"][:, 0] *= 0.4  # inflow exceeds outflow
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    u_ext, rep = build_extension(bc, dom, g)
-    return _ok(rep.trace_error <= 1e-10
-               and rep.div_min_inner_collar >= -rep.div_roundoff
-               and rep.max_outside_outer_collar == 0.0,
-               f"div_min {rep.div_min_inner_collar:.2e}")
+    ok = True
+    for scale in (1.7, 0.4):  # net outflow, net inflow
+        bc = throughflow_boundary(DOM, g, 0.2, 1.0)
+        bc.ub["right"][:, 0] *= scale
+        bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
+        _, rep = build_extension(bc, DOM, g)
+        ok &= (rep.trace_error <= 1e-10
+               and rep.div_min_inner_collar >= -min(rep.div_roundoff, 1e-12)
+               and rep.max_outside_outer_collar == 0.0)
+    return _ok(ok, f"div_min {rep.div_min_inner_collar:.2e}")
 
 
 @check("cutoff_profile_shape")
 def _c8():
-    prof = wall_cutoff(DomainSpec(1, 1, 0.1))
-    d = np.linspace(0, 0.2, 401)
-    v = prof.value(d)
-    inner = np.all(v[d <= 0.05] == 0.0)
-    outer = np.all(v[d >= 0.1] == 1.0)
-    monotone = np.all(np.diff(v) >= -1e-15)
-    bounded = np.all((v >= 0) & (v <= 1))
-    return _ok(inner and outer and monotone and bounded,
-               "0 on U_h/2, 1 beyond U_h, monotone in between")
+    prof = wall_cutoff(DOM)
+    ok = True
+    for d in (np.linspace(0, 0.2, 401), np.linspace(0, 0.25, 501)):
+        v = prof.value(d)
+        ok &= (np.all(v[d <= 0.05] == 0.0) and np.all(v[d >= 0.1] == 1.0)
+               and np.all(np.diff(v) >= -1e-15)
+               and np.all((v >= 0) & (v <= 1)))
+    # C1, on the second sampling: small difference quotients at both ends
+    dv = np.diff(v) / np.diff(d)
+    ok &= abs(dv[np.searchsorted(d, 0.05)]) < 0.2 and dv[-1] == 0.0
+    return _ok(ok, "0 on U_h/2, 1 beyond U_h, monotone and C1 in between")
 
 
 # -------------------------------------------------------------------- fields
 
 @check("divergence_linear_fields")
 def _c9():
-    g = _grid(32)
-    xu, yu = g.uface_xy()
-    xv, yv = g.vface_xy()
-    d0 = divergence(g, xu, -yv)
-    d2 = divergence(g, xu, yv)
-    return _ok(np.max(np.abs(d0)) < 1e-12
-               and np.max(np.abs(d2 - 2.0)) < 1e-12,
-               "div(x,-y)=0 and div(x,y)=2 exactly")
+    ok = True
+    for n in (24, 32):
+        g = _grid(n)
+        xu, yu = g.uface_xy()
+        xv, yv = g.vface_xy()
+        ok &= (np.max(np.abs(divergence(g, xu, -yv))) < 1e-12
+               and np.max(np.abs(divergence(g, xu, yv) - 2.0)) < 1e-12)
+    return _ok(ok, "div(x,-y)=0 and div(x,y)=2 exactly")
 
 
 @check("divergence_trig_second_order")
 def _c10():
     errs = []
-    for n in (32, 64):
+    for n in (32, 64, 128):
         g = _grid(n)
         xu, _ = g.uface_xy()
         d = divergence(g, np.sin(xu), np.zeros(g.shape("vfaces")))
         xc, _ = g.cell_xy()
         errs.append(np.max(np.abs(d - np.cos(xc))))
-    rate = np.log2(errs[0] / errs[1])
-    return _ok(rate > 1.8, f"observed rate {rate:.2f}")
+    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    return _ok(np.all(rates > 1.9), f"observed rates {rates}")
 
 
 @check("div_grad_is_five_point_laplacian")
@@ -243,7 +276,7 @@ def _c12():
     for _ in range(100):
         V = rng.normal(size=2)
         w = rng.normal()
-        X = rng.uniform(0.2, 0.8, size=2)
+        X = rng.uniform(0.0, 1.0, size=2)
         vel = rigid_velocity_field(g, X, V, w)
         d11, d12, d22 = sym_gradient(g, vel.u, vel.v)
         worst = max(worst, np.max(np.abs(d11)), np.max(np.abs(d12)),
@@ -253,15 +286,19 @@ def _c12():
 
 @check("sym_gradient_affine_cases")
 def _c13():
-    g = _grid(16)
-    xu, yu = g.uface_xy()
-    xv, yv = g.vface_xy()
-    d11, d12, d22 = sym_gradient(g, xu, yv)          # u=(x,y): identity
-    e11, e12, e22 = sym_gradient(g, yu, 0.0 * xv)    # u=(y,0): shear
-    ok = (np.max(np.abs(d11 - 1)) < 1e-13 and np.max(np.abs(d22 - 1)) < 1e-13
-          and np.max(np.abs(d12)) < 1e-13
-          and np.max(np.abs(e12 - 0.5)) < 1e-13
-          and np.max(np.abs(e11)) < 1e-13 and np.max(np.abs(e22)) < 1e-13)
+    ok = True
+    for n in (16, 24):
+        g = _grid(n)
+        xu, yu = g.uface_xy()
+        xv, yv = g.vface_xy()
+        d11, d12, d22 = sym_gradient(g, xu, yv)          # u=(x,y): identity
+        e11, e12, e22 = sym_gradient(g, yu, 0.0 * xv)    # u=(y,0): shear
+        ok &= (np.max(np.abs(d11 - 1)) < 1e-13
+               and np.max(np.abs(d22 - 1)) < 1e-13
+               and np.max(np.abs(d12)) < 1e-13
+               and np.max(np.abs(e12 - 0.5)) < 1e-13
+               and np.max(np.abs(e11)) < 1e-13
+               and np.max(np.abs(e22)) < 1e-13)
     return _ok(ok, "identity and pure shear reproduced")
 
 
@@ -293,45 +330,51 @@ def _c15():
     g = _grid(64)
     k = MollifierKernel.build(0.06, g.dx, g.dy)
     xc, yc = g.cell_xy()
-    interior = (xc > 0.1) & (xc < 0.9) & (yc > 0.1) & (yc < 0.9)
-    mc = mollify(np.full((g.nx, g.ny), 3.7), k)
-    ma = mollify(1.0 + 2.0 * xc - 0.5 * yc, k)
-    ok_c = np.max(np.abs(mc[interior] - 3.7)) < 1e-12
-    ok_a = np.max(np.abs(ma[interior] - (1.0 + 2.0 * xc - 0.5 * yc)
-                         [interior])) < 1e-10
+    interior = np.minimum(np.minimum(xc, 1 - xc),
+                          np.minimum(yc, 1 - yc)) > 0.08
+    ok = True
+    for c in (2.5, 3.7):
+        mc = mollify(np.full((g.nx, g.ny), c), k)
+        ok &= np.max(np.abs(mc[interior] - c)) < 1e-12
+    aff = 1.0 + 2.0 * xc - 0.5 * yc
+    ok &= np.max(np.abs((mollify(aff, k) - aff)[interior])) < 1e-10
     rng = np.random.default_rng(3)
     f = np.abs(rng.normal(size=(g.nx, g.ny)))
-    ok_m = np.min(mollify(f, k)) >= 0.0
-    return _ok(ok_c and ok_a and ok_m,
-               "constants and affine preserved, positivity kept")
+    ok &= np.min(mollify(f, k)) >= 0.0
+    return _ok(ok, "constants and affine preserved, positivity kept")
 
 
 @check("integrate_values_and_additivity")
 def _c16():
-    g = _grid(32)
-    one = np.ones((g.nx, g.ny))
-    xc, _ = g.cell_xy()
     rng = np.random.default_rng(4)
-    f = rng.normal(size=(g.nx, g.ny))
-    m1 = xc < 0.5
-    scale = integrate(g, np.abs(f))
-    exact_split = abs(integrate(g, f, m1) + integrate(g, f, ~m1)
-                      - integrate(g, f)) <= 8 * np.finfo(float).eps * scale
-    return _ok(abs(integrate(g, one) - 1.0) < 1e-12
+    ok = True
+    for n in (24, 32):
+        g = _grid(n)
+        one = np.ones((g.nx, g.ny))
+        xc, _ = g.cell_xy()
+        f = rng.normal(size=(g.nx, g.ny))
+        ok &= (abs(integrate(g, one) - 1.0) < 1e-12
                and integrate(g, 0.0 * one) == 0.0
                and abs(integrate(g, xc) - 0.5) <= g.dx ** 2
-               and exact_split,
-               "unit area, zero, first moment, exact mask additivity")
+               and integrate(g, f) == integrate(g, f))
+        # additive over disjoint masks to reduction round-off
+        scale = integrate(g, np.abs(f))
+        for m in (xc < 0.5, rng.normal(size=(g.nx, g.ny)) > 0):
+            ok &= abs(integrate(g, f, m) + integrate(g, f, ~m)
+                      - integrate(g, f)) <= 8 * np.finfo(float).eps * scale
+    return _ok(ok, "unit area, zero, first moment, mask additivity, "
+                   "repeatable")
 
 
 # ---------------------------------------------------------------- continuity
 
 @check("negative_part_properties_1e4")
 def _c17():
+    ok = (smoothed_negative_part(-5.0, 1.0) == -5.0
+          and smoothed_negative_part(5.0, 1.0) == 0.0)
     rng = np.random.default_rng(5)
     v = rng.uniform(-3, 3, size=10000)
     N = 10.0 ** rng.uniform(-1, 3, size=10000)
-    ok = True
     for i in range(0, 10000, 500):
         vv, nn = v[i:i + 500], N[i:i + 500]
         f = np.array([smoothed_negative_part(a, b)
@@ -340,7 +383,7 @@ def _c17():
         ok &= np.all(f[vv <= -1.0 / nn] == vv[vv <= -1.0 / nn])
         ok &= np.all(f[vv >= 1.0 / nn] == 0.0)
     # monotone on the blend interval
-    for N0 in (1.0, 64.0, 256.0):
+    for N0 in (1.0, 7.0, 64.0, 256.0):
         vv = np.linspace(-1 / N0, 1 / N0, 200)
         ok &= np.all(np.diff(smoothed_negative_part(vv, N0)) >= -1e-15)
         ok &= -1 / N0 <= smoothed_negative_part(0.0, N0) <= 0.0
@@ -349,61 +392,72 @@ def _c17():
 
 @check("negative_part_sharpness_limit")
 def _c18():
-    v = np.linspace(-0.5, 0.5, 1001)
-    gaps = [np.max(np.abs(smoothed_negative_part(v, N)
-                          - np.minimum(v, 0.0))) for N in (16, 64, 256)]
-    return _ok(gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1.0 / 256,
-               f"sup gaps {gaps}")
+    ok = True
+    for v in (np.linspace(-0.5, 0.5, 1001), np.linspace(-0.4, 0.4, 801)):
+        gaps = [np.max(np.abs(smoothed_negative_part(v, N)
+                              - np.minimum(v, 0.0)))
+                for N in (16, 64, 256, 1024)]
+        ok &= all(a > b for a, b in zip(gaps[:-1], gaps[1:]))
+        ok &= gaps[-1] <= 1.0 / 1024
+    return _ok(ok, f"sup gaps {gaps}")
 
 
 @check("regularize_initial_density_band_and_bc")
 def _c19():
-    g = _grid(32)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
-    rng = np.random.default_rng(6)
-    rho0 = np.abs(rng.normal(1.0, 0.5, size=(g.nx, g.ny)))
-    rho0[4:8, 4:8] = 0.0
-    rho0[10, 10] = 1.0 / params.delta + 1.0
-    rho = regularize_initial_density(g, rho0, params, bc)
-    res = initial_bc_residual(g, rho, params, bc)
     lo, hi = params.delta, 1.0 / params.delta
-    inner_same = np.max(np.abs(
-        rho[2:-2, 2:-2] - np.clip(rho0, lo, hi)[2:-2, 2:-2])) == 0.0
-    return _ok(np.min(rho) >= lo and np.max(rho) <= hi and res < 1e-10
-               and inner_same,
+    rng = np.random.default_rng(6)
+    ok = True
+    res = 0.0
+    # grid, spread, vacuum pocket, cell above the cap
+    for n, sd, pocket, cap in ((32, 0.5, slice(4, 8), 10),
+                               (24, 0.4, slice(5, 9), 12)):
+        g = _grid(n)
+        bc = throughflow_boundary(DOM, g, 0.2, 1.0)
+        rho0 = np.abs(rng.normal(1.0, sd, size=(g.nx, g.ny)))
+        rho0[pocket, pocket] = 0.0
+        rho0[cap, cap] = hi + 2.0
+        rho = regularize_initial_density(g, rho0, params, bc)
+        res = max(res, initial_bc_residual(g, rho, params, bc))
+        ok &= (np.min(rho) >= lo and np.max(rho) <= hi
+               and np.array_equal(rho[2:-2, 2:-2],
+                                  np.clip(rho0, lo, hi)[2:-2, 2:-2]))
+    return _ok(ok and res < 1e-10,
                f"band kept, interior untouched, bc residual {res:.1e}")
 
 
 @check("continuity_neumann_conservation")
 def _c20():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
-    params = PenaltyParams()
-    bc = resting_boundary(dom, g, 1.0)
-    from .geometry import build_extension as _be
-    bc.u_ext, _ = _be(bc, dom, g)
+    bc = resting_boundary(DOM, g, 1.0)
+    bc.u_ext, _ = build_extension(bc, DOM, g)
     rng = np.random.default_rng(7)
     rho = 1.0 + 0.3 * np.abs(rng.normal(size=(g.nx, g.ny)))
     vel = VectorField.zeros(g)
     m0 = integrate(g, rho)
-    rho1, info = continuity_step(Problem(g, dom, params, bc), rho, vel, 1e-3)
+    rho1, info = continuity_step(Problem(g, DOM, PenaltyParams(), bc), rho,
+                                 vel, 1e-3)
     drift = abs(integrate(g, rho1) - m0)
     # rho != rho_B so the smoothed negative part leaks a touch of flux at
     # resting walls; the budget must still close exactly
-    return _ok(info.mass_residual < 1e-12
-               and drift <= abs(info.inflow_flux + info.outflow_flux)
-               * 1e-3 + 1e-12,
-               f"budget residual {info.mass_residual:.1e}")
+    ok = (info.mass_residual < 1e-12
+          and drift <= abs(info.inflow_flux + info.outflow_flux)
+          * 1e-3 + 1e-12)
+    # a very sharp blend makes the Robin closure vanish at u_B = 0 (its
+    # value at zero is -1/(4N)): pure-Neumann diffusion keeps the mass
+    sharp = PenaltyParams(bc_sharpness=1e12)
+    rho1, info2 = continuity_step(Problem(g, DOM, sharp, bc), rho, vel, 1e-3)
+    ok &= (abs(integrate(g, rho1) - m0) <= 1e-12 * m0
+           and info2.mass_residual <= 1e-12)
+    return _ok(ok, f"budget residual {info.mass_residual:.1e}, "
+                   f"{info2.mass_residual:.1e}")
 
 
 @check("continuity_constant_state_steady")
 def _c21():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
+    bc = throughflow_boundary(DOM, g, 0.2, 1.0)
     # uniform through-flow: the constant field is its own extension
     bc.ub = {w: bc.ub[w] * 0.0 for w in bc.ub}
     for w in bc.ub:
@@ -412,7 +466,7 @@ def _c21():
     vel = VectorField(g, np.full(g.shape("ufaces"), 0.2),
                       np.zeros(g.shape("vfaces")))
     rho = np.ones((g.nx, g.ny))
-    rho1, info = continuity_step(Problem(g, dom, params, bc), rho, vel, 5e-3)
+    rho1, info = continuity_step(Problem(g, DOM, params, bc), rho, vel, 5e-3)
     err = np.max(np.abs(rho1 - 1.0))
     return _ok(err < 1e-11 and info.mass_residual < 1e-11,
                f"constant state drift {err:.1e}")
@@ -421,38 +475,37 @@ def _c21():
 @check("continuity_positivity_random")
 def _c22():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
-    problem = Problem(g, dom, params, bc)
+    bc = throughflow_boundary(DOM, g, 0.2, 1.0)
+    problem = Problem(g, DOM, params, bc)
     rng = np.random.default_rng(8)
     ok = True
-    for _ in range(5):
-        rho = np.abs(rng.normal(1.0, 0.8, size=(g.nx, g.ny)))
-        rho[rng.integers(0, g.nx), rng.integers(0, g.ny)] = 0.0
-        u = rng.normal(0, 0.2, size=g.shape("ufaces"))
-        v = rng.normal(0, 0.2, size=g.shape("vfaces"))
-        vel = VectorField(g, u, v)
-        vmax = max(vel.max_speed(), 0.2)
-        dt = 0.4 * g.dx / vmax
-        rho1, _ = continuity_step(problem, rho, vel, dt)
-        ok &= np.min(rho1) >= 0.0
+    for sd in (0.8, 1.0):
+        for _ in range(5):
+            rho = np.abs(rng.normal(1.0, sd, size=(g.nx, g.ny)))
+            rho[rng.integers(0, g.nx), rng.integers(0, g.ny)] = 0.0
+            u = rng.normal(0, 0.2, size=g.shape("ufaces"))
+            v = rng.normal(0, 0.2, size=g.shape("vfaces"))
+            vel = VectorField(g, u, v)
+            dt = 0.4 * g.dx / max(vel.max_speed(), 0.2)
+            rho1, _ = continuity_step(problem, rho, vel, dt)
+            ok &= np.min(rho1) >= 0.0
     return _ok(ok, "nonnegativity under the advective limit")
 
 
 @check("renormalized_defect_cases")
 def _c23():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
+    bc = throughflow_boundary(DOM, g, 0.2, 1.0)
+    problem = Problem(g, DOM, params, bc)
     rng = np.random.default_rng(9)
     rho = 1.0 + 0.2 * np.abs(rng.normal(size=(g.nx, g.ny)))
     u = rng.normal(0, 0.1, size=g.shape("ufaces"))
     v = rng.normal(0, 0.1, size=g.shape("vfaces"))
     vel = VectorField(g, u, v)
     dt = 0.25 * g.dx / 0.6
-    rho1, info = continuity_step(Problem(g, dom, params, bc), rho, vel, dt)
+    rho1, info = continuity_step(problem, rho, vel, dt)
     hist_r = [rho, rho1]
     hist_u = [vel, vel]
     d_id = renormalized_residual(g, bc, params, hist_r, hist_u, dt,
@@ -461,18 +514,25 @@ def _c23():
     d_const = renormalized_residual(g, bc, params, hist_r, hist_u, dt,
                                     lambda z: 3.0 + 0.0 * z,
                                     lambda z: 0.0 * z, lambda z: 0.0 * z)
+    # b = const with an explicit unit test function, over a shorter step
+    rho2, _ = continuity_step(problem, rho, vel, 1e-3)
+    d_psi = renormalized_residual(g, bc, params, [rho, rho2], hist_u, 1e-3,
+                                  lambda z: 3.0 + 0.0 * z,
+                                  lambda z: 0.0 * z, lambda z: 0.0 * z,
+                                  np.ones((g.nx, g.ny)))
     # constant state, u = 0, b = z^2
     rho_c = np.ones((g.nx, g.ny))
-    bc0 = resting_boundary(dom, g, 1.0)
+    bc0 = resting_boundary(DOM, g, 1.0)
     d_sq = renormalized_residual(g, bc0, params, [rho_c, rho_c],
                                  [VectorField.zeros(g)] * 2, dt,
                                  lambda z: z ** 2, lambda z: 2 * z,
                                  lambda z: 2.0 + 0.0 * z)
     mass_defect = info.mass_residual * integrate(g, rho)
     ok = (abs(d_id) <= mass_defect + 1e-10
-          and abs(d_const) < 1e-12 and abs(d_sq) < 1e-12)
+          and abs(d_const) < 1e-12 and abs(d_psi) < 1e-12
+          and abs(d_sq) < 1e-12)
     return _ok(ok, f"b=id {d_id:.1e}, b=const {d_const:.1e}, "
-                   f"b=z^2 const state {d_sq:.1e}")
+                   f"{d_psi:.1e}, b=z^2 const state {d_sq:.1e}")
 
 
 # ------------------------------------------------------------------ momentum
@@ -482,34 +542,40 @@ def _c24():
     z = np.linspace(-2, 2, 801)
     v = penalty_ramp(z)
     ok = (np.all(v[z <= 0] == 0.0) and np.all(v[z > 0] > 0.0)
-          and abs(penalty_ramp(2.0) - 4.0) < 1e-15
-          and penalty_ramp(0.0) == 0.0
+          and penalty_ramp(2.0) == 4.0
+          and penalty_ramp(0.0) == 0.0 and penalty_ramp(-1.0) == 0.0
           and np.all(np.diff(v) >= 0.0))
     return _ok(ok, "zero on z<=0, positive, convex growth")
 
 
 @check("viscosity_fields_invariants")
 def _c25():
-    g = _grid(48)
-    dom = DomainSpec(1, 1, 0.1)
-    params = PenaltyParams(n_solid=1e3)
-    model = ViscosityModel.from_params(params, dom)
-    body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    chi = body_signed_distance(body, g)
-    xc, yc = g.cell_xy()
-    wd = dom.boundary_distance(xc, yc)
-    mu_n, lam_n = viscosity_fields(chi, model, wd)
-    inner = wd <= dom.h / 2
-    ok = (np.all(mu_n >= params.mu)
-          and np.all(mu_n + lam_n >= 0.0)
-          and np.all(mu_n[inner] == params.mu)
-          and np.max(mu_n) > params.mu)
-    # pointwise formula check at the body center
-    i, j = g.nx // 2, g.ny // 2
-    expect = params.mu + 1e3 * (chi[i, j] + params.r_moll) ** 2 \
-        * model.cutoff.value(wd[i, j])
-    ok &= abs(mu_n[i, j] - expect) < 1e-12
-    return _ok(ok, "floor, sum bound, wall collar clean, formula")
+    ok = True
+    for n, params in ((48, PenaltyParams(n_solid=1e3, r_moll=0.03)),
+                      (64, PenaltyParams())):
+        g = _grid(n)
+        xc, yc = g.cell_xy()
+        wd = DOM.boundary_distance(xc, yc)
+        model = ViscosityModel.from_params(params, DOM)
+        chi = body_signed_distance(
+            make_disc_body((0.5, 0.5), 0.15, params.r_moll, 2.0), g)
+        mu_n, lam_n = viscosity_fields(chi, model, wd)
+        # outside the offset neighborhood of the core the ramp vanishes
+        outside = chi + params.r_moll <= 0
+        ok &= (np.all(mu_n >= params.mu)
+               and np.all(mu_n + lam_n >= 0.0)
+               and np.all(mu_n[outside] == params.mu)
+               and np.max(mu_n) > params.mu)
+        # pointwise formula at the body center
+        i, j = g.nx // 2, g.ny // 2
+        expect = params.mu + params.n_solid \
+            * (chi[i, j] + params.r_moll) ** 2 * model.cutoff.value(wd[i, j])
+        ok &= abs(mu_n[i, j] - expect) <= 1e-14 * expect
+        # the wall collar is penalty-free whatever chi says
+        mu_w, _ = viscosity_fields(np.full_like(chi, 0.1), model, wd)
+        ok &= np.all(mu_w[wd <= DOM.h / 2] == params.mu)
+    return _ok(ok, "floor, sum bound, zero ramp outside, formula, wall "
+                   "collar clean")
 
 
 @check("pressure_laws_and_convexity_1e4")
@@ -518,6 +584,8 @@ def _c26():
     ok = abs(pressure(np.array(2.0), p0) - 4.0) < 1e-10
     ok &= abs(pressure_potential(np.array(2.0), p0) - 4.0) < 1e-10
     ok &= pressure(np.array(0.0), p0) == 0.0
+    ok &= pressure_potential(np.array(0.0), p0) == 0.0
+    ok &= _raises(NegativeDensity, pressure, np.array(-0.5), p0)
     params = PenaltyParams()
     rng = np.random.default_rng(10)
     rho = rng.uniform(0.0, 3.0, size=10000)
@@ -531,71 +599,71 @@ def _c26():
 
 @check("stress_formula_cases")
 def _c27():
-    g = _grid(16)
-    xu, yu = g.uface_xy()
-    xv, yv = g.vface_xy()
+    # the dilation response 2 mu + 2 lam trips when the bulk term's sign
+    # is tampered with (fault injection)
     mu, lam = 0.3, 0.2
-    d = sym_gradient(g, xu, yv)
-    s11, s12, s22 = stress(*d, mu, lam)
-    ok = (np.max(np.abs(s11 - (2 * mu + 2 * lam))) < 1e-12
-          and np.max(np.abs(s22 - (2 * mu + 2 * lam))) < 1e-12
-          and np.max(np.abs(s12)) < 1e-12)
-    d2 = sym_gradient(g, yu, 0.0 * xv)
-    t11, t12, t22 = stress(*d2, mu, lam)
-    ok &= (np.max(np.abs(t12 - mu)) < 1e-12
-           and np.max(np.abs(t11)) < 1e-12 and np.max(np.abs(t22)) < 1e-12)
-    rig = rigid_velocity_field(g, np.array([0.5, 0.5]), np.array([1.0, -2.0]),
-                               3.0)
-    d3 = sym_gradient(g, rig.u, rig.v)
-    r11, r12, r22 = stress(*d3, mu, lam)
-    ok &= max(np.max(np.abs(r11)), np.max(np.abs(r12)),
-              np.max(np.abs(r22))) < 1e-11
-    return _ok(ok, "dilation, shear, rigid kernel")
+    ok = True
+    for n, X in ((16, (0.5, 0.5)), (24, (0.4, 0.6))):
+        g = _grid(n)
+        xu, yu = g.uface_xy()
+        xv, yv = g.vface_xy()
+        s11, s12, s22 = stress(*sym_gradient(g, xu, yv), mu, lam)
+        ok &= (np.max(np.abs(s11 - (2 * mu + 2 * lam))) < 1e-12
+               and np.max(np.abs(s22 - (2 * mu + 2 * lam))) < 1e-12
+               and np.max(np.abs(s12)) < 1e-12)
+        t11, t12, t22 = stress(*sym_gradient(g, yu, 0.0 * xv), mu, lam)
+        ok &= (np.max(np.abs(t12 - mu)) < 1e-12
+               and np.max(np.abs(t11)) < 1e-12
+               and np.max(np.abs(t22)) < 1e-12)
+        rig = rigid_velocity_field(g, np.array(X), np.array([1.0, -2.0]),
+                                   3.0)
+        r = stress(*sym_gradient(g, rig.u, rig.v), mu, lam)
+        ok &= max(np.max(np.abs(c)) for c in r) < 1e-11
+    return _ok(ok, "isotropic dilation incl. bulk sign, shear, rigid kernel")
 
 
 @check("viscous_quadform_psd_100")
 def _c28():
-    g = _grid(16)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams(n_solid=1e4, lam=-0.05)
     body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    chi = body_signed_distance(body, g)
-    bc = resting_boundary(dom, g, 1.0)
-    state = ViscousState(Problem(g, dom, params, bc), chi)
     rng = np.random.default_rng(11)
     worst = np.inf
-    for _ in range(100):
-        vel = VectorField(g, rng.normal(size=g.shape("ufaces")),
-                          rng.normal(size=g.shape("vfaces")))
-        worst = min(worst, viscous_quadratic_form(state, vel))
+    for n in (16, 24):
+        g = _grid(n)
+        state = ViscousState(Problem(g, DOM, params,
+                                     resting_boundary(DOM, g, 1.0)),
+                             body_signed_distance(body, g))
+        for _ in range(100):
+            vel = VectorField(g, rng.normal(size=g.shape("ufaces")),
+                              rng.normal(size=g.shape("vfaces")))
+            worst = min(worst, viscous_quadratic_form(state, vel))
     return _ok(worst >= -1e-10, f"min quadratic form {worst:.2e}")
 
 
 @check("rigid_steady_state_of_viscous_operator")
 def _c29():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams(n_solid=1e4)
     body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
     chi = body_signed_distance(body, g)
     X, V, w = np.array([0.45, 0.55]), np.array([0.1, -0.2]), 0.7
     rig = rigid_velocity_field(g, X, V, w)
-    bc = _rigid_trace_boundary(g, dom, X, V, w)
-    quad = viscous_quadratic_form(ViscousState(Problem(g, dom, params, bc),
+    bc = _rigid_trace_boundary(g, X, V, w)
+    quad = viscous_quadratic_form(ViscousState(Problem(g, DOM, params, bc),
                                                chi), rig)
     return _ok(abs(quad) <= 1e-20,
                f"viscous energy of a rigid field: {quad:.2e}")
 
 
-def _rigid_trace_boundary(g, dom, X, V, w):
-    bc = resting_boundary(dom, g, 1.0)
+def _rigid_trace_boundary(g, X, V, w):
+    bc = resting_boundary(DOM, g, 1.0)
     bc.ub["left"][:, 0] = V[0] - w * (g.yc() - X[1])
     bc.ub["left"][:, 1] = V[1] + w * (0.0 - X[0])
     bc.ub["right"][:, 0] = V[0] - w * (g.yc() - X[1])
-    bc.ub["right"][:, 1] = V[1] + w * (dom.Lx - X[0])
+    bc.ub["right"][:, 1] = V[1] + w * (DOM.Lx - X[0])
     bc.ub["bottom"][:, 0] = V[0] - w * (0.0 - X[1])
     bc.ub["bottom"][:, 1] = V[1] + w * (g.xc() - X[0])
-    bc.ub["top"][:, 0] = V[0] - w * (dom.Ly - X[1])
+    bc.ub["top"][:, 0] = V[0] - w * (DOM.Ly - X[1])
     bc.ub["top"][:, 1] = V[1] + w * (g.xc() - X[0])
     bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
     bc.u_ext = VectorField.zeros(g)
@@ -605,59 +673,60 @@ def _rigid_trace_boundary(g, dom, X, V, w):
 @check("momentum_static_equilibrium_exact")
 def _c30():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
-    bc = resting_boundary(dom, g, 1.0)
+    bc = resting_boundary(DOM, g, 1.0)
     bc.u_ext = VectorField.zeros(g)
     rho = np.ones((g.nx, g.ny))
     body = make_disc_body((0.5, 0.5), 0.2, 0.03, 2.0)
     chi = body_signed_distance(body, g)
     vel = VectorField.zeros(g)
-    state = ViscousState(Problem(g, dom, params, bc), chi)
-    vel1, _ = momentum_step(state, rho, rho, vel, 2e-3)
+    state = ViscousState(Problem(g, DOM, params, bc), chi)
+    vel1, info = momentum_step(state, rho, rho, vel, 2e-3)
     m = vel1.max_speed()
-    return _ok(m <= 1e-12, f"max |u'| = {m:.1e}")
+    return _ok(m <= 1e-12 and info.pinned_vacuum_faces == 0,
+               f"max |u'| = {m:.1e}")
 
 
 @check("momentum_uniform_translation_steady")
 def _c31():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams(n_solid=0.0)
-    bc = resting_boundary(dom, g, 1.0)
-    for w in bc.ub:
-        bc.ub[w][:, 0] = 0.3
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    bc.u_ext = VectorField(g, np.full(g.shape("ufaces"), 0.3),
-                           np.zeros(g.shape("vfaces")))
     rho = np.ones((g.nx, g.ny))
     chi = np.full((g.nx, g.ny), -1.0)
     vel = VectorField(g, np.full(g.shape("ufaces"), 0.3),
                       np.zeros(g.shape("vfaces")))
-    state = ViscousState(Problem(g, dom, params, bc), chi)
-    vel1, _ = momentum_step(state, rho, rho, vel, 5e-3)
-    err = max(np.max(np.abs(vel1.u - 0.3)), np.max(np.abs(vel1.v)))
+    err = 0.0
+    # with the uniform field as the extension, and with the resting one
+    for u_ext in (vel, None):
+        bc = resting_boundary(DOM, g, 1.0)
+        for w in bc.ub:
+            bc.ub[w][:, 0] = 0.3
+        bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
+        if u_ext is not None:
+            bc.u_ext = u_ext
+        state = ViscousState(Problem(g, DOM, params, bc), chi)
+        vel1, _ = momentum_step(state, rho, rho, vel, 5e-3)
+        err = max(err, np.max(np.abs(vel1.u - 0.3)), np.max(np.abs(vel1.v)))
     return _ok(err < 1e-10, f"translation drift {err:.1e}")
 
 
 @check("momentum_stiffness_10x_still_converges")
 def _c32():
-    g = _grid(32)
-    dom = DomainSpec(1, 1, 0.1)
-    bc = throughflow_boundary(dom, g, 0.2, 1.0)
-    bc.u_ext, _ = build_extension(bc, dom, g)
-    body = make_disc_body((0.5, 0.5), 0.15, 0.04, 2.0)
-    chi = body_signed_distance(body, g)
-    rho = np.ones((g.nx, g.ny))
-    vel = bc.u_ext.copy()
     iters = []
-    for n in (1e3, 1e4):
-        params = PenaltyParams(n_solid=n, r_moll=0.04)
-        state = ViscousState(Problem(g, dom, params, bc), chi)
-        v1, info = momentum_step(state, rho, rho, vel, 2e-3)
-        iters.append(info.iterations)
-        if info.solve_residual > 1e-8:
-            return _ok(False, f"residual {info.solve_residual}")
+    for n_grid, r in ((32, 0.04), (24, 0.09)):
+        g = _grid(n_grid)
+        bc = throughflow_boundary(DOM, g, 0.2, 1.0)
+        bc.u_ext, _ = build_extension(bc, DOM, g)
+        chi = body_signed_distance(make_disc_body((0.5, 0.5), 0.15, r, 2.0),
+                                   g)
+        rho = np.ones((g.nx, g.ny))
+        for n in (1e3, 1e4):
+            params = PenaltyParams(n_solid=n, r_moll=r)
+            state = ViscousState(Problem(g, DOM, params, bc), chi)
+            _, info = momentum_step(state, rho, rho, bc.u_ext.copy(), 2e-3)
+            iters.append(info.iterations)
+            if info.solve_residual > 1e-8:
+                return _ok(False, f"residual {info.solve_residual}")
     return _ok(True, f"iteration counts {iters}")
 
 
@@ -670,11 +739,9 @@ def _c33():
     ok = (abs(b1.mass - np.pi) < 1e-14
           and abs(b2.mass - 2 * np.pi) < 1e-14
           and abs(b2.moment - np.pi) < 1e-14)
-    try:
-        body_mass_inertia(1.0, 0.0)
-        ok = False
-    except PenaltyflowError:
-        pass
+    ok &= _raises(InvalidShape, body_mass_inertia, 1.0, 0.0)
+    # an erosion that empties the core
+    ok &= _raises(InvalidShape, make_disc_body, (0.5, 0.5), 0.1, 0.1, 1.0)
     return _ok(ok, "disc area and moment, degenerate rejected")
 
 
@@ -682,41 +749,44 @@ def _c33():
 def _c34():
     body = make_disc_body((0.0, 0.0), 0.15, 0.03, 1.0)
     ref = body.ref_markers
+    count = ref.shape[0]
     X0, th0, d0 = project_rigid(ref, ref)
     th = np.deg2rad(30.0)
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    moved = np.array([1.0, 2.0]) + ref @ R.T
+    moved = np.array([1.0, 2.0]) + ref @ _rotation(th).T
     X1, th1, d1 = project_rigid(ref, moved)
+    ok = (d0 < 1e-14 and np.allclose(X0, 0, atol=1e-14) and abs(th0) < 1e-14
+          and abs(th1 - th) < 1e-12 and np.allclose(X1, [1, 2], atol=1e-12)
+          and d1 < 1e-12)
     rng = np.random.default_rng(12)
     sig = 1e-3
-    noisy = moved + rng.normal(0, sig, size=moved.shape)
-    X2, th2, d2 = project_rigid(ref, noisy)
-    count = ref.shape[0]
-    ok = (d0 < 1e-14 and np.allclose(X0, 0) and abs(th0) < 1e-14
-          and abs(th1 - th) < 1e-12 and np.allclose(X1, [1, 2], atol=1e-12)
-          and d1 < 1e-12
-          and 0 < d2 < 3 * sig * np.sqrt(2 * count))
-    # brute-force oracle over a rotation grid
-    best = np.inf
-    for a in np.linspace(th2 - 0.01, th2 + 0.01, 101):
-        Ra = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-        Xa = noisy.mean(axis=0) - Ra @ ref.mean(axis=0)
-        best = min(best, np.sqrt(np.sum((noisy - Xa - ref @ Ra.T) ** 2)))
-    ok &= d2 <= best + 1e-12
-    return _ok(ok, f"defects {d0:.1e}, {d1:.1e}, noisy {d2:.2e}")
+    defects = []
+    # noisy markers: a defect of the noise's size, and no rotation on a
+    # brute-force grid fits better
+    for X, a0, bound in (((1.0, 2.0), th, 3 * sig * np.sqrt(2 * count)),
+                         ((0.3, -0.2), 0.4, 3 * sig * np.sqrt(count))):
+        noisy = np.array(X) + ref @ _rotation(a0).T \
+            + rng.normal(0, sig, size=ref.shape)
+        _, th2, d2 = project_rigid(ref, noisy)
+        best = np.inf
+        for a in np.linspace(th2 - 0.02, th2 + 0.02, 201):
+            Ra = _rotation(a)
+            Xa = noisy.mean(axis=0) - Ra @ ref.mean(axis=0)
+            best = min(best, np.sqrt(np.sum((noisy - Xa - ref @ Ra.T) ** 2)))
+        ok &= 0 < d2 < bound and d2 <= best + 1e-12
+        defects.append(d2)
+    return _ok(ok, f"defects {d0:.1e}, {d1:.1e}, noisy {defects}")
 
 
 @check("body_translation_exact")
 def _c35():
     g = _grid(64)
-    dom = DomainSpec(1, 1, 0.1)
     k = MollifierKernel.build(0.05, g.dx, g.dy)
     body = make_disc_body((0.5, 0.5), 0.15, 0.05, 2.0)
     c = np.array([0.21, -0.13])
     vel = VectorField(g, np.full(g.shape("ufaces"), c[0]),
                       np.full(g.shape("vfaces"), c[1]))
     dt = 0.01
-    b1, info = body_step(g, dom, body, vel, k, dt)
+    b1, info = body_step(g, DOM, body, vel, k, dt)
     ok = (np.max(np.abs(b1.X - (body.X + dt * c))) < 1e-12
           and abs(b1.theta) < 1e-12 and info.rigidity_defect < 1e-12)
     return _ok(ok, "translation advances the center exactly")
@@ -724,19 +794,22 @@ def _c35():
 
 @check("body_rotation_second_order")
 def _c36():
-    g = _grid(96)
-    dom = DomainSpec(1, 1, 0.1)
-    k = MollifierKernel.build(0.03, g.dx, g.dy)
     w0 = 1.5
-    body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
     drift = []
-    for dt in (0.02, 0.01):
-        rig = rigid_velocity_field(g, np.array([0.5, 0.5]),
-                                   np.array([0.0, 0.0]), w0)
-        b1, _ = body_step(g, dom, body, rig, k, dt)
-        drift.append(abs(b1.theta - _midpoint_angle(w0, dt)))
-    return _ok(drift[0] < 1e-10 and drift[1] < 1e-10,
-               f"angle matches the explicit midpoint map: {drift}")
+    ok = True
+    for n, r in ((96, 0.03), (64, 0.05)):  # grid, mollifier radius
+        g = _grid(n)
+        k = MollifierKernel.build(r, g.dx, g.dy)
+        body = make_disc_body((0.5, 0.5), 0.15, r, 2.0)
+        for dt in (0.02, 0.01):
+            rig = rigid_velocity_field(g, np.array([0.5, 0.5]),
+                                       np.array([0.0, 0.0]), w0)
+            b1, _ = body_step(g, DOM, body, rig, k, dt)
+            drift.append(abs(b1.theta - _midpoint_angle(w0, dt)))
+            # the map is second-order accurate in the step size
+            ok &= (drift[-1] <= 1e-12
+                   and abs(b1.theta - dt * w0) <= (dt * w0) ** 3)
+    return _ok(ok, f"angle matches the explicit midpoint map: {drift}")
 
 
 def _midpoint_angle(w0, dt):
@@ -744,21 +817,22 @@ def _midpoint_angle(w0, dt):
     return float(np.arctan2(dt * w0, 1.0 - 0.5 * (dt * w0) ** 2))
 
 
-@check("body_isometry_drift_march")
-def _c37(fast_steps=100):
+@check("body_isometry_drift_march", fast=False)
+def _c37():
     g = _grid(64)
-    dom = DomainSpec(1, 1, 0.1)
-    k = MollifierKernel.build(0.04, g.dx, g.dy)
-    body = make_disc_body((0.5, 0.5), 0.12, 0.04, 2.0)
-    ref = body.markers()
-    refd = _pairdist(ref)
-    rig = rigid_velocity_field(g, np.array([0.5, 0.5]),
-                               np.array([0.02, -0.01]), 0.8)
     worst = 0.0
-    for _ in range(fast_steps):
-        body, _ = body_step(g, dom, body, rig, k, 2e-3)
-        rig = rigid_velocity_field(g, body.X, np.array([0.02, -0.01]), 0.8)
-        worst = max(worst, np.max(np.abs(_pairdist(body.markers()) - refd)))
+    # mollifier radius, body radius, V, w, dt, steps
+    for r, radius, V, w, dt, steps in (
+            (0.04, 0.12, (0.02, -0.01), 0.8, 2e-3, 100),
+            (0.05, 0.12, (0.015, -0.008), 0.9, 1e-3, 1000)):
+        k = MollifierKernel.build(r, g.dx, g.dy)
+        body = make_disc_body((0.5, 0.5), radius, r, 2.0)
+        refd = _pairdist(body.markers())
+        for _ in range(steps):
+            rig = rigid_velocity_field(g, body.X, np.array(V), w)
+            body, _ = body_step(g, DOM, body, rig, k, dt)
+            worst = max(worst, np.max(np.abs(_pairdist(body.markers())
+                                             - refd)))
     return _ok(worst <= 1e-12, f"pairwise distance drift {worst:.1e}")
 
 
@@ -769,30 +843,32 @@ def _pairdist(pts):
 
 @check("chi_sign_and_equivariance")
 def _c38():
-    g = _grid(48)
     body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    chi = body_signed_distance(body, g)
-    i, j = g.nx // 2, g.ny // 2
-    ok = chi[i, j] > 0 and chi[0, 0] < 0
-    ok &= abs(float(signed_distance(body.core(), 0.5, 0.5)) - 0.12) < 1e-14
-    ok &= abs(float(signed_distance(body.core(), 0.5 + 0.12, 0.5))) < 1e-14
-    # polygon path against the analytic disc
-    chi_poly = body_signed_distance(body, g, use_markers=True)
-    interiorish = np.abs(chi) > 2 * g.dx
-    gap = np.max(np.abs((chi - chi_poly)[interiorish]))
-    ok &= gap < 5e-4  # 64-gon versus circle
-    return _ok(ok, f"signs, analytic values, polygon gap {gap:.1e}")
+    ok = abs(float(signed_distance(body.core(), 0.5, 0.5)) - 0.12) <= 1e-15
+    ok &= abs(float(signed_distance(body.core(), 0.5 + 0.12, 0.5))) <= 1e-15
+    gaps = []
+    for n in (48, 64):
+        g = _grid(n)
+        chi = body_signed_distance(body, g)
+        i, j = g.nx // 2, g.ny // 2
+        ok &= chi[i, j] > 0 and chi[0, 0] < 0
+        ok &= abs(chi[i, j] - 0.12) <= g.dx
+        # polygon path against the analytic disc
+        chi_poly = body_signed_distance(body, g, use_markers=True)
+        interiorish = np.abs(chi) > 2 * g.dx
+        gaps.append(np.max(np.abs((chi - chi_poly)[interiorish])))
+    ok &= max(gaps) < 5e-4  # 64-gon versus circle
+    return _ok(ok, f"signs, analytic values, polygon gaps {gaps}")
 
 
 @check("collision_guard_arithmetic")
 def _c39():
-    dom = DomainSpec(1, 1, 0.1)
     b0 = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    g0 = collision_guard(b0, dom, 0.1, 0.03)
+    g0 = collision_guard(b0, DOM, 0.1, 0.03)
     b1 = make_disc_body((0.25, 0.5), 0.15, 0.03, 2.0)
-    g1 = collision_guard(b1, dom, 0.1, 0.03)
+    g1 = collision_guard(b1, DOM, 0.1, 0.03)
     b2 = make_disc_body((0.2, 0.5), 0.15, 0.03, 2.0)
-    g2 = collision_guard(b2, dom, 0.1, 0.03)
+    g2 = collision_guard(b2, DOM, 0.1, 0.03)
     ok = (g0.ok and abs(g0.margin - 0.25) < 1e-14
           and g1.ok and abs(g1.margin) < 1e-14
           and (not g2.ok) and g2.margin < 0)
@@ -803,12 +879,10 @@ def _c39():
 def _c40():
     ok = abs(t0_lower_bound(1.1, 0.1, 1.0, 10.0) - 1.0) < 1e-14
     ok &= t0_lower_bound(1.1, 0.1, 1e12, 10.0) < 1e-12
+    ok &= abs(t0_lower_bound(1.1, 0.1, 1e9, 10.0)) <= 1e-15
     ok &= t0_lower_bound(1.1, 0.1, 0.1, 0.5) == 0.5
-    try:
-        t0_lower_bound(0.05, 0.1, 1.0, 1.0)
-        ok = False
-    except PenaltyflowError:
-        pass
+    ok &= t0_lower_bound(1.1, 0.1, 0.2, 0.5) == 0.5
+    ok &= _raises(InvalidMargin, t0_lower_bound, 0.05, 0.1, 1.0, 1.0)
     return _ok(ok, "formula, clamp, horizon cap, invalid margin")
 
 
@@ -817,31 +891,36 @@ def _c40():
 @check("energy_total_cases")
 def _c41():
     g = _grid(24)
-    params = PenaltyParams(a=1.0, gamma=2.0, delta=1e-9)
     zero = VectorField.zeros(g)
-    ok = energy_total(g, np.zeros((g.nx, g.ny)), zero, zero, params) == 0.0
-    e = energy_total(g, np.ones((g.nx, g.ny)), zero, zero, params)
-    ok &= abs(e - 1.0) < 1e-6  # P(1) = 1 at gamma=2, delta ~ 0
+    ok = True
+    # P(1) = 1 at gamma = 2 up to the delta term
+    for delta, tol in ((1e-9, 1e-6), (1e-15, 1e-12)):
+        params = PenaltyParams(a=1.0, gamma=2.0, delta=delta)
+        ok &= energy_total(g, np.zeros((g.nx, g.ny)), zero, zero,
+                           params) == 0.0
+        e = energy_total(g, np.ones((g.nx, g.ny)), zero, zero, params)
+        ok &= abs(e - 1.0) <= tol
     rng = np.random.default_rng(13)
-    for _ in range(5):
-        rho = np.abs(rng.normal(size=(g.nx, g.ny)))
-        vel = VectorField(g, rng.normal(size=g.shape("ufaces")),
-                          rng.normal(size=g.shape("vfaces")))
-        ok &= energy_total(g, rho, vel, zero, params) >= 0.0
+    for params, draws in ((PenaltyParams(a=1.0, gamma=2.0, delta=1e-9), 5),
+                          (PenaltyParams(), 10)):
+        for _ in range(draws):
+            rho = np.abs(rng.normal(size=(g.nx, g.ny)))
+            vel = VectorField(g, rng.normal(size=g.shape("ufaces")),
+                              rng.normal(size=g.shape("vfaces")))
+            ok &= energy_total(g, rho, vel, zero, params) >= 0.0
     return _ok(ok, "zero state, unit state, nonnegativity")
 
 
 @check("ledger_static_equilibrium_zero")
 def _c42():
     g = _grid(24)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
-    bc = resting_boundary(dom, g, 1.0)
+    bc = resting_boundary(DOM, g, 1.0)
     bc.u_ext = VectorField.zeros(g)
     rho = np.ones((g.nx, g.ny))
     zero = VectorField.zeros(g)
     chi = np.full((g.nx, g.ny), -1.0)
-    state = ViscousState(Problem(g, dom, params, bc), chi)
+    state = ViscousState(Problem(g, DOM, params, bc), chi)
     row = ledger_step(state, rho, zero, rho, zero, 1e-3, 1e-3)
     vals = [row.dissipation, row.eps_term, row.outflow_term,
             row.conv_coupling, row.pressure_dilation, row.inflow_term,
@@ -868,10 +947,9 @@ def _c43():
 @check("static_closed_curve_force_zero")
 def _c44():
     g = _grid(64)
-    dom = DomainSpec(1, 1, 0.1)
     params = PenaltyParams()
     body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    F, tq = surface_force_torque(g, dom, np.ones((g.nx, g.ny)),
+    F, tq = surface_force_torque(g, DOM, np.ones((g.nx, g.ny)),
                                  VectorField.zeros(g), body, params)
     return _ok(np.max(np.abs(F)) < 1e-12 and abs(tq) < 1e-12,
                f"|F| = {np.max(np.abs(F)):.1e}, torque {tq:.1e}")
@@ -879,33 +957,21 @@ def _c44():
 
 @check("interior_pressure_norm_formula")
 def _c45():
-    g = _grid(32)
     params = PenaltyParams()
-    mask = np.zeros((g.nx, g.ny), dtype=bool)
-    mask[:, :g.ny // 2] = True  # half the unit square
-    ng, nb = interior_pressure_norm(g, np.ones((g.nx, g.ny)), mask, params)
     eg = 0.5 ** (1.0 / (params.gamma + 1.0))
     eb = 0.5 ** (1.0 / (params.beta + 1.0))
-    ok = abs(ng - eg) < 1e-12 and abs(nb - eb) < 1e-12
-    z, zb = interior_pressure_norm(g, np.zeros((g.nx, g.ny)), mask, params)
-    return _ok(ok and z == 0.0 and zb == 0.0, "half-domain unit norms")
-
-
-@check("stress_symmetry_and_isotropy")
-def _c46():
-    # trips when the bulk term's sign is tampered with (fault injection)
-    g = _grid(16)
-    xu, yu = g.uface_xy()
-    xv, yv = g.vface_xy()
-    mu, lam = 0.3, 0.2
-    d = sym_gradient(g, xu, yv)  # D = I, div = 2
-    s11, s12, s22 = stress(*d, mu, lam)
-    expect = 2 * mu + lam * 2.0
-    ok = (np.max(np.abs(s11 - expect)) < 1e-12
-          and np.max(np.abs(s22 - expect)) < 1e-12
-          and np.max(np.abs(s11 - s22)) < 1e-12
-          and np.max(np.abs(s12)) < 1e-12)
-    return _ok(ok, "isotropic dilation response incl. bulk sign")
+    ok = True
+    for n in (24, 32):
+        g = _grid(n)
+        mask = np.zeros((g.nx, g.ny), dtype=bool)
+        mask[:, :g.ny // 2] = True  # half the unit square
+        ng, nb = interior_pressure_norm(g, np.ones((g.nx, g.ny)), mask,
+                                        params)
+        z, zb = interior_pressure_norm(g, np.zeros((g.nx, g.ny)), mask,
+                                       params)
+        ok &= (abs(ng - eg) < 1e-12 and abs(nb - eb) < 1e-12
+               and z == 0.0 and zb == 0.0)
+    return _ok(ok, "half-domain unit norms")
 
 
 @check("rigidity_measure_cases")
@@ -913,18 +979,56 @@ def _c47():
     g = _grid(48)
     body = make_disc_body((0.5, 0.5), 0.2, 0.03, 2.0)
     chi = body_signed_distance(body, g)
-    rig = rigid_velocity_field(g, body.X, np.array([0.3, -0.1]), 2.0)
-    r0 = rigidity_measure(g, rig, chi)
+    r0 = max(rigidity_measure(g, rigid_velocity_field(g, body.X,
+                                                      np.array(V), w), chi)
+             for V, w in (((0.3, -0.1), 2.0), ((0.4, -0.2), 1.5)))
     xu, yu = g.uface_xy()
     shear = VectorField(g, yu, np.zeros(g.shape("vfaces")))
     r1 = rigidity_measure(g, shear, chi)
-    mask = chi >= 2 * g.dx
-    area = float(np.sum(mask)) * g.cell_volume
-    return _ok(r0 <= 1e-12 and abs(r1 - 0.5 * area) < 1e-12,
+    area = float(np.sum(chi >= 2 * g.dx)) * g.cell_volume
+    return _ok(r0 <= 1e-12 and abs(r1 - 0.5 * area) <= 1e-12 * 0.5 * area,
                f"rigid -> {r0:.1e}, shear -> half the compact area")
 
 
-# ------------------------------------------------------------ slow checks
+# ------------------------------------------------------------- whole runs
+
+@check("zero_data_run_is_inert")
+def _c50():
+    from .driver import run
+    details = []
+    ok = True
+    for kw in (dict(t_end=0.02, dt=2e-3), dict(speed=0.0, t_end=0.01,
+                                               dt=1e-3)):
+        cfg = default_config(profile="zero", u0="zero", n=0.0, nx=32, ny=32,
+                             r=0.07, radius=0.18, **kw)
+        rep = run(cfg, outdir=False, keep_fields=True)
+        umax = rep.final_vel.max_speed()
+        e0 = rep.aggregates["E_first"]
+        drift = rep.aggregates["E_final"] - e0
+        ok &= umax == 0.0 and drift == 0.0 and not rep.stopped_early
+        details.append(f"max|u| {umax:.1e}, E drift {drift:.1e}")
+    return _ok(ok, "; ".join(details))
+
+
+@check("throughflow_mirror_symmetry")
+def _c51():
+    # a centred body in balanced left-to-right through-flow is its own
+    # mirror image in y = Ly/2: rho, u and -v mirror, lift and torque vanish
+    from .driver import run
+    rep = run(default_config(nx=48, ny=48, r=0.05, t_end=0.05),
+              outdir=False, keep_fields=True)
+    rho, u, v = rep.final_rho, rep.final_vel.u, rep.final_vel.v
+    speed = max(np.max(np.abs(u)), np.max(np.abs(v)))
+    errs = [np.max(np.abs(rho - rho[:, ::-1])) / np.max(rho),
+            np.max(np.abs(u - u[:, ::-1])) / speed,
+            np.max(np.abs(v + v[:, ::-1])) / speed]
+    fx = max(abs(row.Fx) for row in rep.rows)
+    errs += [max(abs(row.Fy) for row in rep.rows) / fx,
+             max(abs(row.torque) for row in rep.rows) / fx]
+    return _ok(max(errs) <= 1e-10,
+               "rho, u, -v mirror; |Fy|, |torque| relative to |Fx|: "
+               + ", ".join(f"{e:.1e}" for e in errs))
+
 
 @check("mms_continuity_order", fast=False)
 def _c48():
@@ -938,20 +1042,6 @@ def _c49():
     from .mms import momentum_convergence
     res = momentum_convergence(nx_list=(16, 32, 64), t_end=0.025)
     return _ok(res["order"] >= 0.9, f"observed order {res['order']:.2f}")
-
-
-@check("zero_data_run_is_inert", fast=False)
-def _c50():
-    from .driver import run
-    cfg = default_config(profile="zero", u0="zero", n=0.0, nx=32, ny=32,
-                         r=0.07, radius=0.18, t_end=0.02, dt=2e-3,
-                         body_present=True)
-    rep = run(cfg, outdir=False, keep_fields=True)
-    umax = rep.final_vel.max_speed()
-    e0 = rep.aggregates["E_first"]
-    drift = abs(rep.aggregates["E_final"] - e0)
-    return _ok(umax <= 1e-10 and drift <= 1e-12 * e0,
-               f"max|u| {umax:.1e}, E drift {drift:.1e}")
 
 
 def _flip_lambda_sign(stress_fn):

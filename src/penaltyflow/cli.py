@@ -77,7 +77,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        from .checks import run_verify
+        from .checks import FAULTS, run_verify
+        if args.inject_fault and args.inject_fault not in FAULTS:
+            p_verify.error(f"unknown fault {args.inject_fault!r}; "
+                           f"known faults: {', '.join(sorted(FAULTS))}")
         code, results = run_verify(fast=args.fast,
                                    inject_fault=args.inject_fault,
                                    report_path=args.report)

@@ -537,14 +537,6 @@ def _trend(param, values, payloads):
     return trend
 
 
-def verify(fast: bool = False, report_path=None) -> int:
-    """Run the whole property battery; zero exit only when everything
-    holds."""
-    from .checks import run_verify
-    code, _results = run_verify(fast=fast, report_path=report_path)
-    return code
-
-
 def write_sweep_report(path, report: SweepReport):
     with open(path, "w") as f:
         json.dump(report.to_json_dict(), f, indent=2, sort_keys=True,

@@ -1,32 +1,34 @@
 import numpy as np
 import pytest
 
-from penaltyflow.body import (body_mass_inertia, body_signed_distance,
-                              body_step, collision_guard, make_disc_body,
+from penaltyflow.body import (body_signed_distance, body_step,
+                              collision_guard, make_disc_body,
                               polygon_signed_distance, project_rigid,
-                              rigid_velocity_field, t0_lower_bound)
-from penaltyflow.errors import (DegenerateMarkers, InvalidMargin,
-                                InvalidShape, MarkerEscaped,
+                              rigid_velocity_field)
+from penaltyflow.errors import (DegenerateMarkers, MarkerEscaped,
                                 SelfIntersection)
 from penaltyflow.fields import MollifierKernel, StaggeredGrid, VectorField
 from penaltyflow.geometry import DomainSpec, signed_distance
+from test_checks import check_test
+
+# properties kept once, as checks in penaltyflow.checks
+test_mass_inertia_disc = check_test("body_mass_inertia_formulas")
+test_project_rigid_identity_and_exact_motion = check_test(
+    "procrustes_recovery_and_noise")
+test_project_rigid_noise_defect_and_oracle = check_test(
+    "procrustes_recovery_and_noise")
+test_body_step_uniform_translation_exact = check_test("body_translation_exact")
+test_body_step_rigid_rotation_matches_midpoint_map = check_test(
+    "body_rotation_second_order")
+test_isometry_drift_thousand_steps = check_test("body_isometry_drift_march")
+test_chi_field_disc_values = check_test("chi_sign_and_equivariance")
+test_collision_guard_margins = check_test("collision_guard_arithmetic")
+test_t0_lower_bound_formula = check_test("t0_bound_formula")
 
 
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def test_mass_inertia_disc():
-    b = body_mass_inertia(1.0, 1.0)
-    assert b.mass == pytest.approx(np.pi, abs=1e-14)
-    b2 = body_mass_inertia(2.0, 1.0)
-    assert b2.mass == pytest.approx(2 * np.pi, abs=1e-14)
-    assert b2.moment == pytest.approx(np.pi, abs=1e-14)
-    with pytest.raises(InvalidShape):
-        body_mass_inertia(1.0, 0.0)
-    with pytest.raises(InvalidShape):
-        make_disc_body((0.5, 0.5), 0.1, 0.1, 1.0)  # erosion empties core
 
 
 def test_markers_consistent_with_pose():
@@ -35,36 +37,6 @@ def test_markers_consistent_with_pose():
     assert np.allclose(m.mean(axis=0), [0.4, 0.6], atol=1e-12)
     ring = body.boundary_markers()
     assert np.allclose(np.hypot(*(ring - body.X).T), 0.12, atol=1e-14)
-
-
-def test_project_rigid_identity_and_exact_motion(rng):
-    ref = make_disc_body((0, 0), 0.15, 0.03, 1.0).ref_markers
-    X, th, d = project_rigid(ref, ref)
-    assert d < 1e-13 and abs(th) < 1e-13 and np.allclose(X, 0, atol=1e-14)
-    th0 = np.deg2rad(30)
-    moved = np.array([1.0, 2.0]) + ref @ rotation(th0).T
-    X, th, d = project_rigid(ref, moved)
-    assert th == pytest.approx(th0, abs=1e-12)
-    assert np.allclose(X, [1.0, 2.0], atol=1e-12)
-    assert d <= 1e-12
-
-
-def test_project_rigid_noise_defect_and_oracle(rng):
-    ref = make_disc_body((0, 0), 0.15, 0.03, 1.0).ref_markers
-    sigma = 1e-3
-    moved = np.array([0.3, -0.2]) + ref @ rotation(0.4).T \
-        + rng.normal(0, sigma, size=ref.shape)
-    X, th, d = project_rigid(ref, moved)
-    count = ref.shape[0]
-    assert 0 < d < 3 * sigma * np.sqrt(count)
-    # brute-force least squares over a rotation grid can do no better
-    best = np.inf
-    for a in np.linspace(th - 0.02, th + 0.02, 201):
-        Ra = rotation(a)
-        Xa = moved.mean(axis=0) - Ra @ ref.mean(axis=0)
-        best = min(best, float(np.sqrt(np.sum(
-            (moved - Xa - ref @ Ra.T) ** 2))))
-    assert d <= best + 1e-12
 
 
 def test_project_rigid_degenerate():
@@ -93,71 +65,11 @@ def test_body_step_zero_velocity(transport_setup):
     assert info.rigidity_defect <= 1e-13
 
 
-def test_body_step_uniform_translation_exact(transport_setup):
-    g, dom, k = transport_setup
-    body = make_disc_body((0.5, 0.5), 0.15, 0.05, 2.0)
-    c = np.array([0.21, -0.13])
-    vel = VectorField(g, np.full(g.shape("ufaces"), c[0]),
-                      np.full(g.shape("vfaces"), c[1]))
-    dt = 0.01
-    b1, info = body_step(g, dom, body, vel, k, dt)
-    assert np.max(np.abs(b1.X - (body.X + dt * c))) <= 1e-12
-    assert abs(b1.theta) <= 1e-12
-    assert info.rigidity_defect <= 1e-12
-
-
-def test_body_step_rigid_rotation_matches_midpoint_map(transport_setup):
-    g, dom, k = transport_setup
-    w0 = 1.5
-    body = make_disc_body((0.5, 0.5), 0.15, 0.05, 2.0)
-    for dt in (0.02, 0.01):
-        rig = rigid_velocity_field(g, np.array([0.5, 0.5]),
-                                   np.array([0.0, 0.0]), w0)
-        b1, _ = body_step(g, dom, body, rig, k, dt)
-        # closed form of one explicit midpoint step of a pure rotation
-        expect = np.arctan2(dt * w0, 1.0 - 0.5 * (dt * w0) ** 2)
-        assert b1.theta == pytest.approx(expect, abs=1e-12)
-        # and the map is second-order accurate in the step size
-        assert abs(b1.theta - dt * w0) <= (dt * w0) ** 3
-
-
 def test_body_step_marker_escape(transport_setup):
     g, dom, k = transport_setup
     body = make_disc_body((0.08, 0.5), 0.05, 0.01, 2.0)
     with pytest.raises(MarkerEscaped):
         body_step(g, dom, body, VectorField.zeros(g), k, 0.01)
-
-
-def test_isometry_drift_thousand_steps(transport_setup):
-    g, dom, k = transport_setup
-    body = make_disc_body((0.5, 0.5), 0.12, 0.05, 2.0)
-    refd = _pairwise(body.markers())
-    worst = 0.0
-    for _ in range(1000):
-        rig = rigid_velocity_field(g, body.X, np.array([0.015, -0.008]),
-                                   0.9)
-        body, _ = body_step(g, dom, body, rig, k, 1e-3)
-        worst = max(worst, float(np.max(np.abs(_pairwise(body.markers())
-                                               - refd))))
-    assert worst <= 1e-12
-
-
-def _pairwise(pts):
-    d = pts[None, :, :] - pts[:, None, :]
-    return np.sqrt(np.sum(d ** 2, axis=2))
-
-
-def test_chi_field_disc_values(grid64):
-    body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    chi = body_signed_distance(body, grid64)
-    i, j = grid64.nx // 2, grid64.ny // 2
-    # at the center the signed distance is the core radius
-    assert float(signed_distance(body.core(), 0.5, 0.5)) \
-        == pytest.approx(0.12, abs=1e-15)
-    assert chi[i, j] == pytest.approx(0.12, abs=grid64.dx)
-    assert float(signed_distance(body.core(), 0.62, 0.5)) \
-        == pytest.approx(0.0, abs=1e-15)
-    assert chi[0, 0] < 0  # far corner is outside
 
 
 def test_chi_rigid_motion_equivariance(transport_setup):
@@ -192,18 +104,6 @@ def test_polygon_self_intersection_detected(grid24):
         body_signed_distance(crossed, grid24, use_markers=True)
 
 
-def test_collision_guard_margins(domain):
-    b = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    g0 = collision_guard(b, domain, 0.1, 0.03)
-    assert g0.ok and g0.margin == pytest.approx(0.25, abs=1e-14)
-    b1 = make_disc_body((0.25, 0.5), 0.15, 0.03, 2.0)
-    g1 = collision_guard(b1, domain, 0.1, 0.03)
-    assert g1.ok and g1.margin == pytest.approx(0.0, abs=1e-14)
-    b2 = make_disc_body((0.2, 0.5), 0.15, 0.03, 2.0)
-    g2 = collision_guard(b2, domain, 0.1, 0.03)
-    assert not g2.ok and g2.margin < 0
-
-
 def test_guard_change_bounded_by_speed(transport_setup):
     g, dom, k = transport_setup
     body = make_disc_body((0.5, 0.5), 0.12, 0.05, 2.0)
@@ -216,9 +116,3 @@ def test_guard_change_bounded_by_speed(transport_setup):
     assert abs(m1 - m0) <= 0.3 * dt + 1e-12
 
 
-def test_t0_lower_bound_formula():
-    assert t0_lower_bound(1.1, 0.1, 1.0, 10.0) == pytest.approx(1.0)
-    assert t0_lower_bound(1.1, 0.1, 1e9, 10.0) == pytest.approx(0.0, abs=1e-15)
-    assert t0_lower_bound(1.1, 0.1, 0.2, 0.5) == 0.5  # horizon caps it
-    with pytest.raises(InvalidMargin):
-        t0_lower_bound(0.05, 0.1, 1.0, 1.0)

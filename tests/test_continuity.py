@@ -3,15 +3,33 @@ import pytest
 
 import reference_builders as ref
 from penaltyflow.continuity import (PenaltyParams, _unit_diffusion,
-                                    continuity_step, initial_bc_residual,
+                                    continuity_step,
                                     regularize_initial_density,
                                     renormalized_residual,
                                     smoothed_negative_part)
 from penaltyflow.errors import CflViolation, HistoryTooShort
-from penaltyflow.fields import StaggeredGrid, VectorField, integrate
-from penaltyflow.geometry import (WALLS, DomainSpec, classify_boundary,
-                                  resting_boundary, throughflow_boundary)
+from penaltyflow.fields import StaggeredGrid, VectorField
+from penaltyflow.geometry import (WALLS, DomainSpec, resting_boundary,
+                                  throughflow_boundary)
 from penaltyflow.momentum import Problem
+from test_checks import check_test
+
+# properties kept once, as checks in penaltyflow.checks
+test_negative_part_paper_values = check_test("negative_part_properties_1e4")
+test_negative_part_properties_bulk = check_test("negative_part_properties_1e4")
+test_negative_part_limit_is_negative_part = check_test(
+    "negative_part_sharpness_limit")
+test_regularize_initial_density = check_test(
+    "regularize_initial_density_band_and_bc")
+test_pure_diffusion_conserves_mass = check_test(
+    "continuity_neumann_conservation")
+test_constant_state_is_steady = check_test("continuity_constant_state_steady")
+test_positivity_under_cfl = check_test("continuity_positivity_random")
+test_renormalized_b_identity_matches_budget = check_test(
+    "renormalized_defect_cases")
+test_renormalized_b_constant_is_exact = check_test("renormalized_defect_cases")
+test_renormalized_b_square_constant_state = check_test(
+    "renormalized_defect_cases")
 
 
 def test_params_invariants():
@@ -22,24 +40,6 @@ def test_params_invariants():
     with pytest.raises(ValueError):
         PenaltyParams(mu=0.1, lam=-0.2)
     PenaltyParams(n_solid=0.0)  # penalty off is legal (resting scenario)
-
-
-def test_negative_part_paper_values():
-    assert smoothed_negative_part(-5.0, 1.0) == -5.0
-    assert smoothed_negative_part(5.0, 1.0) == 0.0
-    v0 = float(smoothed_negative_part(0.0, 7.0))
-    assert -1.0 / 7.0 <= v0 <= 0.0
-
-
-def test_negative_part_properties_bulk(rng):
-    v = rng.uniform(-3, 3, size=10000)
-    n = 10.0 ** rng.uniform(-1, 3, size=10000)
-    f = np.array([float(smoothed_negative_part(a, b)) for a, b in zip(v, n)])
-    assert np.all(f <= np.minimum(v, 0.0) + 1e-15)
-    tail_lo = v <= -1.0 / n
-    tail_hi = v >= 1.0 / n
-    assert np.array_equal(f[tail_lo], v[tail_lo])
-    assert np.all(f[tail_hi] == 0.0)
 
 
 @pytest.mark.parametrize("sharp", [16.0, 64.0, 256.0])
@@ -55,28 +55,6 @@ def test_negative_part_monotone_blend(sharp):
           - smoothed_negative_part(1 / sharp - h, sharp)) / (2 * h)
     assert lo == pytest.approx(1.0, abs=1e-5)
     assert hi == pytest.approx(0.0, abs=1e-5)
-
-
-def test_negative_part_limit_is_negative_part():
-    v = np.linspace(-0.4, 0.4, 801)
-    gaps = [float(np.max(np.abs(smoothed_negative_part(v, s)
-                                - np.minimum(v, 0.0))))
-            for s in (16, 64, 256, 1024)]
-    assert all(a > b for a, b in zip(gaps[:-1], gaps[1:]))
-    assert gaps[-1] <= 1.0 / 1024
-
-
-def test_regularize_initial_density(grid24, domain, params, rng):
-    bc = throughflow_boundary(domain, grid24, 0.2, 1.0)
-    rho0 = np.abs(rng.normal(1.0, 0.4, size=grid24.shape("centers")))
-    rho0[5:9, 5:9] = 0.0                      # a vacuum pocket
-    rho0[12, 12] = 1.0 / params.delta + 2.0   # above the cap
-    rho = regularize_initial_density(grid24, rho0, params, bc)
-    assert np.min(rho) >= params.delta
-    assert np.max(rho) <= 1.0 / params.delta
-    assert initial_bc_residual(grid24, rho, params, bc) < 1e-10
-    clip = np.clip(rho0, params.delta, 1.0 / params.delta)
-    assert np.array_equal(rho[2:-2, 2:-2], clip[2:-2, 2:-2])
 
 
 def test_regularize_constant_state_untouched(grid24, domain, params):
@@ -140,20 +118,6 @@ def test_continuity_cfl_guard(grid24, domain, params):
                         0.2 * grid24.dx / 0.2)
 
 
-def test_pure_diffusion_conserves_mass(grid24, domain, rng):
-    # resting walls; a very sharp negative-part blend makes the Robin
-    # closure vanish at u_B = 0 (its value at zero is -1/(4N)), so the
-    # step is pure-Neumann diffusion and total mass is untouched
-    params = PenaltyParams(bc_sharpness=1e12)
-    bc = resting_boundary(domain, grid24, 1.0)
-    rho = np.abs(rng.normal(1.0, 0.5, size=grid24.shape("centers")))
-    m0 = integrate(grid24, rho)
-    rho1, info = continuity_step(Problem(grid24, domain, params, bc), rho,
-                                 VectorField.zeros(grid24), 1e-3)
-    assert abs(integrate(grid24, rho1) - m0) <= 1e-12 * m0
-    assert info.mass_residual <= 1e-12
-
-
 def test_budget_closes_for_any_boundary_data(grid24, domain, params, rng):
     bc = throughflow_boundary(domain, grid24, 0.3, 1.2)
     rho = np.abs(rng.normal(1.0, 0.5, size=grid24.shape("centers")))
@@ -166,35 +130,6 @@ def test_budget_closes_for_any_boundary_data(grid24, domain, params, rng):
     for factor in (1.0, 0.5, 0.5, 1.0):
         _, info = continuity_step(problem, rho, vel, factor * dt)
         assert info.mass_residual <= 1e-10
-
-
-def test_constant_state_is_steady(grid24, domain, params):
-    # uniform through-flow: the constant density state with its own
-    # uniform velocity is a fixed point
-    bc = resting_boundary(domain, grid24, 1.0)
-    for w in bc.ub:
-        bc.ub[w][:, 0] = 0.2
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    vel = VectorField(grid24, np.full(grid24.shape("ufaces"), 0.2),
-                      np.zeros(grid24.shape("vfaces")))
-    rho = np.ones(grid24.shape("centers"))
-    rho1, info = continuity_step(Problem(grid24, domain, params, bc), rho,
-                                 vel, 5e-3)
-    assert np.max(np.abs(rho1 - 1.0)) < 1e-11
-    assert info.mass_residual < 1e-11
-
-
-def test_positivity_under_cfl(grid24, domain, params, rng):
-    problem = Problem(grid24, domain, params,
-                      throughflow_boundary(domain, grid24, 0.2, 1.0))
-    for _ in range(5):
-        rho = np.abs(rng.normal(1.0, 1.0, size=grid24.shape("centers")))
-        rho[rng.integers(0, 24), rng.integers(0, 24)] = 0.0
-        vel = VectorField(grid24, rng.normal(0, 0.2, grid24.shape("ufaces")),
-                          rng.normal(0, 0.2, grid24.shape("vfaces")))
-        dt = 0.4 * grid24.dx / max(vel.max_speed(), 0.2)
-        rho1, _ = continuity_step(problem, rho, vel, dt)
-        assert np.min(rho1) >= 0.0
 
 
 def test_inflow_brings_in_boundary_density(grid24, domain, params):
@@ -214,46 +149,6 @@ def test_inflow_brings_in_boundary_density(grid24, domain, params):
     assert np.allclose(flux[sat], 2.0 * un[sat], atol=1e-13)
 
 
-def test_renormalized_b_identity_matches_budget(grid24, domain, params, rng):
-    bc = throughflow_boundary(domain, grid24, 0.2, 1.0)
-    rho = 1.0 + 0.2 * np.abs(rng.normal(size=grid24.shape("centers")))
-    vel = VectorField(grid24, rng.normal(0, 0.1, grid24.shape("ufaces")),
-                      rng.normal(0, 0.1, grid24.shape("vfaces")))
-    dt = 0.25 * grid24.dx / 0.6
-    rho1, info = continuity_step(Problem(grid24, domain, params, bc), rho,
-                                 vel, dt)
-    defect = renormalized_residual(
-        grid24, bc, params, [rho, rho1], [vel, vel], dt,
-        lambda z: z, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
-    assert abs(defect) <= info.mass_residual * integrate(grid24, rho) + 1e-10
-
-
-def test_renormalized_b_constant_is_exact(grid24, domain, params, rng):
-    bc = throughflow_boundary(domain, grid24, 0.2, 1.0)
-    rho = 1.0 + 0.2 * np.abs(rng.normal(size=grid24.shape("centers")))
-    vel = VectorField(grid24, rng.normal(0, 0.1, grid24.shape("ufaces")),
-                      rng.normal(0, 0.1, grid24.shape("vfaces")))
-    dt = 1e-3
-    rho1, _ = continuity_step(Problem(grid24, domain, params, bc), rho, vel,
-                              dt)
-    psi = np.ones(grid24.shape("centers"))
-    defect = renormalized_residual(
-        grid24, bc, params, [rho, rho1], [vel, vel], dt,
-        lambda z: 3.0 + 0.0 * z, lambda z: np.zeros_like(z),
-        lambda z: np.zeros_like(z), psi)
-    assert abs(defect) < 1e-12
-
-
-def test_renormalized_b_square_constant_state(grid24, domain, params):
-    bc = resting_boundary(domain, grid24, 1.0)
-    rho = np.ones(grid24.shape("centers"))
-    zero = VectorField.zeros(grid24)
-    defect = renormalized_residual(
-        grid24, bc, params, [rho, rho], [zero, zero], 1e-3,
-        lambda z: z ** 2, lambda z: 2 * z, lambda z: 2.0 + 0.0 * z)
-    assert abs(defect) < 1e-12
-
-
 def test_renormalized_needs_history(grid24, domain, params):
     bc = resting_boundary(domain, grid24, 1.0)
     with pytest.raises(HistoryTooShort):
@@ -263,8 +158,3 @@ def test_renormalized_needs_history(grid24, domain, params):
                               lambda z: z, lambda z: 1.0, lambda z: 0.0)
 
 
-def test_continuity_mms_first_order():
-    # heavier three-grid ladder lives in the acceptance suite
-    from penaltyflow.mms import continuity_convergence
-    res = continuity_convergence(nx_list=(32, 64), t_end=0.04)
-    assert res["order"] >= 0.85

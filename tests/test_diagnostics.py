@@ -1,52 +1,27 @@
 import numpy as np
 import pytest
 
-from penaltyflow.body import make_disc_body, body_signed_distance, \
-    rigid_velocity_field
+from penaltyflow.body import make_disc_body, body_signed_distance
 from penaltyflow.continuity import PenaltyParams, continuity_step
-from penaltyflow.diagnostics import (effective_viscous_flux, energy_total,
-                                     fluid_mask, interior_pressure_norm,
-                                     ledger_step, rigidity_measure,
-                                     surface_force_torque)
+from penaltyflow.diagnostics import (effective_viscous_flux, fluid_mask,
+                                     ledger_step, surface_force_torque)
 from penaltyflow.errors import ProbeOutside
 from penaltyflow.fields import VectorField
 from penaltyflow.geometry import (DomainSpec, build_extension,
                                   resting_boundary, throughflow_boundary)
 from penaltyflow.momentum import Problem, ViscousState, pressure_potential
+from test_checks import check_test
 
-
-def test_energy_total_cases(grid24):
-    params = PenaltyParams(a=1.0, gamma=2.0, delta=1e-15)
-    zero = VectorField.zeros(grid24)
-    assert energy_total(grid24, np.zeros(grid24.shape("centers")), zero,
-                        zero, params) == 0.0
-    # rho = 1, u = u_ext, a = 1, gamma = 2: potential density is 1
-    e = energy_total(grid24, np.ones(grid24.shape("centers")), zero, zero,
-                     params)
-    assert e == pytest.approx(1.0, abs=1e-12)
-
-
-def test_energy_total_nonnegative(grid24, params, rng):
-    zero = VectorField.zeros(grid24)
-    for _ in range(10):
-        rho = np.abs(rng.normal(size=grid24.shape("centers")))
-        vel = VectorField(grid24, rng.normal(size=grid24.shape("ufaces")),
-                          rng.normal(size=grid24.shape("vfaces")))
-        assert energy_total(grid24, rho, vel, zero, params) >= 0.0
-
-
-def test_ledger_static_equilibrium_all_zero(grid24, domain, params):
-    bc = resting_boundary(domain, grid24, 1.0)
-    bc.u_ext = VectorField.zeros(grid24)
-    rho = np.ones(grid24.shape("centers"))
-    zero = VectorField.zeros(grid24)
-    chi = np.full(grid24.shape("centers"), -1.0)
-    state = ViscousState(Problem(grid24, domain, params, bc), chi)
-    row = ledger_step(state, rho, zero, rho, zero, 1e-3, 1e-3)
-    for name in ("dissipation", "eps_term", "outflow_term", "conv_coupling",
-                 "pressure_dilation", "inflow_term", "uinf_stress",
-                 "eps_coupling", "energy_residual"):
-        assert abs(getattr(row, name)) < 1e-12, name
+# properties kept once, as checks in penaltyflow.checks
+test_energy_total_cases = check_test("energy_total_cases")
+test_energy_total_nonnegative = check_test("energy_total_cases")
+test_ledger_static_equilibrium_all_zero = check_test(
+    "ledger_static_equilibrium_zero")
+test_rigidity_measure_cases = check_test("rigidity_measure_cases")
+test_effective_viscous_flux_cases = check_test("effective_viscous_flux_cases")
+test_surface_force_static_fluid_zero = check_test(
+    "static_closed_curve_force_zero")
+test_interior_pressure_norms = check_test("interior_pressure_norm_formula")
 
 
 def test_ledger_pure_diffusion_hand_oracle(domain):
@@ -123,46 +98,12 @@ def test_ledger_sign_structure_on_dynamic_state(grid24, domain, params,
         rho, vel = rho1, vel1
 
 
-def test_rigidity_measure_cases(grid64):
-    body = make_disc_body((0.5, 0.5), 0.2, 0.03, 2.0)
-    chi = body_signed_distance(body, grid64)
-    rig = rigid_velocity_field(grid64, body.X, np.array([0.4, -0.2]), 1.5)
-    assert rigidity_measure(grid64, rig, chi) <= 1e-12
-    xu, yu = grid64.uface_xy()
-    shear = VectorField(grid64, yu, np.zeros(grid64.shape("vfaces")))
-    area = float(np.sum(chi >= 2 * grid64.dx)) * grid64.cell_volume
-    assert rigidity_measure(grid64, shear, chi) \
-        == pytest.approx(0.5 * area, rel=1e-12)
-
-
-def test_effective_viscous_flux_cases(grid24):
-    params = PenaltyParams(a=1.0, gamma=2.0, delta=1e-15, mu=0.25, lam=0.5)
-    xu, yu = grid24.uface_xy()
-    xv, yv = grid24.vface_xy()
-    divfree = VectorField(grid24, xu, -yv)
-    f = effective_viscous_flux(grid24, np.ones(grid24.shape("centers")),
-                               divfree, params)
-    assert np.allclose(f, 1.0, atol=1e-11)
-    z = effective_viscous_flux(grid24, np.zeros(grid24.shape("centers")),
-                               divfree, params)
-    assert np.allclose(z, 0.0, atol=1e-12)
-
-
 def test_effective_viscous_flux_constant_state(grid24, domain, params):
     # static equilibrium: spatially constant to discretization error
     rho = np.ones(grid24.shape("centers"))
     f = effective_viscous_flux(grid24, rho, VectorField.zeros(grid24),
                                params)
     assert np.max(np.abs(f - f.mean())) < 1e-12
-
-
-def test_surface_force_static_fluid_zero(grid64, domain, params):
-    body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    F, tq = surface_force_torque(grid64, domain,
-                                 np.ones(grid64.shape("centers")),
-                                 VectorField.zeros(grid64), body, params)
-    assert np.max(np.abs(F)) < 1e-12
-    assert abs(tq) < 1e-12
 
 
 def test_surface_force_linear_pressure_oracle(grid64, domain):
@@ -183,19 +124,6 @@ def test_surface_force_probe_outside(grid24, domain, params):
     with pytest.raises(ProbeOutside):
         surface_force_torque(grid24, domain, np.ones(grid24.shape("centers")),
                              VectorField.zeros(grid24), body, params)
-
-
-def test_interior_pressure_norms(grid24, domain, params):
-    mask = np.zeros(grid24.shape("centers"), dtype=bool)
-    mask[:, :12] = True
-    ng, nb = interior_pressure_norm(grid24, np.ones(grid24.shape("centers")),
-                                    mask, params)
-    assert ng == pytest.approx(0.5 ** (1 / (params.gamma + 1)), abs=1e-12)
-    assert nb == pytest.approx(0.5 ** (1 / (params.beta + 1)), abs=1e-12)
-    zg, zb = interior_pressure_norm(grid24,
-                                    np.zeros(grid24.shape("centers")),
-                                    mask, params)
-    assert zg == 0.0 and zb == 0.0
 
 
 def test_fluid_mask_excludes_collars(grid64, domain, params):

@@ -17,6 +17,10 @@ from penaltyflow.config import (default_config, load_config,
 from penaltyflow.driver import run, sweep
 from penaltyflow.errors import (ConfigError, LinearSolveDiverged,
                                 MassBudgetError)
+from test_checks import check_test
+
+# properties kept once, as checks in penaltyflow.checks
+test_zero_data_run_inert = check_test("zero_data_run_is_inert")
 
 
 def test_example_config_roundtrip(tmp_path):
@@ -94,16 +98,6 @@ def test_probe_ring_in_the_wall_collar_rejected():
     with pytest.raises(ConfigError, match="probe ring"):
         default_config(nx=24, ny=24, r=0.09, x0=0.28)
     default_config(nx=24, ny=24, r=0.09, x0=0.32)
-
-
-def test_zero_data_run_inert():
-    cfg = default_config(profile="zero", u0="zero", n=0.0, nx=32, ny=32,
-                         r=0.07, radius=0.18, speed=0.0, t_end=0.01,
-                         dt=1e-3)
-    rep = run(cfg, outdir=False, keep_fields=True)
-    assert rep.final_vel.max_speed() == 0.0
-    assert rep.aggregates["E_final"] == rep.aggregates["E_first"]
-    assert not rep.stopped_early
 
 
 def test_default_run_outputs(tmp_path):
@@ -384,6 +378,15 @@ def test_verify_fast_green_and_fault_injection(tmp_path):
     assert any("stress" in name for name in failed)
     # the planted fault is gone again from every module it was put in
     assert momentum.stress is diagnostics.stress is checks.stress is stress
+
+
+def test_cli_verify_rejects_an_unknown_fault(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--inject-fault", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: penaltyflow verify")
+    assert "unknown fault 'nope'; known faults: flip-lambda-sign" in err
 
 
 def test_run_config_is_immutable_value_object():

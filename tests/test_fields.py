@@ -10,14 +10,26 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
 import reference_builders as ref
-from penaltyflow.body import rigid_velocity_field
 from penaltyflow.errors import KernelUnresolved
 from penaltyflow.fields import (MollifierKernel, ScalarField, StaggeredGrid,
-                                VectorField, cg, divergence, face_gradient,
-                                full_gradient, integrate, interp_cell, jacobi,
-                                mollify, read_field, sym_gradient,
-                                write_field, write_vti)
+                                VectorField, cg, divergence, full_gradient,
+                                interp_cell, jacobi, mollify, read_field,
+                                sym_gradient, write_field, write_vti)
 from penaltyflow.momentum import FreePattern, Multigrid, _face_layout
+from test_checks import check_test
+
+# properties kept once, as checks in penaltyflow.checks
+test_divergence_linear_exact = check_test("divergence_linear_fields")
+test_divergence_trig_second_order = check_test("divergence_trig_second_order")
+test_div_of_gradient_is_laplacian = check_test(
+    "div_grad_is_five_point_laplacian")
+test_sym_gradient_rigid_kernel = check_test("sym_gradient_rigid_kernel_100")
+test_sym_gradient_affine_cases = check_test("sym_gradient_affine_cases")
+test_mollifier_kernel_invariants = check_test("mollifier_kernel_moments")
+test_mollify_constant_affine_monotone = check_test(
+    "mollify_constant_affine_monotone")
+test_integrate_values = check_test("integrate_values_and_additivity")
+test_integrate_mask_additivity = check_test("integrate_values_and_additivity")
 
 
 def test_grid_invariants():
@@ -42,57 +54,6 @@ def test_field_containers_validate(grid24):
     assert v.max_speed() == 0.0
 
 
-def test_divergence_linear_exact(grid24):
-    xu, yu = grid24.uface_xy()
-    xv, yv = grid24.vface_xy()
-    assert np.max(np.abs(divergence(grid24, xu, -yv))) < 1e-12
-    assert np.max(np.abs(divergence(grid24, xu, yv) - 2.0)) < 1e-12
-
-
-def test_divergence_trig_second_order():
-    errs = []
-    for n in (32, 64, 128):
-        g = StaggeredGrid(n, n, 1 / n, 1 / n)
-        xu, _ = g.uface_xy()
-        xc, _ = g.cell_xy()
-        d = divergence(g, np.sin(xu), np.zeros(g.shape("vfaces")))
-        errs.append(np.max(np.abs(d - np.cos(xc))))
-    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(rates > 1.9)
-
-
-def test_div_of_gradient_is_laplacian(grid24, rng):
-    f = rng.normal(size=grid24.shape("centers"))
-    gx, gy = face_gradient(grid24, f)
-    lap = divergence(grid24, gx, gy)
-    ref = (f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / grid24.dx ** 2 \
-        + (f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2]) / grid24.dy ** 2
-    assert np.max(np.abs(lap[1:-1, 1:-1] - ref)) < 1e-11
-
-
-def test_sym_gradient_rigid_kernel(grid24, rng):
-    worst = 0.0
-    for _ in range(100):
-        vel = rigid_velocity_field(grid24, rng.uniform(0, 1, 2),
-                                   rng.normal(size=2), rng.normal())
-        for d in sym_gradient(grid24, vel.u, vel.v):
-            worst = max(worst, float(np.max(np.abs(d))))
-    assert worst <= 1e-12
-
-
-def test_sym_gradient_affine_cases(grid24):
-    xu, yu = grid24.uface_xy()
-    xv, yv = grid24.vface_xy()
-    d11, d12, d22 = sym_gradient(grid24, xu, yv)
-    assert np.allclose(d11, 1.0, atol=1e-13)
-    assert np.allclose(d22, 1.0, atol=1e-13)
-    assert np.allclose(d12, 0.0, atol=1e-13)
-    e11, e12, e22 = sym_gradient(grid24, yu, np.zeros_like(xv))
-    assert np.allclose(e12, 0.5, atol=1e-13)
-    assert np.allclose(e11, 0.0, atol=1e-13)
-    assert np.allclose(e22, 0.0, atol=1e-13)
-
-
 @pytest.mark.parametrize("traces", [False, True])
 def test_full_gradient_holds_the_strain_bit_for_bit(grid24, rng, traces):
     # the energy ledger reads D11, D22, D12 and div off one full_gradient
@@ -108,38 +69,9 @@ def test_full_gradient_holds_the_strain_bit_for_bit(grid24, rng, traces):
     assert np.array_equal(dudx + dvdy, divergence(grid24, u, v))
 
 
-def test_mollifier_kernel_invariants(grid64):
-    k = MollifierKernel.build(0.05, grid64.dx, grid64.dy)
-    w = k.weights
-    assert np.all(w >= 0)
-    assert abs(np.sum(w) - 1.0) < 1e-12
-    assert np.allclose(w, w[::-1, :]) and np.allclose(w, w[:, ::-1])
-    mx = (w.shape[0] - 1) // 2
-    my = (w.shape[1] - 1) // 2
-    ii, jj = np.meshgrid(np.arange(-mx, mx + 1), np.arange(-my, my + 1),
-                         indexing="ij")
-    rr = np.hypot(ii * grid64.dx, jj * grid64.dy)
-    order = np.argsort(rr.ravel(), kind="stable")
-    assert np.all(np.diff(w.ravel()[order]) <= 1e-15)
-    assert np.all(w.ravel()[rr.ravel() > k.radius] == 0.0)
-
-
 def test_mollifier_under_resolved(grid24):
     with pytest.raises(KernelUnresolved):
         MollifierKernel.build(1.5 * grid24.dx, grid24.dx, grid24.dy)
-
-
-def test_mollify_constant_affine_monotone(grid64, rng):
-    k = MollifierKernel.build(0.06, grid64.dx, grid64.dy)
-    xc, yc = grid64.cell_xy()
-    interior = (np.minimum(np.minimum(xc, 1 - xc),
-                           np.minimum(yc, 1 - yc)) > 0.08)
-    const = mollify(np.full(grid64.shape("centers"), 2.5), k)
-    assert np.max(np.abs(const[interior] - 2.5)) < 1e-12
-    aff = 1.0 + 2.0 * xc - 0.5 * yc
-    assert np.max(np.abs((mollify(aff, k) - aff)[interior])) < 1e-10
-    f = np.abs(rng.normal(size=grid64.shape("centers")))
-    assert np.min(mollify(f, k)) >= 0.0
 
 
 @pytest.mark.parametrize("nx, ny, r", [
@@ -157,27 +89,6 @@ def test_mollify_matches_direct_convolution(nx, ny, r, rng):
         assert got.shape == f.shape
         err = np.max(np.abs(got - ref.mollify_direct(f, k)))
         assert err <= 1e-14 * np.max(np.abs(f))
-
-
-def test_integrate_values(grid24):
-    ones = np.ones(grid24.shape("centers"))
-    assert integrate(grid24, ones) == pytest.approx(1.0, abs=1e-12)
-    assert integrate(grid24, 0 * ones) == 0.0
-    xc, _ = grid24.cell_xy()
-    assert integrate(grid24, xc) == pytest.approx(0.5, abs=grid24.dx ** 2)
-
-
-def test_integrate_mask_additivity(grid24, rng):
-    # additive over disjoint masks to reduction round-off (float addition
-    # is not associative, so bitwise equality is unattainable for any
-    # fixed summation order; determinism run-to-run is bitwise, below)
-    f = rng.normal(size=grid24.shape("centers"))
-    m = rng.normal(size=grid24.shape("centers")) > 0
-    total = integrate(grid24, f)
-    split = integrate(grid24, f, m) + integrate(grid24, f, ~m)
-    scale = integrate(grid24, np.abs(f))
-    assert abs(split - total) <= 8 * np.finfo(float).eps * scale
-    assert integrate(grid24, f) == integrate(grid24, f)
 
 
 def test_interp_cell_affine(grid24, rng):

@@ -1,116 +1,34 @@
 import numpy as np
 import pytest
 
-from penaltyflow.errors import (CollarTooWide, ErosionEmpty,
-                                ExtensionTraceError, InvalidShape)
+from penaltyflow.errors import CollarTooWide, ExtensionTraceError
 from penaltyflow.fields import StaggeredGrid, divergence
-from penaltyflow.geometry import (Disc, DomainSpec, Rectangle,
-                                  build_extension, classify_boundary,
-                                  corner_tapered, divergence_roundoff,
-                                  erode, resting_boundary,
+from penaltyflow.geometry import (Disc, DomainSpec, build_extension,
+                                  classify_boundary, corner_tapered,
+                                  divergence_roundoff, resting_boundary,
                                   signed_distance, throughflow_boundary,
                                   wall_cutoff)
+from test_checks import check_test
+
+# properties kept once, as checks in penaltyflow.checks
+test_classify_boundary_signs = check_test("boundary_classification_signs")
+test_classify_boundary_partition = check_test("boundary_classification_signs")
+test_signed_distance_disc = check_test("signed_distance_disc_exact")
+test_signed_distance_rectangle = check_test(
+    "signed_distance_rect_gradient_norm")
+test_erode_disc_and_errors = check_test("erode_composition_identity")
+test_erode_composition_identity = check_test("erode_composition_identity")
+test_cutoff_profile = check_test("cutoff_profile_shape")
+test_extension_zero_trace = check_test("extension_zero_trace")
+test_extension_throughflow_all_clauses = check_test(
+    "extension_throughflow_clauses")
+test_rectangle_gradient_norm_away_from_kinks = check_test(
+    "signed_distance_rect_gradient_norm")
 
 
 def test_domain_rejects_wide_collar():
     with pytest.raises(CollarTooWide):
         DomainSpec(1.0, 1.0, 0.3)
-
-
-def test_classify_boundary_signs(grid64, domain):
-    bc = resting_boundary(domain, grid64, 1.0)
-    # left wall, u_B = (+0.2, 0), n = (-1, 0): entering -> inflow
-    bc.ub["left"][:, 0] = 0.2
-    # right wall, same vector, n = (+1, 0): leaving -> outflow
-    bc.ub["right"][:, 0] = 0.2
-    im, om = classify_boundary(bc.ub)
-    assert np.all(im["left"])
-    assert np.all(om["right"])
-    # resting wall: u_B . n = 0 goes to the outflow side
-    assert np.all(om["top"]) and np.all(om["bottom"])
-
-
-def test_classify_boundary_partition(grid24, domain, rng):
-    bc = resting_boundary(domain, grid24, 1.0)
-    for w in bc.ub:
-        bc.ub[w][:] = rng.normal(size=bc.ub[w].shape)
-    im, om = classify_boundary(bc.ub)
-    for w in im:
-        assert np.all(im[w] ^ om[w]), "every face in exactly one mask"
-
-
-def test_signed_distance_disc():
-    d = Disc(0.3, 0.4, 0.15)
-    assert signed_distance(d, 0.3, 0.4) == pytest.approx(0.15, abs=1e-15)
-    assert signed_distance(d, 0.45, 0.4) == pytest.approx(0.0, abs=1e-15)
-    assert signed_distance(d, 0.55, 0.4) == pytest.approx(-0.1, abs=1e-15)
-
-
-def test_signed_distance_rectangle():
-    r = Rectangle(0.0, 0.0, 1.0, 2.0)
-    assert signed_distance(r, 0.5, 1.0) == pytest.approx(0.5)
-    assert signed_distance(r, 0.0, 1.0) == pytest.approx(0.0)
-    assert signed_distance(r, -0.3, 1.0) == pytest.approx(-0.3)
-    # outside near a corner: true euclidean distance
-    assert signed_distance(r, -0.3, -0.4) == pytest.approx(-0.5)
-
-
-def test_erode_disc_and_errors():
-    d = Disc(0.5, 0.5, 0.15)
-    assert erode(d, 0.03).radius == pytest.approx(0.12, abs=1e-15)
-    assert erode(d, 0.0) == d
-    with pytest.raises(ErosionEmpty):
-        erode(d, 0.15)
-    with pytest.raises(InvalidShape):
-        Disc(0.5, 0.5, 0.0)
-
-
-def test_erode_composition_identity(rng):
-    d = Disc(0.5, 0.5, 0.15)
-    e = erode(d, 0.04)
-    pts = rng.uniform(0, 1, size=(100, 2))
-    assert np.allclose(signed_distance(e, pts[:, 0], pts[:, 1]),
-                       signed_distance(d, pts[:, 0], pts[:, 1]) - 0.04,
-                       atol=1e-14)
-
-
-def test_cutoff_profile(domain):
-    xi = wall_cutoff(domain)
-    d = np.linspace(0, 0.25, 501)
-    v = xi.value(d)
-    assert np.all(v[d <= 0.05] == 0.0)
-    assert np.all(v[d >= 0.1] == 1.0)
-    assert np.all((v >= 0) & (v <= 1))
-    # C1: difference quotients of the quintic stay bounded and match at
-    # the junctions
-    dv = np.diff(v) / np.diff(d)
-    assert abs(dv[np.searchsorted(d, 0.05)] ) < 0.2
-    assert abs(dv[-1]) == 0.0
-
-
-def test_extension_zero_trace(grid64, domain):
-    bc = resting_boundary(domain, grid64, 1.0)
-    u_ext, rep = build_extension(bc, domain, grid64)
-    assert u_ext.max_speed() == 0.0
-    assert rep.trace_error == 0.0
-
-
-def test_extension_throughflow_all_clauses(grid64, domain):
-    bc = throughflow_boundary(domain, grid64, 0.2, 1.0)
-    u_ext, rep = build_extension(bc, domain, grid64)
-    # trace match at boundary faces
-    assert rep.trace_error <= 1e-10
-    assert np.allclose(u_ext.u[0, :], bc.ub["left"][:, 0], atol=1e-12)
-    assert np.allclose(u_ext.u[-1, :], bc.ub["right"][:, 0], atol=1e-12)
-    # nonnegative discrete divergence in the inner collar
-    div = divergence(grid64, u_ext.u, u_ext.v)
-    inner = domain.collar_mask(grid64, domain.h, "centers")
-    assert float(np.min(div[inner])) >= -1e-12
-    # identically zero outside the outer collar
-    far_u = ~domain.collar_mask(grid64, 2 * domain.h, "ufaces")
-    far_v = ~domain.collar_mask(grid64, 2 * domain.h, "vfaces")
-    assert np.all(u_ext.u[far_u] == 0.0)
-    assert np.all(u_ext.v[far_v] == 0.0)
 
 
 def test_extension_point_beyond_outer_collar(grid64, domain):
@@ -196,30 +114,6 @@ def test_extension_tangential_trace_keeps_all_clauses(grid64, domain):
     j = grid64.ny - 1
     mid = grid64.nx // 2
     assert u_ext.u[mid, j] == pytest.approx(0.3, rel=0.35)
-
-
-def test_rectangle_gradient_norm_away_from_kinks():
-    g = StaggeredGrid(64, 64, 1 / 64, 1 / 64)
-    x0, y0, x1, y1 = 0.2, 0.25, 0.8, 0.85
-    r = Rectangle(x0, y0, x1, y1)
-    xc, yc = g.cell_xy()
-    f = signed_distance(r, xc, yc)
-    gx = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2 * g.dx)
-    gy = (f[1:-1, 2:] - f[1:-1, :-2]) / (2 * g.dy)
-    xi, yi = xc[1:-1, 1:-1], yc[1:-1, 1:-1]
-    m = 2 * g.dx
-    corner_fan = ((np.minimum(np.abs(xi - x0), np.abs(xi - x1)) < m)
-                  | (xi < x0) | (xi > x1)) \
-        & ((np.minimum(np.abs(yi - y0), np.abs(yi - y1)) < m)
-           | (yi < y0) | (yi > y1))
-    keep = (np.abs(f[1:-1, 1:-1]) > m) & ~corner_fan \
-        & (np.abs((xi - x0) - (x1 - xi)) > m) \
-        & (np.abs((xi - x0) - (yi - y0)) > m) \
-        & (np.abs((xi - x0) - (y1 - yi)) > m) \
-        & (np.abs((x1 - xi) - (yi - y0)) > m) \
-        & (np.abs((x1 - xi) - (y1 - yi)) > m) \
-        & (np.abs((yi - y0) - (y1 - yi)) > m)
-    assert np.max(np.abs(np.hypot(gx, gy)[keep] - 1.0)) <= 5e-2 * g.dx
 
 
 def test_disc_gradient_norm_away_from_center():

@@ -11,11 +11,9 @@ from penaltyflow.config import default_config
 from penaltyflow.continuity import (PenaltyParams, continuity_step,
                                     regularize_initial_density)
 from penaltyflow.diagnostics import ledger_step
-from penaltyflow.errors import NegativeDensity, VacuumCell
-from penaltyflow.fields import (MollifierKernel, StaggeredGrid, VectorField,
-                                sym_gradient)
+from penaltyflow.errors import VacuumCell
+from penaltyflow.fields import MollifierKernel, StaggeredGrid, VectorField
 from penaltyflow.geometry import (DomainSpec, build_extension,
-                                  classify_boundary,
                                   resting_boundary, throughflow_boundary)
 from penaltyflow.momentum import (MG_MIN_LEVELS, MG_RATE, PROJECTION_DEPTH,
                                   FreePattern, MomentumStepInfo, Multigrid,
@@ -25,142 +23,26 @@ from penaltyflow.momentum import (MG_MIN_LEVELS, MG_RATE, PROJECTION_DEPTH,
                                   _face_layout, _grid_ops,
                                   _pinned_coupling, _restrict,
                                   momentum_step, multigrid_levels,
-                                  penalty_ramp, pressure,
-                                  pressure_potential,
-                                  pressure_potential_d1, stress,
-                                  viscosity_fields, viscous_quadratic_form)
+                                  viscosity_fields)
+from test_checks import check_test
 
-
-def test_penalty_ramp_values():
-    assert penalty_ramp(-1.0) == 0.0
-    assert penalty_ramp(0.0) == 0.0
-    assert penalty_ramp(2.0) == 4.0
-    z = np.linspace(-1, 1, 101)
-    v = penalty_ramp(z)
-    assert np.all(v >= 0)
-    assert np.all(np.diff(v) >= 0)
-
-
-def test_viscosity_fields_formula_and_floor(grid64, domain, params):
-    model = ViscosityModel.from_params(params, domain)
-    body = make_disc_body((0.5, 0.5), 0.15, params.r_moll, 2.0)
-    chi = body_signed_distance(body, grid64)
-    xc, yc = grid64.cell_xy()
-    wd = domain.boundary_distance(xc, yc)
-    mu_n, lam_n = viscosity_fields(chi, model, wd)
-    assert np.all(mu_n >= params.mu)
-    assert np.all(mu_n + lam_n >= 0)
-    # outside the offset neighborhood of the core the ramp vanishes
-    outside = chi + params.r_moll <= 0
-    assert np.all(mu_n[outside] == params.mu)
-    # pointwise formula at the body center (deep interior, cutoff = 1)
-    i, j = grid64.nx // 2, grid64.ny // 2
-    expect = params.mu + params.n_solid * (chi[i, j] + params.r_moll) ** 2
-    assert mu_n[i, j] == pytest.approx(expect, rel=1e-14)
-    # wall collar is penalty-free no matter what chi says
-    inner = wd <= domain.h / 2
-    mu_w, _ = viscosity_fields(np.full_like(chi, 0.1), model, wd)
-    assert np.all(mu_w[inner] == params.mu)
-
-
-def test_pressure_laws():
-    p = PenaltyParams(a=1.0, gamma=2.0, delta=1e-15)
-    assert pressure(np.array(0.0), p) == 0.0
-    assert pressure_potential(np.array(0.0), p) == 0.0
-    assert float(pressure(np.array(2.0), p)) == pytest.approx(4.0)
-    assert float(pressure_potential(np.array(2.0), p)) == pytest.approx(4.0)
-    with pytest.raises(NegativeDensity):
-        pressure(np.array(-0.5), p)
-
-
-def test_pressure_potential_convexity_bulk(params, rng):
-    rho = rng.uniform(0.0, 3.0, size=10000)
-    rho_b = rng.uniform(0.1, 3.0, size=10000)
-    gap = (pressure_potential(rho_b, params)
-           - pressure_potential_d1(rho, params) * (rho_b - rho)
-           - pressure_potential(rho, params))
-    assert float(np.min(gap)) >= -1e-12
-
-
-def test_stress_cases(grid24):
-    xu, yu = grid24.uface_xy()
-    xv, yv = grid24.vface_xy()
-    mu, lam = 0.3, 0.2
-    s11, s12, s22 = stress(*sym_gradient(grid24, xu, yv), mu, lam)
-    assert np.allclose(s11, 2 * mu + 2 * lam, atol=1e-12)
-    assert np.allclose(s22, 2 * mu + 2 * lam, atol=1e-12)
-    assert np.allclose(s12, 0.0, atol=1e-12)
-    t11, t12, t22 = stress(*sym_gradient(grid24, yu, 0 * xv), mu, lam)
-    assert np.allclose(t12, mu, atol=1e-12)
-    assert np.allclose(t11, 0.0, atol=1e-12)
-    rig = rigid_velocity_field(grid24, np.array([0.4, 0.6]),
-                               np.array([1.0, -2.0]), 3.0)
-    r = stress(*sym_gradient(grid24, rig.u, rig.v), mu, lam)
-    assert max(np.max(np.abs(c)) for c in r) < 1e-11
-
-
-def test_viscous_quadform_nonnegative(grid24, domain, rng):
-    params = PenaltyParams(n_solid=1e4, lam=-0.05)
-    body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    chi = body_signed_distance(body, grid24)
-    state = ViscousState(Problem(grid24, domain, params,
-                                 resting_boundary(domain, grid24, 1.0)), chi)
-    worst = np.inf
-    for _ in range(100):
-        vel = VectorField(grid24, rng.normal(size=grid24.shape("ufaces")),
-                          rng.normal(size=grid24.shape("vfaces")))
-        worst = min(worst, viscous_quadratic_form(state, vel))
-    assert worst >= -1e-10
-
-
-def test_rigid_field_in_viscous_kernel(grid24, domain):
-    params = PenaltyParams(n_solid=1e4)
-    body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
-    chi = body_signed_distance(body, grid24)
-    X, V, w = np.array([0.45, 0.55]), np.array([0.1, -0.2]), 0.7
-    rig = rigid_velocity_field(grid24, X, V, w)
-    bc = resting_boundary(domain, grid24, 1.0)
-    bc.ub["left"][:, 0] = rig.u[0, :]
-    bc.ub["left"][:, 1] = V[1] + w * (0.0 - X[0])
-    bc.ub["right"][:, 0] = rig.u[-1, :]
-    bc.ub["right"][:, 1] = V[1] + w * (domain.Lx - X[0])
-    bc.ub["bottom"][:, 1] = rig.v[:, 0]
-    bc.ub["bottom"][:, 0] = V[0] - w * (0.0 - X[1])
-    bc.ub["top"][:, 1] = rig.v[:, -1]
-    bc.ub["top"][:, 0] = V[0] - w * (domain.Ly - X[1])
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    quad = viscous_quadratic_form(
-        ViscousState(Problem(grid24, domain, params, bc), chi), rig)
-    assert abs(quad) <= 1e-20
-
-
-def test_static_equilibrium_single_step(grid24, domain, params):
-    bc = resting_boundary(domain, grid24, 1.0)
-    bc.u_ext = VectorField.zeros(grid24)
-    body = make_disc_body((0.5, 0.5), 0.2, 0.03, 2.0)
-    chi = body_signed_distance(body, grid24)
-    rho = np.ones(grid24.shape("centers"))
-    state = ViscousState(Problem(grid24, domain, params, bc), chi)
-    vel1, info = momentum_step(state, rho, rho, VectorField.zeros(grid24),
-                               2e-3)
-    assert vel1.max_speed() <= 1e-12
-    assert info.pinned_vacuum_faces == 0
-
-
-def test_uniform_translation_steady(grid24, domain):
-    params = PenaltyParams(n_solid=0.0)
-    bc = resting_boundary(domain, grid24, 1.0)
-    for w in bc.ub:
-        bc.ub[w][:, 0] = 0.3
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    vel = VectorField(grid24, np.full(grid24.shape("ufaces"), 0.3),
-                      np.zeros(grid24.shape("vfaces")))
-    rho = np.ones(grid24.shape("centers"))
-    chi = np.full(grid24.shape("centers"), -1.0)
-    state = ViscousState(Problem(grid24, domain, params, bc), chi)
-    vel1, _ = momentum_step(state, rho, rho, vel, 5e-3)
-    assert np.max(np.abs(vel1.u - 0.3)) < 1e-10
-    assert np.max(np.abs(vel1.v)) < 1e-10
+# properties kept once, as checks in penaltyflow.checks
+test_penalty_ramp_values = check_test("penalty_ramp_properties")
+test_viscosity_fields_formula_and_floor = check_test(
+    "viscosity_fields_invariants")
+test_pressure_laws = check_test("pressure_laws_and_convexity_1e4")
+test_pressure_potential_convexity_bulk = check_test(
+    "pressure_laws_and_convexity_1e4")
+test_stress_cases = check_test("stress_formula_cases")
+test_viscous_quadform_nonnegative = check_test("viscous_quadform_psd_100")
+test_rigid_field_in_viscous_kernel = check_test(
+    "rigid_steady_state_of_viscous_operator")
+test_static_equilibrium_single_step = check_test(
+    "momentum_static_equilibrium_exact")
+test_uniform_translation_steady = check_test(
+    "momentum_uniform_translation_steady")
+test_stiffness_increase_still_converges = check_test(
+    "momentum_stiffness_10x_still_converges")
 
 
 def test_penalty_mu_equals_mu_on_extension_support(grid64, domain, params):
@@ -179,20 +61,6 @@ def test_penalty_mu_equals_mu_on_extension_support(grid64, domain, params):
     supp = (uc + vc) > 0
     assert np.all(mu_n[supp] == params.mu)
     assert np.all(lam_n[supp] == params.lam)
-
-
-def test_stiffness_increase_still_converges(grid24, domain):
-    bc = throughflow_boundary(domain, grid24, 0.2, 1.0)
-    bc.u_ext, _ = build_extension(bc, domain, grid24)
-    body = make_disc_body((0.5, 0.5), 0.15, 0.09, 2.0)
-    chi = body_signed_distance(body, grid24)
-    rho = np.ones(grid24.shape("centers"))
-    vel = bc.u_ext.copy()
-    for n in (1e3, 1e4):
-        params = PenaltyParams(n_solid=n, r_moll=0.09)
-        state = ViscousState(Problem(grid24, domain, params, bc), chi)
-        _, info = momentum_step(state, rho, rho, vel, 2e-3)
-        assert info.solve_residual <= 1e-8
 
 
 def test_vacuum_faces_pinned_or_rejected(grid24, domain, params):
@@ -218,12 +86,6 @@ def test_vacuum_faces_pinned_or_rejected(grid24, domain, params):
                           np.zeros(grid24.shape("vfaces")))
     with pytest.raises(VacuumCell):
         momentum_step(state, np.ones_like(rho_new), rho_new, vel_bad, 1e-3)
-
-
-def test_momentum_mms_first_order():
-    from penaltyflow.mms import momentum_convergence
-    res = momentum_convergence(nx_list=(16, 32), t_end=0.02)
-    assert res["order"] >= 0.8  # full three-halving ladder in acceptance
 
 
 def test_held_body_hold_mask(grid24, domain, params):
