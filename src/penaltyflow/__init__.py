@@ -14,7 +14,7 @@ from .continuity import (PenaltyParams, continuity_step,
 from .diagnostics import (EnergyLedgerRow, effective_viscous_flux,
                           energy_total, interior_pressure_norm, ledger_step,
                           rigidity_measure, surface_force_torque)
-from .driver import RunReport, SweepReport, run, sweep
+from .driver import RunReport, Stepper, SweepReport, run, sweep
 from .fields import (MollifierKernel, ScalarField, StaggeredGrid,
                      VectorField, divergence, integrate, mollify,
                      sym_gradient)

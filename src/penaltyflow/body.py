@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DegenerateMarkers, InvalidMargin, InvalidShape,
-                     MarkerEscaped, SelfIntersection)
+                     MarkerEscaped)
 from .fields import (MollifierKernel, StaggeredGrid, VectorField,
                      interp_uface, interp_vface, mollify)
 from .geometry import Disc, DomainSpec, signed_distance
@@ -181,68 +181,11 @@ def rigid_velocity_field(grid: StaggeredGrid, X, V, w: float) -> VectorField:
 
 
 def body_signed_distance(body: BodyState, grid: StaggeredGrid,
-                         loc: str = "centers",
-                         use_markers: bool = False) -> np.ndarray:
+                         loc: str = "centers") -> np.ndarray:
     """Signed distance to the transported eroded core, positive inside."""
     xy = {"centers": grid.cell_xy, "ufaces": grid.uface_xy,
           "vfaces": grid.vface_xy, "nodes": grid.node_xy}[loc]()
-    if not use_markers:
-        return signed_distance(body.core(), *xy)
-    poly = body.boundary_markers()
-    _check_simple(poly)
-    return polygon_signed_distance(poly, xy[0], xy[1])
-
-
-def polygon_signed_distance(poly: np.ndarray, x, y) -> np.ndarray:
-    """Signed distance to a simple closed polygon, positive inside
-    (even-odd rule)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    p = np.stack([x.ravel(), y.ravel()], axis=1)
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
-    ab2 = np.maximum(np.sum(ab ** 2, axis=1), 1e-300)
-    # distance to each segment
-    ap = p[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("nks,ks->nk", ap, ab) / ab2[None, :], 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    dist = np.min(np.hypot(p[:, None, 0] - closest[:, :, 0],
-                           p[:, None, 1] - closest[:, :, 1]), axis=1)
-    # even-odd crossing test
-    inside = np.zeros(p.shape[0], dtype=bool)
-    for k in range(poly.shape[0]):
-        x0, y0 = a[k]
-        x1, y1 = b[k]
-        cond = (y0 > p[:, 1]) != (y1 > p[:, 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = x0 + (p[:, 1] - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= cond & (p[:, 0] < xi)
-    return np.where(inside, dist, -dist).reshape(x.shape)
-
-
-def _check_simple(poly: np.ndarray):
-    n = poly.shape[0]
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_cross(a[i], b[i], a[j], b[j]):
-                raise SelfIntersection(
-                    f"marker polygon segments {i} and {j} cross")
-
-
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    return signed_distance(body.core(), *xy)
 
 
 @dataclass(frozen=True)

@@ -382,12 +382,19 @@ def _c17():
         ok &= np.all(f <= np.minimum(vv, 0.0) + 1e-15)
         ok &= np.all(f[vv <= -1.0 / nn] == vv[vv <= -1.0 / nn])
         ok &= np.all(f[vv >= 1.0 / nn] == 0.0)
-    # monotone on the blend interval
-    for N0 in (1.0, 7.0, 64.0, 256.0):
-        vv = np.linspace(-1 / N0, 1 / N0, 200)
-        ok &= np.all(np.diff(smoothed_negative_part(vv, N0)) >= -1e-15)
+    # monotone on the blend interval, and C1 at its ends: slope 1 at the
+    # lower junction, 0 at the upper
+    h = 1e-9
+    for N0 in (1.0, 7.0, 16.0, 64.0, 256.0):
+        for count, tol in ((200, 1e-15), (400, 1e-16)):
+            vv = np.linspace(-1 / N0, 1 / N0, count)
+            ok &= np.all(np.diff(smoothed_negative_part(vv, N0)) >= -tol)
         ok &= -1 / N0 <= smoothed_negative_part(0.0, N0) <= 0.0
-    return _ok(ok, "10^4 samples: bound, tails, monotone blend")
+        for end, slope in ((-1 / N0, 1.0), (1 / N0, 0.0)):
+            d = (smoothed_negative_part(end + h, N0)
+                 - smoothed_negative_part(end - h, N0)) / (2 * h)
+            ok &= abs(d - slope) <= 1e-5
+    return _ok(ok, "10^4 samples: bound, tails, monotone C1 blend")
 
 
 @check("negative_part_sharpness_limit")
@@ -846,19 +853,13 @@ def _c38():
     body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0)
     ok = abs(float(signed_distance(body.core(), 0.5, 0.5)) - 0.12) <= 1e-15
     ok &= abs(float(signed_distance(body.core(), 0.5 + 0.12, 0.5))) <= 1e-15
-    gaps = []
     for n in (48, 64):
         g = _grid(n)
         chi = body_signed_distance(body, g)
         i, j = g.nx // 2, g.ny // 2
         ok &= chi[i, j] > 0 and chi[0, 0] < 0
         ok &= abs(chi[i, j] - 0.12) <= g.dx
-        # polygon path against the analytic disc
-        chi_poly = body_signed_distance(body, g, use_markers=True)
-        interiorish = np.abs(chi) > 2 * g.dx
-        gaps.append(np.max(np.abs((chi - chi_poly)[interiorish])))
-    ok &= max(gaps) < 5e-4  # 64-gon versus circle
-    return _ok(ok, f"signs, analytic values, polygon gaps {gaps}")
+    return _ok(ok, "signs and analytic values")
 
 
 @check("collision_guard_arithmetic")

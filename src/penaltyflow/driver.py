@@ -13,18 +13,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .body import (body_signed_distance, body_step, collision_guard,
-                   rigid_velocity_field, t0_lower_bound)
+from .body import (BodyStepInfo, body_signed_distance, body_step,
+                   collision_guard, rigid_velocity_field, t0_lower_bound)
 from .config import RunConfig
-from .continuity import MASS_BUDGET_TOL, continuity_step
-from .diagnostics import (CSV_SCHEMA, fluid_mask, interior_pressure_norm,
-                          ledger_step, rigidity_measure,
-                          surface_force_torque)
+from .continuity import (MASS_BUDGET_TOL, ContinuityStepInfo,
+                         continuity_step)
+from .diagnostics import (CSV_SCHEMA, EnergyLedgerRow, fluid_mask,
+                          interior_pressure_norm, ledger_step,
+                          rigidity_measure, surface_force_torque)
 from .errors import ConfigError, MassBudgetError, PenaltyflowError
 from .fields import (MollifierKernel, VectorField, sym_gradient,
                      write_field, write_vti)
-from .momentum import (PreconditionerRule, Problem, SolutionHistory,
-                       ViscousState, momentum_step, sound_speed_max)
+from .momentum import (MomentumStepInfo, PreconditionerRule, Problem,
+                       SolutionHistory, ViscousState, momentum_step,
+                       sound_speed_max)
 
 BODY_CSV_SCHEMA = ("t", "Xx", "Xy", "theta", "Vx", "Vy", "w",
                    "rigidity_defect", "margin")
@@ -32,6 +34,7 @@ BODY_CSV_SCHEMA = ("t", "Xx", "Xy", "theta", "Vx", "Vy", "w",
 
 @dataclass
 class RunReport:
+    """A run's outcome.  report.json holds the fields up to ``extension``."""
     final_t: float
     t_max: float
     steps: int
@@ -48,33 +51,18 @@ class RunReport:
     body_rows: list = field(default=None, repr=False)
     final_rho: np.ndarray = field(default=None, repr=False)
     final_vel: VectorField = field(default=None, repr=False)
-    energy_series: list = field(default=None, repr=False)
-
-    def to_json_dict(self):
-        return {
-            "final_t": self.final_t,
-            "t_max": self.t_max,
-            "steps": self.steps,
-            "stopped_early": self.stopped_early,
-            "violation_t": self.violation_t,
-            "violation_margin": self.violation_margin,
-            "c_run": self.c_run,
-            "t0_bound": self.t0_bound,
-            "initial_clearance": self.initial_clearance,
-            "aggregates": self.aggregates,
-            "extension": self.extension,
-        }
 
 
-def _timestep(cfg, grid, params, vel, bc, rho, remaining):
+def _timestep(cfg, s):
+    """The stepper's next dt: the fixed one, or the CFL one, cut at t_end."""
+    remaining, p = cfg.t_end - s.t, s.problem
     if cfg.dt > 0:
         return min(cfg.dt, remaining)
-    vmax = max(vel.max_speed(), bc.max_trace_speed())
+    vmax = max(s.vel.max_speed(), p.bc.max_trace_speed())
     # explicit pressure forces an acoustic-aware step; the advective
     # precondition of the steps then holds a fortiori
-    wave = vmax + sound_speed_max(rho, params)
-    dt = cfg.cfl * min(grid.dx, grid.dy) / wave
-    return min(dt, remaining)
+    wave = vmax + sound_speed_max(s.rho, p.params)
+    return min(cfg.cfl * min(p.grid.dx, p.grid.dy) / wave, remaining)
 
 
 class _Outputs:
@@ -108,6 +96,20 @@ class _Outputs:
         self.body_rows.append(values)
         if self.outdir:
             self._body.write(_csv_line(values))
+
+    def add_snapshot(self, stepper, vtk):
+        """The stepper's fields as snap_<step>_*.dat (and .vti, with chi)."""
+        s, grid = stepper, stepper.problem.grid
+        path = functools.partial(os.path.join, self.outdir)
+        tag = f"{s.steps:06d}"
+        write_field(path(f"snap_{tag}_rho.dat"), grid, s.rho, "centers")
+        write_field(path(f"snap_{tag}_u.dat"), grid, s.vel.u, "ufaces")
+        write_field(path(f"snap_{tag}_v.dat"), grid, s.vel.v, "vfaces")
+        if vtk:
+            from .fields import faces_to_centers
+            uc, vc = faces_to_centers(grid, s.vel.u, s.vel.v)
+            write_vti(path(f"snap_{tag}.vti"), grid,
+                      {"rho": s.rho, "u": uc, "v": vc, "chi": s.chi})
 
     def close(self):
         for f in self._files:
@@ -180,6 +182,143 @@ def _one_blas_thread():
             put(count)
 
 
+@dataclass
+class StepRecord:
+    """What one ``Stepper.step`` computed.  ``row`` is the step's ledger
+    row with its probes, or None when the collision guard rejected the
+    step; ``t`` is the step's end time, ``margin`` its guard margin (nan
+    without a body) and ``body`` None unless a free body moved."""
+    t: float
+    row: EnergyLedgerRow | None
+    continuity: ContinuityStepInfo
+    momentum: MomentumStepInfo
+    body: BodyStepInfo | None
+    margin: float
+
+    @property
+    def accepted(self) -> bool:
+        return self.row is not None
+
+
+class Stepper:
+    """One run's state and its split step: mass transport, momentum, the
+    rigid body and its collision guard, then the ledger and the probes.
+
+    The viscous CG starts from the projection onto this run's recent
+    solutions (``history``), preconditioned as this run's ``rule`` picks;
+    both are the stepper's, so steppers stepped side by side stay
+    independent.  A step the collision guard rejects leaves t, rho, u, the
+    body, chi, E_prev and the step count as they were; its body transport
+    still counts in ``c2_sum`` (c_run).  Each stage is called through this
+    module's names, which the benchmark's tracer wraps."""
+
+    def __init__(self, problem: Problem, body, rho, vel: VectorField,
+                 mobile: bool = True):
+        grid = problem.grid
+        self.problem, self.body, self.rho, self.vel = problem, body, rho, vel
+        self.mobile = mobile
+        self.t, self.steps, self.c2_sum = 0.0, 0, 0.0
+        self.E_prev = None   # the last row's E: the next step's E0
+        self.kernel = self.hold = None
+        if body is not None and mobile:
+            self.kernel = MollifierKernel.build(problem.params.r_moll,
+                                                grid.dx, grid.dy)
+        self.chi = self._chi(body)
+        if body is not None and not mobile:
+            # tethered diagnostic mode: the solid core is an internal
+            # Dirichlet region held at the prescribed rigid velocity; a
+            # tethered body never moves, so the mask is fixed for the run
+            m = 2.0 * max(grid.dx, grid.dy)
+            self.hold = (body_signed_distance(body, grid, "ufaces") >= m,
+                         body_signed_distance(body, grid, "vfaces") >= m)
+        self.history = SolutionHistory()
+        self.rule = PreconditionerRule(grid, mobile_body=body is not None
+                                       and mobile)
+        self.viscous = None  # chi's viscous data, dropped when chi changes
+
+    def _chi(self, body):
+        grid = self.problem.grid
+        if body is None:
+            return np.full((grid.nx, grid.ny), -1e3)
+        return body_signed_distance(body, grid)
+
+    def step(self, dt: float) -> StepRecord:
+        problem, body, rho, vel, t = (self.problem, self.body, self.rho,
+                                      self.vel, self.t)
+        grid, domain, params = problem.grid, problem.domain, problem.params
+        rho_new, cinfo = continuity_step(problem, rho, vel, dt)
+        if not cinfo.mass_residual <= MASS_BUDGET_TOL:
+            raise MassBudgetError(
+                f"relative mass budget residual {cinfo.mass_residual:.3e} "
+                f"exceeds {MASS_BUDGET_TOL:g} in the step from t = {t!r}")
+        if self.viscous is None:
+            pin = None if body is None else rigid_velocity_field(
+                grid, body.X, body.V, body.w)
+            self.viscous = ViscousState(problem, self.chi, pin, self.hold)
+        vel_new, minfo = momentum_step(self.viscous, rho, rho_new, vel, dt,
+                                       rule=self.rule, history=self.history)
+        margin, binfo, body_new = float("nan"), None, body
+        if body is not None:
+            if self.mobile:
+                body_new, binfo = body_step(grid, domain, body, vel_new,
+                                            self.kernel, dt)
+                self.c2_sum += binfo.mollified_max ** 2 * dt
+            guard = collision_guard(body_new, domain, params.h,
+                                    params.r_moll)
+            margin = guard.margin
+            if not guard.ok:
+                return StepRecord(t + dt, None, cinfo, minfo, binfo, margin)
+
+        chi_new = self.chi if body_new is body else self._chi(body_new)
+        row = ledger_step(self.viscous, rho, vel, rho_new, vel_new, dt,
+                          t + dt, E0=self.E_prev)
+        row.mass_residual = cinfo.mass_residual
+        if body_new is not None:
+            strain = sym_gradient(grid, vel_new.u, vel_new.v)
+            row.rigidity = rigidity_measure(grid, vel_new, chi_new,
+                                            strain=strain)
+            kmask = fluid_mask(problem, chi_new)
+            row.pnorm_gamma, row.pnorm_beta = interior_pressure_norm(
+                grid, rho_new, kmask, params)
+            force, torque = surface_force_torque(grid, domain, rho_new,
+                                                 vel_new, body_new, params,
+                                                 strain=strain)
+            row.Fx, row.Fy, row.torque = float(force[0]), float(force[1]), \
+                torque
+            row.margin = margin
+        if chi_new is not self.chi:
+            # a body that moved: a new chi and a new rigid pin.  A held
+            # body or none keeps both, and so its state, for the run
+            self.viscous = None
+        self.rho, self.vel, self.body, self.chi = (rho_new, vel_new, body_new,
+                                                   chi_new)
+        self.t, self.steps, self.E_prev = t + dt, self.steps + 1, row.E
+        return StepRecord(t + dt, row, cinfo, minfo, binfo, margin)
+
+    def body_values(self, rec: StepRecord) -> tuple:
+        """body.csv's row after the accepted step ``rec``."""
+        b = self.body
+        defect = 0.0 if rec.body is None else rec.body.rigidity_defect
+        return (rec.t, b.X[0], b.X[1], b.theta, b.V[0], b.V[1], b.w, defect,
+                rec.margin)
+
+
+def start(cfg: RunConfig):
+    """``cfg``'s Stepper at t = 0, and the run's extension report."""
+    domain, grid, params = cfg.make_domain(), cfg.make_grid(), \
+        cfg.make_params()
+    bc, ext_report = cfg.make_boundary(domain, grid)
+    body = cfg.make_body()
+    # looked up when called, so that a wrapper set on the continuity
+    # module (the benchmark's tracer) sees the call
+    from .continuity import regularize_initial_density
+    rho = regularize_initial_density(grid, cfg.initial_density(grid), params,
+                                     bc)
+    vel = cfg.initial_velocity(grid, bc, body)
+    return (Stepper(Problem(grid, domain, params, bc), body, rho, vel,
+                    cfg.body_mobile), ext_report)
+
+
 def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
     """Execute one configured run; writes diagnostics.csv, body.csv and
     report.json under the output directory (unless outdir is False).
@@ -197,173 +336,47 @@ def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": blas})
         try:
-            report = _run_inner(cfg, out, keep_fields)
+            s, ext_report = start(cfg)
+            p, body = s.problem, s.body
+            clearance = None if body is None else float(
+                p.domain.boundary_distance(body.X[0], body.X[1]) - body.radius)
+            rec = None
+            while s.t < cfg.t_end * (1.0 - 1e-12):
+                rec = s.step(_timestep(cfg, s))
+                if not rec.accepted:
+                    # the run's reach is the last accepted time; the margin
+                    # below zero belongs to the rejected step
+                    break
+                out.add_row(rec.row)
+                if s.body is not None:
+                    out.add_body_row(s.body_values(rec))
+                if out.outdir and cfg.snapshots and s.steps % cfg.cadence == 0:
+                    out.add_snapshot(s, cfg.vtk)
+
+            c_run = float(np.sqrt(s.c2_sum))
+            t0 = None
+            if body is not None:
+                # nothing moved: the bound saturates the horizon
+                t0 = (t0_lower_bound(clearance, p.params.h, c_run, cfg.t_end)
+                      if c_run > 0 else cfg.t_end)
+            stopped = rec is not None and not rec.accepted
+            summary = dict(
+                final_t=s.t, t_max=s.t, steps=s.steps, stopped_early=stopped,
+                violation_t=rec.t if stopped else None,
+                violation_margin=rec.margin if stopped else None,
+                c_run=c_run, t0_bound=t0, initial_clearance=clearance,
+                aggregates=_aggregate(out.rows),
+                extension=_ext_dict(ext_report))
         except PenaltyflowError as exc:
             out.write_failure(exc)
             raise
         finally:
             out.close()
-        out.write_report(report.to_json_dict())
-    return report
-
-
-def _run_inner(cfg, out, keep_fields):
-    domain = cfg.make_domain()
-    grid = cfg.make_grid()
-    params = cfg.make_params()
-    bc, ext_report = cfg.make_boundary(domain, grid)
-    problem = Problem(grid, domain, params, bc)
-    body = cfg.make_body()
-    kernel = None
-    if body is not None:
-        kernel = MollifierKernel.build(params.r_moll, grid.dx, grid.dy)
-    rho = cfg.initial_density(grid)
-    from .continuity import regularize_initial_density
-    rho = regularize_initial_density(grid, rho, params, bc)
-    vel = cfg.initial_velocity(grid, bc, body)
-
-    initial_clearance = None
-    if body is not None:
-        initial_clearance = float(
-            domain.boundary_distance(body.X[0], body.X[1]) - body.radius)
-
-    energy_series = []
-    t = 0.0
-    steps = 0
-    c2_sum = 0.0
-    stopped_early = False
-    violation_t = None
-    violation_margin = None
-
-    def chi_of(b):
-        if b is None:
-            return np.full((grid.nx, grid.ny), -1e3)
-        return body_signed_distance(b, grid)
-
-    chi = chi_of(body)
-    hold = None
-    if body is not None and not cfg.body_mobile:
-        # tethered diagnostic mode: the solid core is an internal Dirichlet
-        # region held at the prescribed rigid velocity; a tethered body
-        # never moves, so the mask is fixed for the run
-        m = 2.0 * max(grid.dx, grid.dy)
-        hold = (body_signed_distance(body, grid, "ufaces") >= m,
-                body_signed_distance(body, grid, "vfaces") >= m)
-    # the viscous CG starts from the projection onto this run's recent
-    # solutions, preconditioned as this run's rule picks step by step; both
-    # are per-run state, so runs stay independent
-    history = SolutionHistory()
-    rule = PreconditionerRule(grid, mobile_body=body is not None
-                              and hold is None)
-    E_prev = None   # the last row's E: this step's E0 in the ledger
-    viscous = None  # the viscous data of chi, dropped when chi changes
-
-    while t < cfg.t_end * (1.0 - 1e-12):
-        dt = _timestep(cfg, grid, params, vel, bc, rho, cfg.t_end - t)
-        rho_new, cinfo = continuity_step(problem, rho, vel, dt)
-        if not cinfo.mass_residual <= MASS_BUDGET_TOL:
-            raise MassBudgetError(
-                f"relative mass budget residual {cinfo.mass_residual:.3e} "
-                f"exceeds {MASS_BUDGET_TOL:g} in the step from t = {t!r}")
-        if viscous is None:
-            pin = None
-            if body is not None:
-                pin = rigid_velocity_field(grid, body.X, body.V, body.w)
-            viscous = ViscousState(problem, chi, pin, hold)
-        vel_new, _ = momentum_step(viscous, rho, rho_new, vel, dt,
-                                   rule=rule, history=history)
-        guard_margin = float("nan")
-        defect = 0.0
-        body_new = body
-        if body is not None:
-            if cfg.body_mobile:
-                body_new, binfo = body_step(grid, domain, body, vel_new,
-                                            kernel, dt)
-                c2_sum += binfo.mollified_max ** 2 * dt
-                defect = binfo.rigidity_defect
-            guard = collision_guard(body_new, domain, params.h,
-                                    params.r_moll)
-            guard_margin = guard.margin
-            if not guard.ok:
-                # reject the violating step: the run's reach is the last
-                # accepted time, the margin below zero belongs to the
-                # would-be next step
-                stopped_early = True
-                violation_t = t + dt
-                violation_margin = guard.margin
-                break
-
-        chi_new = chi if body_new is body else chi_of(body_new)
-        row = ledger_step(viscous, rho, vel, rho_new, vel_new, dt, t + dt,
-                          E0=E_prev)
-        E_prev = row.E
-        row.mass_residual = cinfo.mass_residual
-        if body_new is not None:
-            strain = sym_gradient(grid, vel_new.u, vel_new.v)
-            row.rigidity = rigidity_measure(grid, vel_new, chi_new,
-                                            strain=strain)
-            kmask = fluid_mask(problem, chi_new)
-            row.pnorm_gamma, row.pnorm_beta = interior_pressure_norm(
-                grid, rho_new, kmask, params)
-            force, torque = surface_force_torque(grid, domain, rho_new,
-                                                 vel_new, body_new, params,
-                                                 strain=strain)
-            del strain   # not held through the next step
-            row.Fx, row.Fy, row.torque = float(force[0]), float(force[1]), \
-                torque
-            row.margin = guard_margin
-        out.add_row(row)
-        energy_series.append((t + dt, row.E))
-        if body_new is not None:
-            out.add_body_row((t + dt, body_new.X[0], body_new.X[1],
-                              body_new.theta, body_new.V[0],
-                              body_new.V[1], body_new.w, defect,
-                              guard_margin))
-
-        if chi_new is not chi:
-            # a body that moved: a new chi and a new rigid pin.  A held
-            # body or none keeps both, and so its state, for the run
-            viscous = None
-        rho, vel, body, chi = rho_new, vel_new, body_new, chi_new
-        t += dt
-        steps += 1
-
-        if out.outdir and cfg.snapshots and steps % cfg.cadence == 0:
-            tag = f"{steps:06d}"
-            write_field(os.path.join(out.outdir, f"snap_{tag}_rho.dat"),
-                        grid, rho, "centers")
-            write_field(os.path.join(out.outdir, f"snap_{tag}_u.dat"),
-                        grid, vel.u, "ufaces")
-            write_field(os.path.join(out.outdir, f"snap_{tag}_v.dat"),
-                        grid, vel.v, "vfaces")
-            if cfg.vtk:
-                from .fields import faces_to_centers
-                uc, vc = faces_to_centers(grid, vel.u, vel.v)
-                write_vti(os.path.join(out.outdir, f"snap_{tag}.vti"), grid,
-                          {"rho": rho, "u": uc, "v": vc,
-                           "chi": chi})
-
-    c_run = float(np.sqrt(c2_sum))
-    t0 = None
-    if body is not None and initial_clearance is not None:
-        if c_run > 0:
-            t0 = t0_lower_bound(initial_clearance, params.h, c_run,
-                                cfg.t_end)
-        else:
-            t0 = cfg.t_end  # nothing moved; the bound saturates the horizon
-
-    aggregates = _aggregate(out.rows)
-    report = RunReport(
-        final_t=t, t_max=t, steps=steps, stopped_early=stopped_early,
-        violation_t=violation_t, violation_margin=violation_margin,
-        c_run=c_run, t0_bound=t0, initial_clearance=initial_clearance,
-        aggregates=aggregates, extension=_ext_dict(ext_report),
-        outdir=out.outdir,
-        rows=out.rows, body_rows=out.body_rows,
-        final_rho=rho.copy() if keep_fields else None,
-        final_vel=vel.copy() if keep_fields else None,
-        energy_series=energy_series)
-    return report
+        out.write_report(summary)
+    return RunReport(**summary, outdir=out.outdir, rows=out.rows,
+                     body_rows=out.body_rows,
+                     final_rho=s.rho.copy() if keep_fields else None,
+                     final_vel=s.vel.copy() if keep_fields else None)
 
 
 def _ext_dict(ext_report):
@@ -424,36 +437,22 @@ class SweepReport:
 
 
 def _config_for(cfg: RunConfig, param: str, value) -> RunConfig:
-    if param == "n":
-        return cfg.with_updates(n=float(value))
-    if param == "eps":
-        return cfg.with_updates(eps=float(value))
-    if param == "delta":
-        return cfg.with_updates(delta=float(value))
-    if param == "N":
-        return cfg.with_updates(N=float(value))
     if param == "dx":
         nx = int(round(cfg.Lx / float(value)))
         ny = int(round(cfg.Ly / float(value)))
         return cfg.with_updates(nx=nx, ny=ny)
-    if param == "dt":
-        return cfg.with_updates(dt=float(value))
+    if param in SWEEP_PARAMS:
+        return cfg.with_updates(**{param: float(value)})
     raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
 
 
 def _sweep_worker(args):
     cfg, param = args
     rep = run(cfg, outdir=False, keep_fields=True)
-    out = {
-        "final_t": rep.final_t,
-        "steps": rep.steps,
-        "aggregates": rep.aggregates,
-        "stopped_early": rep.stopped_early,
-    }
-    payload = {"summary": out,
-               "final_rho": rep.final_rho,
-               "energy_series": rep.energy_series}
-    return payload
+    out = {"final_t": rep.final_t, "steps": rep.steps,
+           "aggregates": rep.aggregates, "stopped_early": rep.stopped_early}
+    return {"summary": out, "final_rho": rep.final_rho,
+            "energy_series": [(r.t, r.E) for r in rep.rows]}
 
 
 def sweep(cfg: RunConfig, param: str, values, jobs: int = 1) -> SweepReport:

@@ -65,10 +65,6 @@ class DegenerateMarkers(PenaltyflowError):
     pass
 
 
-class SelfIntersection(PenaltyflowError):
-    pass
-
-
 class InvalidMargin(PenaltyflowError):
     pass
 

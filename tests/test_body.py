@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from penaltyflow.body import (body_signed_distance, body_step,
-                              collision_guard, make_disc_body,
-                              polygon_signed_distance, project_rigid,
-                              rigid_velocity_field)
-from penaltyflow.errors import (DegenerateMarkers, MarkerEscaped,
-                                SelfIntersection)
+from penaltyflow.body import (body_step, collision_guard, make_disc_body,
+                              project_rigid, rigid_velocity_field)
+from penaltyflow.errors import DegenerateMarkers, MarkerEscaped
 from penaltyflow.fields import MollifierKernel, StaggeredGrid, VectorField
 from penaltyflow.geometry import DomainSpec, signed_distance
 from test_checks import check_test
@@ -86,22 +83,6 @@ def test_chi_rigid_motion_equivariance(transport_setup):
     moved_pts = b1.X[None, :] + (pts - body.X[None, :]) @ shift.T
     chi1 = signed_distance(b1.core(), moved_pts[:, 0], moved_pts[:, 1])
     assert np.allclose(chi0, chi1, atol=1e-12)
-
-
-def test_polygon_signed_distance_square():
-    poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert polygon_signed_distance(poly, 0.5, 0.5) == pytest.approx(0.5)
-    assert polygon_signed_distance(poly, -0.25, 0.5) == pytest.approx(-0.25)
-    assert polygon_signed_distance(poly, 0.5, 0.0) == pytest.approx(0.0)
-
-
-def test_polygon_self_intersection_detected(grid24):
-    body = make_disc_body((0.5, 0.5), 0.15, 0.03, 2.0, n_boundary=8)
-    bowtie = body.ref_markers.copy()
-    bowtie[[0, 1]] = bowtie[[1, 0]]
-    crossed = body.__class__(**{**body.__dict__, "ref_markers": bowtie})
-    with pytest.raises(SelfIntersection):
-        body_signed_distance(crossed, grid24, use_markers=True)
 
 
 def test_guard_change_bounded_by_speed(transport_setup):

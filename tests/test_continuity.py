@@ -42,21 +42,6 @@ def test_params_invariants():
     PenaltyParams(n_solid=0.0)  # penalty off is legal (resting scenario)
 
 
-@pytest.mark.parametrize("sharp", [16.0, 64.0, 256.0])
-def test_negative_part_monotone_blend(sharp):
-    v = np.linspace(-1 / sharp, 1 / sharp, 400)
-    f = smoothed_negative_part(v, sharp)
-    assert np.all(np.diff(f) >= -1e-16)
-    # C1 junctions: slope 1 at the lower end, 0 at the upper end
-    h = 1e-9
-    lo = (smoothed_negative_part(-1 / sharp + h, sharp)
-          - smoothed_negative_part(-1 / sharp - h, sharp)) / (2 * h)
-    hi = (smoothed_negative_part(1 / sharp + h, sharp)
-          - smoothed_negative_part(1 / sharp - h, sharp)) / (2 * h)
-    assert lo == pytest.approx(1.0, abs=1e-5)
-    assert hi == pytest.approx(0.0, abs=1e-5)
-
-
 def test_regularize_constant_state_untouched(grid24, domain, params):
     # resting walls with matching boundary density: the compatibility
     # condition collapses to a homogeneous Neumann condition that the

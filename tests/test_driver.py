@@ -148,6 +148,28 @@ def test_early_stop_semantics():
     assert rep.violation_t > rep.final_t
     # every accepted row respects the guard
     assert all(r[8] >= 0 for r in rep.body_rows)
+    # a Stepper takes the same steps, and the step the guard rejects leaves
+    # its state as it was
+    s, _ = driver.start(cfg)
+    lines = []
+    while True:
+        kept = (s.t, s.steps, s.rho, s.vel, s.body, s.chi, s.E_prev)
+        rho, u, v = s.rho.copy(), s.vel.u.copy(), s.vel.v.copy()
+        rec = s.step(driver._timestep(cfg, s))
+        if not rec.accepted:
+            break
+        lines.append((driver._csv_line(rec.row.csv_values()),
+                      driver._csv_line(s.body_values(rec))))
+    assert rec.row is None and rec.body is not None
+    assert all(a is b for a, b in
+               zip(kept, (s.t, s.steps, s.rho, s.vel, s.body, s.chi,
+                          s.E_prev)))
+    assert (np.array_equal(s.rho, rho) and np.array_equal(s.vel.u, u)
+            and np.array_equal(s.vel.v, v))
+    assert lines == [(driver._csv_line(r.csv_values()), driver._csv_line(b))
+                     for r, b in zip(rep.rows, rep.body_rows)]
+    assert s.t == rep.final_t and s.steps == rep.steps == len(lines)
+    assert (rec.t, rec.margin) == (rep.violation_t, rep.violation_margin)
 
 
 def test_sweep_requires_monotone_values():

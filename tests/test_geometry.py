@@ -39,18 +39,6 @@ def test_extension_point_beyond_outer_collar(grid64, domain):
     assert np.all(u_ext.u[deep] == 0.0)
 
 
-@pytest.mark.parametrize("scale,label", [(1.7, "net outflow"),
-                                         (0.4, "net inflow")])
-def test_extension_unbalanced_clauses(grid64, domain, scale, label):
-    bc = throughflow_boundary(domain, grid64, 0.2, 1.0)
-    bc.ub["right"][:, 0] *= scale
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
-    u_ext, rep = build_extension(bc, domain, grid64)
-    assert rep.trace_error <= 1e-10, label
-    assert rep.div_min_inner_collar >= -1e-12, label
-    assert rep.max_outside_outer_collar == 0.0, label
-
-
 @pytest.mark.parametrize("n,speed", [(48, 1.0), (48, 10.0), (96, 1.0),
                                      (96, 2.0), (96, 5.0), (192, 1.0),
                                      (192, 2.0)])

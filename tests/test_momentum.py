@@ -5,14 +5,13 @@ from scipy.sparse.linalg import cg, spsolve
 
 import reference_builders as ref
 from penaltyflow import driver
-from penaltyflow.body import (body_signed_distance, body_step,
-                              make_disc_body, rigid_velocity_field)
+from penaltyflow.body import (body_signed_distance, make_disc_body,
+                              rigid_velocity_field)
 from penaltyflow.config import default_config
-from penaltyflow.continuity import (PenaltyParams, continuity_step,
-                                    regularize_initial_density)
+from penaltyflow.continuity import PenaltyParams, continuity_step
 from penaltyflow.diagnostics import ledger_step
 from penaltyflow.errors import VacuumCell
-from penaltyflow.fields import MollifierKernel, StaggeredGrid, VectorField
+from penaltyflow.fields import StaggeredGrid, VectorField
 from penaltyflow.geometry import (DomainSpec, build_extension,
                                   resting_boundary, throughflow_boundary)
 from penaltyflow.momentum import (MG_MIN_LEVELS, MG_RATE, PROJECTION_DEPTH,
@@ -719,53 +718,40 @@ def test_viscous_state_refills_when_a_vacuum_face_appears():
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
-def _stepping(cfg, dt):
-    """One run's steps as ``driver.run`` takes them, at a fixed dt and
-    without the guard and probes: yields each step's ledger row, density
-    and velocity."""
-    domain, grid, params = cfg.make_domain(), cfg.make_grid(), \
-        cfg.make_params()
-    bc, _ = cfg.make_boundary(domain, grid)
-    problem = Problem(grid, domain, params, bc)
-    body = cfg.make_body()
-    kernel = MollifierKernel.build(params.r_moll, grid.dx, grid.dy)
-    rho = regularize_initial_density(grid, cfg.initial_density(grid),
-                                     params, bc)
-    vel = cfg.initial_velocity(grid, bc, body)
-    hold = None if cfg.body_mobile else _hold96(grid, body)
-    rule = PreconditionerRule(grid, mobile_body=cfg.body_mobile)
-    history, state, t = SolutionHistory(), None, 0.0
-    while True:
-        rho1, _ = continuity_step(problem, rho, vel, dt)
-        if state is None:
-            state = ViscousState(problem, body_signed_distance(body, grid),
-                                 rigid_velocity_field(grid, body.X, body.V,
-                                                      body.w), hold)
-        vel1, _ = momentum_step(state, rho, rho1, vel, dt, rule=rule,
-                                history=history)
-        t += dt
-        yield ledger_step(state, rho, vel, rho1, vel1, dt, t), rho1, vel1
-        if cfg.body_mobile:
-            body, _ = body_step(grid, domain, body, vel1, kernel, dt)
-            state = None
-        rho, vel = rho1, vel1
+_DT = 2.0 ** -9   # exact in binary: six steps end at t_end exactly
+
+
+def _step(stepper, dt):
+    """One step: its diagnostics.csv and body.csv lines, which hold every
+    bit of the row, and its momentum iterations."""
+    rec = stepper.step(dt)
+    return (driver._csv_line(rec.row.csv_values()),
+            driver._csv_line(stepper.body_values(rec)),
+            rec.momentum.iterations)
 
 
 def test_interleaved_runs_step_as_they_do_alone():
     # a held body and a free one on one grid with different boundary
     # speeds: their pinned sets, free patterns and Robin closures differ
-    cfgs = (default_config(nx=32, ny=32, r=0.07, body_mobile=False),
-            default_config(nx=32, ny=32, r=0.07, speed=0.35))
-    alone = [[next(run) for _ in range(6)]
-             for run in (_stepping(c, 2e-3) for c in cfgs)]
-    runs = [_stepping(c, 2e-3) for c in cfgs]
+    cfgs = [default_config(nx=32, ny=32, r=0.07, dt=_DT, t_end=6 * _DT, **kw)
+            for kw in ({"body_mobile": False}, {"speed": 0.35})]
+    reports = [driver.run(c, outdir=False, keep_fields=True) for c in cfgs]
+    alone = [[_step(s, _DT) for _ in range(6)]
+             for s in (driver.start(c)[0] for c in cfgs)]
+    steppers = [driver.start(c)[0] for c in cfgs]
     together = [[], []]
     for _ in range(6):
-        for steps, run in zip(together, runs):
-            steps.append(next(run))
-    for got_run, want_run in zip(together, alone):
-        for (got, *fields), (want, *want_fields) in zip(got_run, want_run):
-            assert got.as_dict() == want.as_dict()
-            assert np.array_equal(fields[0], want_fields[0])
-            assert np.array_equal(fields[1].u, want_fields[1].u)
-            assert np.array_equal(fields[1].v, want_fields[1].v)
+        for steps, s in zip(together, steppers):
+            steps.append(_step(s, _DT))
+    for rep, solo, paired, s in zip(reports, alone, together, steppers):
+        # alone, a stepper takes run's steps, guard and probes included
+        assert [driver._csv_line(r.csv_values()) for r in rep.rows] == [
+            row for row, _, _ in solo]
+        assert [driver._csv_line(b) for b in rep.body_rows] == [
+            body for _, body, _ in solo]
+        # side by side, each steps as it does alone
+        assert paired == solo
+        assert (s.t, s.steps) == (rep.final_t, rep.steps) == (6 * _DT, 6)
+        assert np.array_equal(s.rho, rep.final_rho)
+        assert np.array_equal(s.vel.u, rep.final_vel.u)
+        assert np.array_equal(s.vel.v, rep.final_vel.v)
