@@ -15,9 +15,8 @@ from .diagnostics import (EnergyLedgerRow, effective_viscous_flux,
                           energy_total, interior_pressure_norm, ledger_step,
                           rigidity_measure, surface_force_torque)
 from .driver import RunReport, Stepper, SweepReport, run, sweep
-from .fields import (MollifierKernel, ScalarField, StaggeredGrid,
-                     VectorField, divergence, integrate, mollify,
-                     sym_gradient)
+from .fields import (MollifierKernel, StaggeredGrid, VectorField,
+                     divergence, integrate, mollify, sym_gradient)
 from .geometry import (BoundaryData, CutoffProfile, Disc, DomainSpec,
                        Rectangle, build_extension, classify_boundary,
                        erode, signed_distance, throughflow_boundary)

@@ -10,18 +10,15 @@ marches.
 from __future__ import annotations
 
 import json
-import sys
 import time
 
 import numpy as np
 
-from . import diagnostics as diagnostics_mod
-from . import momentum as momentum_mod
 from .body import (body_mass_inertia, body_signed_distance, body_step,
                    collision_guard, make_disc_body, project_rigid,
                    rigid_velocity_field, t0_lower_bound)
 from .config import default_config
-from .continuity import (PenaltyParams, continuity_step,
+from .continuity import (PenaltyParams, _advected, continuity_step,
                          initial_bc_residual, regularize_initial_density,
                          renormalized_residual, smoothed_negative_part)
 from .diagnostics import (effective_viscous_flux, energy_total,
@@ -29,15 +26,17 @@ from .diagnostics import (effective_viscous_flux, energy_total,
                           rigidity_measure, surface_force_torque)
 from .errors import ErosionEmpty, InvalidMargin, InvalidShape, NegativeDensity
 from .fields import (MollifierKernel, StaggeredGrid, VectorField,
-                     divergence, face_gradient, integrate, mollify,
+                     _node_differences, cell_gradient, divergence,
+                     face_gradient, full_gradient, integrate, mollify,
                      sym_gradient)
 from .geometry import (Disc, DomainSpec, Rectangle, build_extension,
                        classify_boundary, erode, resting_boundary,
                        signed_distance, throughflow_boundary, wall_cutoff)
-from .momentum import (Problem, ViscosityModel, ViscousState, penalty_ramp,
-                       pressure, pressure_potential, pressure_potential_d1,
-                       momentum_step, stress, viscosity_fields,
-                       viscous_quadratic_form)
+from .momentum import (Problem, ViscosityModel, ViscousState, _d12_slots,
+                       _explicit_terms, _face_density, _face_views,
+                       momentum_step, penalty_ramp, pressure,
+                       pressure_potential, pressure_potential_d1, stress,
+                       viscosity_fields, viscous_quadratic_form)
 
 CHECKS = []
 
@@ -737,6 +736,63 @@ def _c32():
     return _ok(True, f"iteration counts {iters}")
 
 
+@check("transposition_equivariant_kernels")
+def _c52():
+    # each face kernel is written once, for the component whose normal is
+    # axis 0, and serves the other on transposed views: on a grid with
+    # nx != ny and dx != dy, the transposed call returns the transposed,
+    # swapped result bit for bit.  _to_cells adds a cell's four corners in
+    # a fixed order that the transpose permutes, so the strain's node
+    # averages (D12, du/dy, dv/dx on cells) agree to round-off only.
+    g = StaggeredGrid(24, 32, 0.03, 0.02)
+    gt = StaggeredGrid(32, 24, 0.02, 0.03)
+    rng = np.random.default_rng(52)
+    rho, rho1 = rng.uniform(0.5, 1.5, (2, 24, 32))
+    vel = VectorField(g, rng.normal(size=(25, 32)), rng.normal(size=(24, 33)))
+    velt = VectorField(gt, vel.v.T, vel.u.T)
+    tr = tuple(rng.normal(size=n) for n in (25, 25, 33, 33))
+    trt = tr[2:] + tr[:2]
+    src = (rng.normal(size=(25, 32)), rng.normal(size=(24, 33)))
+
+    def swap(x):   # a face vector of g as the face vector of gt
+        u, v = _face_views(g, x)
+        return np.concatenate([v.T.ravel(), u.T.ravel()])
+
+    def same(a, b):   # b is a's transposed-call counterpart, pairwise
+        return all(np.array_equal(x, y.T) for x, y in zip(a, b))
+
+    terms = _explicit_terms(g, rho, rho1, vel, PenaltyParams(), 1e-3, tr, src)
+    terms_t = _explicit_terms(gt, rho.T, rho1.T, velt, PenaltyParams(), 1e-3,
+                              trt, (src[1].T, src[0].T))
+    slots, slots_t = _d12_slots(g), _d12_slots(gt)
+    sg, sgt = (sym_gradient(*a) for a in ((g, vel.u, vel.v, tr),
+                                          (gt, velt.u, velt.v, trt)))
+    fg, fgt = (full_gradient(*a) for a in ((g, vel.u, vel.v, tr),
+                                           (gt, velt.u, velt.v, trt)))
+    exact = {
+        "cell_gradient": same(cell_gradient(g, rho),
+                              cell_gradient(gt, rho.T)[::-1]),
+        "advection": same([_advected(g, rho, vel, 1e-3)],
+                          [_advected(gt, rho.T, velt, 1e-3)]),
+        "face density": np.array_equal(swap(_face_density(g, rho)),
+                                       _face_density(gt, rho.T)),
+        "d12 slots": same(slots, slots_t[2:] + slots_t[:2]),
+        "explicit terms": all(np.array_equal(swap(a), b)
+                              for a, b in zip(terms, terms_t)),
+        "node differences": same(_node_differences(g, vel.u, vel.v, tr),
+                                 _node_differences(gt, velt.u, velt.v,
+                                                   trt)[::-1]),
+        "strain diagonal": same((sg[0], sg[2], fg[0], fg[3]),
+                                (sgt[2], sgt[0], fgt[3], fgt[0])),
+    }
+    gap = max(np.max(np.abs(a - b.T)) / np.max(np.abs(a)) for a, b in
+              ((sg[1], sgt[1]), (fg[1], fgt[2]), (fg[2], fgt[1]),
+               (fg[4], fgt[4])))
+    bad = [k for k, ok in exact.items() if not ok]
+    return _ok(not bad and gap <= 4 * np.finfo(float).eps,
+               f"not bitwise: {bad}; node averages rel {gap:.1e}")
+
+
 # ---------------------------------------------------------------------- body
 
 @check("body_mass_inertia_formulas")
@@ -1045,48 +1101,20 @@ def _c49():
     return _ok(res["order"] >= 0.9, f"observed order {res['order']:.2f}")
 
 
-def _flip_lambda_sign(stress_fn):
-    def flipped(d11, d12, d22, mu_n, lam_n):
-        return stress_fn(d11, d12, d22, mu_n, -lam_n)
-    return flipped
-
-
-# faults run_verify can plant: name -> faulty wrapper of ``stress``
-FAULTS = {"flip-lambda-sign": _flip_lambda_sign}
-
-
-def run_verify(fast: bool = False, inject_fault: str = None,
-               report_path=None):
-    """Run the property battery; returns (exit_code, results).
-
-    inject_fault names a fault in FAULTS to plant for the run, to show the
-    battery detects it: ``stress`` is replaced in every module that calls
-    it by name, and restored afterwards."""
-    planted = []
-    if inject_fault:
-        if inject_fault not in FAULTS:
-            raise ValueError(f"unknown fault {inject_fault!r}; "
-                             f"known: {sorted(FAULTS)}")
-        faulty = FAULTS[inject_fault](momentum_mod.stress)
-        for mod in (momentum_mod, diagnostics_mod, sys.modules[__name__]):
-            planted.append((mod, mod.stress))
-            mod.stress = faulty
-    try:
-        results = []
-        for name, is_fast, fn in CHECKS:
-            if fast and not is_fast:
-                continue
-            t0 = time.time()
-            try:
-                passed, detail = fn()
-            except Exception as exc:  # a crash is a failure, not an abort
-                passed, detail = False, f"{type(exc).__name__}: {exc}"
-            results.append({"name": name, "passed": bool(passed),
-                            "detail": detail,
-                            "seconds": round(time.time() - t0, 3)})
-    finally:
-        for mod, original in planted:
-            mod.stress = original
+def run_verify(fast: bool = False, report_path=None):
+    """Run the property battery; returns (exit_code, results)."""
+    results = []
+    for name, is_fast, fn in CHECKS:
+        if fast and not is_fast:
+            continue
+        t0 = time.time()
+        try:
+            passed, detail = fn()
+        except Exception as exc:  # a crash is a failure, not an abort
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append({"name": name, "passed": bool(passed),
+                        "detail": detail,
+                        "seconds": round(time.time() - t0, 3)})
     failures = [r for r in results if not r["passed"]]
     if report_path:
         with open(report_path, "w") as f:

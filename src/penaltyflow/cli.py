@@ -35,8 +35,6 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the property battery")
     p_verify.add_argument("--fast", action="store_true")
-    p_verify.add_argument("--inject-fault", default=None,
-                          help="test hook: name of a fault to plant")
     p_verify.add_argument("--report", default=None,
                           help="write the machine-readable result list here")
 
@@ -51,10 +49,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        cfg = load_config(args.config)
-        outdir = args.outdir or os.environ.get("PENALTYFLOW_OUTDIR",
-                                               cfg.outdir)
-        rep = run(cfg, outdir=outdir)
+        rep = run(load_config(args.config), outdir=args.outdir)
         print(f"run finished: t = {rep.final_t:.6g} after {rep.steps} steps"
               + (" (stopped at the collision guard)" if rep.stopped_early
                  else ""))
@@ -77,13 +72,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        from .checks import FAULTS, run_verify
-        if args.inject_fault and args.inject_fault not in FAULTS:
-            p_verify.error(f"unknown fault {args.inject_fault!r}; "
-                           f"known faults: {', '.join(sorted(FAULTS))}")
-        code, results = run_verify(fast=args.fast,
-                                   inject_fault=args.inject_fault,
-                                   report_path=args.report)
+        from .checks import run_verify
+        code, results = run_verify(fast=args.fast, report_path=args.report)
         for r in results:
             mark = "PASS" if r["passed"] else "FAIL"
             print(f"[{mark}] {r['name']} ({r['seconds']}s) {r['detail']}")

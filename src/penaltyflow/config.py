@@ -25,21 +25,23 @@ _U0_CHOICES = ("extension", "zero", "rigid", "stream")
 
 @dataclass(frozen=True)
 class RunConfig:
+    # the physics defaults are PenaltyParams' own; n, r and N are its
+    # n_solid, r_moll and bc_sharpness
     Lx: float = 1.0
     Ly: float = 1.0
-    h: float = 0.1
+    h: float = PenaltyParams.h
     nx: int = 96
     ny: int = 96
-    a: float = 1.0
-    gamma: float = 5.0 / 3.0
-    delta: float = 1e-3
-    beta: float = 8.0
-    eps: float = 1e-3
-    n: float = 1e3
-    r: float = 0.03
-    N: float = 64.0
-    mu: float = 0.1
-    lam: float = 0.1
+    a: float = PenaltyParams.a
+    gamma: float = PenaltyParams.gamma
+    delta: float = PenaltyParams.delta
+    beta: float = PenaltyParams.beta
+    eps: float = PenaltyParams.eps
+    n: float = PenaltyParams.n_solid
+    r: float = PenaltyParams.r_moll
+    N: float = PenaltyParams.bc_sharpness
+    mu: float = PenaltyParams.mu
+    lam: float = PenaltyParams.lam
     profile: str = "throughflow"
     speed: float = 0.2
     rho_b: float = 1.0
@@ -115,11 +117,7 @@ class RunConfig:
             if self.profile != "throughflow":
                 raise ConfigError("u0 = stream needs the throughflow "
                                   "profile")
-            from .geometry import corner_tapered
-            domain = self.make_domain()
-            taper = self.taper if self.taper > 0 else None
-            amp = corner_tapered(domain, grid.yc(), domain.Ly, taper)
-            u = np.tile(self.speed * amp, (grid.nx + 1, 1))
+            u = np.tile(bc.ub["left"][:, 0], (grid.nx + 1, 1))
             return VectorField(grid, u, np.zeros(grid.shape("vfaces")))
         if self.u0 == "rigid":
             if body is None:

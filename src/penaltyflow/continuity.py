@@ -86,15 +86,23 @@ def check_cfl(grid: StaggeredGrid, vel: VectorField, bc: BoundaryData,
         raise CflViolation(f"dt = {dt} exceeds advective limit {limit}")
 
 
-def _upwind_fluxes(grid, rho, u, v):
-    """Interior advective mass fluxes; boundary faces handled separately."""
-    fx = np.zeros((grid.nx + 1, grid.ny))
-    fy = np.zeros((grid.nx, grid.ny + 1))
-    uu = u[1:-1, :]
-    fx[1:-1, :] = uu * np.where(uu > 0, rho[:-1, :], rho[1:, :])
-    vv = v[:, 1:-1]
-    fy[:, 1:-1] = vv * np.where(vv > 0, rho[:, :-1], rho[:, 1:])
-    return fx, fy
+def _advected(grid, rho, vel, dt):
+    """rho after dt of explicit upwind advection through the interior
+    faces; the boundary faces' fluxes are implicit, in the diffusion
+    solve."""
+    fx, fy = _upwind_flux(rho, vel.u), _upwind_flux(rho.T, vel.v.T).T
+    return rho - dt * ((fx[1:, :] - fx[:-1, :]) / grid.dx
+                       + (fy[:, 1:] - fy[:, :-1]) / grid.dy)
+
+
+def _upwind_flux(rho, u):
+    """Advective mass flux through the interior faces whose normal is axis
+    0 (u, the velocity on those faces), zero on the boundary faces.  The
+    y faces' flux is this function of rho.T and v.T, transposed."""
+    f = np.zeros_like(u)
+    uu = u[1:-1]
+    f[1:-1] = uu * np.where(uu > 0, rho[:-1], rho[1:])
+    return f
 
 
 @dataclass
@@ -167,9 +175,7 @@ def continuity_step(problem, rho: np.ndarray, vel: VectorField, dt: float,
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     vol = grid.cell_volume
 
-    fx, fy = _upwind_fluxes(grid, rho, vel.u, vel.v)
-    rho_star = rho - dt * ((fx[1:, :] - fx[:-1, :]) / dx
-                           + (fy[:, 1:] - fy[:, :-1]) / dy)
+    rho_star = _advected(grid, rho, vel, dt)
 
     # boundary fluxes are implicit: advective part with the interior-cell
     # trace, diffusive part via the smoothed-negative-part Robin closure

@@ -92,27 +92,6 @@ class StaggeredGrid:
 
 
 @dataclass
-class ScalarField:
-    grid: StaggeredGrid
-    values: np.ndarray
-    loc: str = "centers"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape(self.loc):
-            raise ValueError(f"shape {self.values.shape} does not match "
-                             f"{self.loc} layout {self.grid.shape(self.loc)}")
-
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("non-finite entries in scalar field")
-        return self
-
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy(), self.loc)
-
-
-@dataclass
 class VectorField:
     grid: StaggeredGrid
     u: np.ndarray  # (nx+1, ny)
@@ -163,49 +142,37 @@ def face_gradient(grid: StaggeredGrid, f: np.ndarray):
 def cell_gradient(grid: StaggeredGrid, f: np.ndarray):
     """Centered gradient of a cell field at cell centers (one-sided at
     the first/last cells)."""
-    gx = np.empty_like(f)
-    gy = np.empty_like(f)
-    gx[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2 * grid.dx)
-    gx[0, :] = (f[1, :] - f[0, :]) / grid.dx
-    gx[-1, :] = (f[-1, :] - f[-2, :]) / grid.dx
-    gy[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * grid.dy)
-    gy[:, 0] = (f[:, 1] - f[:, 0]) / grid.dy
-    gy[:, -1] = (f[:, -1] - f[:, -2]) / grid.dy
-    return gx, gy
+    return _centered(f, grid.dx), _centered(f.T, grid.dy).T
 
 
-def _dudy_nodes(grid, u, ub_bottom=None, ub_top=None):
-    """du/dx-velocity over dy at nodes; one-sided at the wall rows.
+def _centered(f, h):
+    """Centered difference of f along axis 0 over spacing h, one-sided at
+    the first and last rows.  Like every kernel written for axis 0, it
+    serves axis 1 on transposed views: the result takes f's memory layout,
+    so a transposed call walks memory as a call on the other axis would."""
+    g = np.empty_like(f)
+    g[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+    g[0] = (f[1] - f[0]) / h
+    g[-1] = (f[-1] - f[-2]) / h
+    return g
 
-    When wall tangential traces are given the one-sided difference uses the
-    half-cell distance to the wall so affine fields stay exact.
-    """
-    nx, ny, dy = grid.nx, grid.ny, grid.dy
-    d = np.empty((nx + 1, ny + 1))
-    d[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dy
-    if ub_bottom is None:
-        d[:, 0] = (u[:, 1] - u[:, 0]) / dy
+
+def _node_difference(f, h, lo=None, hi=None):
+    """Difference along axis 1 over spacing h of a face component whose
+    normal is axis 0 (u: du/dy), at the nodes; one-sided at the two wall
+    rows.  With the wall traces lo, hi the wall difference spans the
+    half cell to the wall, so affine fields stay exact.  dv/dx is this
+    function of v.T and dx, transposed."""
+    d = np.empty_like(f, shape=(f.shape[0], f.shape[1] + 1))
+    d[:, 1:-1] = (f[:, 1:] - f[:, :-1]) / h
+    if lo is None:
+        d[:, 0] = (f[:, 1] - f[:, 0]) / h
     else:
-        d[:, 0] = (u[:, 0] - ub_bottom) / (0.5 * dy)
-    if ub_top is None:
-        d[:, -1] = (u[:, -1] - u[:, -2]) / dy
+        d[:, 0] = (f[:, 0] - lo) / (0.5 * h)
+    if hi is None:
+        d[:, -1] = (f[:, -1] - f[:, -2]) / h
     else:
-        d[:, -1] = (ub_top - u[:, -1]) / (0.5 * dy)
-    return d
-
-
-def _dvdx_nodes(grid, v, vb_left=None, vb_right=None):
-    nx, dx = grid.nx, grid.dx
-    d = np.empty((nx + 1, grid.ny + 1))
-    d[1:-1, :] = (v[1:, :] - v[:-1, :]) / dx
-    if vb_left is None:
-        d[0, :] = (v[1, :] - v[0, :]) / dx
-    else:
-        d[0, :] = (v[0, :] - vb_left) / (0.5 * dx)
-    if vb_right is None:
-        d[-1, :] = (v[-1, :] - v[-2, :]) / dx
-    else:
-        d[-1, :] = (vb_right - v[-1, :]) / (0.5 * dx)
+        d[:, -1] = (hi - f[:, -1]) / (0.5 * h)
     return d
 
 
@@ -240,10 +207,10 @@ def full_gradient(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray,
 
 
 def _node_differences(grid, u, v, wall_tangential):
-    """du/dy and dv/dx at nodes (``_dudy_nodes``, ``_dvdx_nodes``)."""
+    """du/dy and dv/dx at nodes (``_node_difference``)."""
     ub_b, ub_t, vb_l, vb_r = wall_tangential or (None,) * 4
-    return (_dudy_nodes(grid, u, ub_b, ub_t),
-            _dvdx_nodes(grid, v, vb_l, vb_r))
+    return (_node_difference(u, grid.dy, ub_b, ub_t),
+            _node_difference(v.T, grid.dx, vb_l, vb_r).T)
 
 
 def _to_cells(nodes):

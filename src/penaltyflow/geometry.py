@@ -189,9 +189,6 @@ class BoundaryData:
     def max_trace_speed(self) -> float:
         return max(float(np.max(np.abs(self.ub[w]))) for w in WALLS)
 
-    def rho_floor(self) -> float:
-        return min(float(np.min(self.rho[w])) for w in WALLS)
-
 
 def classify_boundary(ub: dict):
     """Split boundary faces by the sign of the prescribed normal velocity:

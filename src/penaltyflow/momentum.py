@@ -23,8 +23,8 @@ from scipy.sparse.linalg import splu
 from .continuity import (PenaltyParams, _diffusion_matrix, _unit_diffusion,
                          check_cfl, smoothed_negative_part)
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
-from .fields import (StaggeredGrid, VectorField, cell_gradient, cg,
-                     full_gradient, jacobi, stencil_csr)
+from .fields import (StaggeredGrid, VectorField, _centered, cell_gradient,
+                     cg, full_gradient, jacobi, stencil_csr)
 from .geometry import (WALLS, BoundaryData, CutoffProfile, DomainSpec,
                        wall_cutoff)
 
@@ -116,6 +116,13 @@ def stress(d11, d12, d22, mu_n, lam_n):
 # memoized per grid.
 # ---------------------------------------------------------------------------
 
+def _face_views(grid, x):
+    """The u-face and v-face arrays of the face vector x, as views."""
+    nu = (grid.nx + 1) * grid.ny
+    return x[:nu].reshape(grid.nx + 1, grid.ny), \
+        x[nu:].reshape(grid.nx, grid.ny + 1)
+
+
 def _face_layout(grid: StaggeredGrid):
     """Face numbering and the geometry-only arrays of the viscous operator
     (no sparse matrices): what FreePattern and the multigrid hierarchy
@@ -188,17 +195,16 @@ def _d12_slots(grid):
     u(i, j) above node (i, j), u(i, j-1) below it, v(i, j) right of it and
     v(i-1, j) left of it.  Wall rows are one-sided (doubled coefficient,
     missing slot zero), so they have 3 entries and corner rows 2."""
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    shape = (nx + 1, ny + 1)
-    u_up = np.full(shape, 0.5 / dy)
-    u_up[:, 0], u_up[:, -1] = 1.0 / dy, 0.0
-    u_dn = np.full(shape, -0.5 / dy)
-    u_dn[:, 0], u_dn[:, -1] = 0.0, -1.0 / dy
-    v_rt = np.full(shape, 0.5 / dx)
-    v_rt[0, :], v_rt[-1, :] = 1.0 / dx, 0.0
-    v_lt = np.full(shape, -0.5 / dx)
-    v_lt[0, :], v_lt[-1, :] = 0.0, -1.0 / dx
-    return u_up, u_dn, v_rt, v_lt
+    def after_before(shape, h):   # for u, normal to axis 0: along axis 1
+        up = np.full(shape, 0.5 / h)
+        up[:, 0], up[:, -1] = 1.0 / h, 0.0
+        dn = np.full(shape, -0.5 / h)
+        dn[:, 0], dn[:, -1] = 0.0, -1.0 / h
+        return up, dn
+    nx, ny = grid.nx, grid.ny
+    v_rt, v_lt = after_before((ny + 1, nx + 1), grid.dx)
+    return (*after_before((nx + 1, ny + 1), grid.dy), v_rt.T.copy(),
+            v_lt.T.copy())
 
 
 class FreePattern:
@@ -236,7 +242,7 @@ class FreePattern:
         ops = _face_layout(grid) if layout is None else layout
         if np.any(ops["boundary"] & ~pinned):
             raise ValueError("boundary faces must be pinned")
-        nx, ny, nu = grid.nx, grid.ny, ops["nu"]
+        nx, ny = grid.nx, grid.ny
         self.grid, self.ops = grid, ops
         self.pinned = pinned.copy()
         free = ~pinned
@@ -244,17 +250,15 @@ class FreePattern:
         self.fills = 0
         rank = np.cumsum(free, dtype=np.int32) - 1   # free face -> row
 
-        def padded(a, shape):
+        def padded(a):
             # one absent face past every side: each stencil neighbour of
             # the rows is then a shifted slice
-            out = np.zeros((shape[0] + 2, shape[1] + 2), dtype=a.dtype)
-            out[1:-1, 1:-1] = a.reshape(shape)
+            out = np.zeros((a.shape[0] + 2, a.shape[1] + 2), dtype=a.dtype)
+            out[1:-1, 1:-1] = a
             return out
 
-        faces = {"u": (padded(free[:nu], (nx + 1, ny)),
-                       padded(rank[:nu], (nx + 1, ny))),
-                 "v": (padded(free[nu:], (nx, ny + 1)),
-                       padded(rank[nu:], (nx, ny + 1)))}
+        (fu, fv), (ru, rv) = _face_views(grid, free), _face_views(grid, rank)
+        faces = {"u": (padded(fu), padded(ru)), "v": (padded(fv), padded(rv))}
         # per component, slot-major: whether each (slot, row) entry is kept
         # (both faces free), its column, and the row's kept slots before
         # its diagonal slot
@@ -300,7 +304,6 @@ class FreePattern:
         wc = (w_mu + w_lam).reshape(nx, ny)   # D11 + div on u, D22 + div on v
         wl = w_lam.reshape(nx, ny)            # div coupling of u with v
         wn = w_node.reshape(nx + 1, ny + 1)
-        nu = self.ops["nu"]
         data, gather, split = self.matrix.data, self.gather, self.split
         vals = np.empty(9 * max(self.nru, nx * (ny - 1)))
         su = vals[:9 * self.nru].reshape(9, nx - 1, ny)
@@ -313,7 +316,7 @@ class FreePattern:
         su[1] = a * u_dn[1:-1, :-1]
         su[2] = ix2 * (c0 + c1) + a * u_up[1:-1, :-1] + b * u_dn[1:-1, 1:]
         if mass is not None:
-            su[2] += mass[:nu].reshape(nx + 1, ny)[1:-1]
+            su[2] += _face_views(self.grid, mass)[0][1:-1]
         su[3] = b * u_up[1:-1, 1:]
         su[4] = -ix2 * c1
         su[5] = a * v_lt[1:-1, :-1] - ixy * l0
@@ -336,7 +339,7 @@ class FreePattern:
         sv[5] = -iy2 * c0
         sv[6] = iy2 * (c0 + c1) + a * v_rt[:-1, 1:-1] + b * v_lt[1:, 1:-1]
         if mass is not None:
-            sv[6] += mass[nu:].reshape(nx, ny + 1)[:, 1:-1]
+            sv[6] += _face_views(self.grid, mass)[1][:, 1:-1]
         sv[7] = -iy2 * c1
         sv[8] = b * v_rt[1:, 1:-1]
         np.take(vals, gather[split:], out=data[split:], mode="clip")
@@ -515,11 +518,8 @@ class Multigrid:
         coarse = _coarser(fine.grid)
         while coarse is not None:
             layout = _face_layout(coarse)
-            nx, ny = coarse.nx, coarse.ny
-            nu = (2 * nx + 1) * 2 * ny
             pinned_fine = self.levels[-1].pinned
-            pu = pinned_fine[:nu].reshape(2 * nx + 1, 2 * ny)
-            pv = pinned_fine[nu:].reshape(2 * nx, 2 * ny + 1)
+            pu, pv = _face_views(self.levels[-1].grid, pinned_fine)
             pinned = layout["boundary"] | np.concatenate([
                 (pu[0::2, 0::2] | pu[0::2, 1::2]).ravel(),
                 (pv[0::2, 0::2] | pv[1::2, 0::2]).ravel()])
@@ -1005,74 +1005,47 @@ class MomentumStepInfo:
 
 
 def _face_density(grid, rho):
-    """The face densities as one face vector, and its u-face and v-face
-    views: the mean of the two cells beside a face, the one cell's on a
-    boundary face."""
-    nx, ny = grid.nx, grid.ny
-    nu = (nx + 1) * ny
-    out = np.empty(nu + nx * (ny + 1))
-    rbu = out[:nu].reshape(nx + 1, ny)
-    rbu[1:-1, :] = 0.5 * (rho[:-1, :] + rho[1:, :])
-    rbu[0, :] = rho[0, :]
-    rbu[-1, :] = rho[-1, :]
-    rbv = out[nu:].reshape(nx, ny + 1)
-    rbv[:, 1:-1] = 0.5 * (rho[:, :-1] + rho[:, 1:])
-    rbv[:, 0] = rho[:, 0]
-    rbv[:, -1] = rho[:, -1]
-    return out, rbu, rbv
+    """The face densities as one face vector: the mean of the two cells
+    beside a face, the one cell's on a boundary face."""
+    out = np.empty((grid.nx + 1) * grid.ny + grid.nx * (grid.ny + 1))
+    u, v = _face_views(grid, out)
+    for f, r in ((u, rho), (v.T, rho.T)):
+        f[1:-1] = 0.5 * (r[:-1] + r[1:])
+        f[0] = r[0]
+        f[-1] = r[-1]
+    return out
 
 
-def _upwind_convection(grid, rho, vel, traces):
-    """Conservative upwind divergence of (m x u) on interior faces, and the
-    face densities (``_face_density``); traces are the tangential wall
-    traces (``_wall_traces``)."""
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    u, v = vel.u, vel.v
-    rb, rbu, rbv = _face_density(grid, rho)
-    mx = rbu * u
-    my = rbv * v
-
-    conv_u = np.zeros((nx + 1, ny))
-    conv_v = np.zeros((nx, ny + 1))
-
-    # x-momentum: x-fluxes at cell centers, y-fluxes at nodes
-    a = 0.5 * (u[:-1, :] + u[1:, :])
-    fxc = a * np.where(a > 0, mx[:-1, :], mx[1:, :])
-
-    fxn = np.empty((nx + 1, ny + 1))
-    a_in = 0.5 * (v[:-1, :] + v[1:, :])           # nodes i=1..nx-1
-    ub_b, ub_t, vb_l, vb_r = traces
-    fxn[0, :] = 0.0
-    fxn[-1, :] = 0.0
-    mid = np.where(a_in[:, 1:-1] > 0, mx[1:-1, :-1], mx[1:-1, 1:])
-    fxn[1:-1, 1:-1] = a_in[:, 1:-1] * mid
-    ghost_b = rbu[1:-1, 0] * ub_b[1:-1]
-    ghost_t = rbu[1:-1, -1] * ub_t[1:-1]
-    fxn[1:-1, 0] = a_in[:, 0] * np.where(a_in[:, 0] > 0, ghost_b, mx[1:-1, 0])
-    fxn[1:-1, -1] = a_in[:, -1] * np.where(a_in[:, -1] > 0, mx[1:-1, -1],
-                                           ghost_t)
-    conv_u[1:-1, :] = (fxc[1:, :] - fxc[:-1, :]) / dx \
-        + (fxn[1:-1, 1:] - fxn[1:-1, :-1]) / dy
-
-    # y-momentum: y-fluxes at cell centers, x-fluxes at nodes
-    a = 0.5 * (v[:, :-1] + v[:, 1:])
-    fyc = a * np.where(a > 0, my[:, :-1], my[:, 1:])
-
-    fyn = np.empty((nx + 1, ny + 1))
-    b_in = 0.5 * (u[:, :-1] + u[:, 1:])           # nodes j=1..ny-1
-    fyn[:, 0] = 0.0
-    fyn[:, -1] = 0.0
-    mid = np.where(b_in[1:-1, :] > 0, my[:-1, 1:-1], my[1:, 1:-1])
-    fyn[1:-1, 1:-1] = b_in[1:-1, :] * mid
-    ghost_l = rbv[0, 1:-1] * vb_l[1:-1]
-    ghost_r = rbv[-1, 1:-1] * vb_r[1:-1]
-    fyn[0, 1:-1] = b_in[0, :] * np.where(b_in[0, :] > 0, ghost_l, my[0, 1:-1])
-    fyn[-1, 1:-1] = b_in[-1, :] * np.where(b_in[-1, :] > 0, my[-1, 1:-1],
-                                           ghost_r)
-    conv_v[:, 1:-1] = (fyc[:, 1:] - fyc[:, :-1]) / dy \
-        + (fyn[1:, 1:-1] - fyn[:-1, 1:-1]) / dx
-
-    return conv_u, conv_v, rb
+def _component_terms(out, un, ut, m, rb, rho, p, grad_t, lo, hi, hn, ht,
+                     eps, vol):
+    """Subtract from out, the right-hand side on one face component whose
+    normal is axis 0, vol times its explicit terms on the interior faces:
+    the conservative upwind divergence of m un (m = rb un, the old face
+    momentum; ut the other component), the pressure gradient of p, and the
+    coupling eps grad(rho) . grad(un).  grad_t is rho's cell gradient
+    along axis 1; lo and hi are the tangential wall traces at the nodes
+    of the walls at the ends of axis 1; hn, ht the spacings along axes 0
+    and 1.  The v component is this function of the transposed views."""
+    # convection: normal fluxes at cell centers, tangential ones at the
+    # interior nodes, upwinded against the wall traces at the walls
+    a = 0.5 * (un[:-1] + un[1:])
+    fc = a * np.where(a > 0, m[:-1], m[1:])
+    a = 0.5 * (ut[:-1] + ut[1:])
+    fn = np.empty_like(m, shape=(m.shape[0] - 2, m.shape[1] + 1))
+    fn[:, 1:-1] = a[:, 1:-1] * np.where(a[:, 1:-1] > 0, m[1:-1, :-1],
+                                        m[1:-1, 1:])
+    fn[:, 0] = a[:, 0] * np.where(a[:, 0] > 0, rb[1:-1, 0] * lo[1:-1],
+                                  m[1:-1, 0])
+    fn[:, -1] = a[:, -1] * np.where(a[:, -1] > 0, m[1:-1, -1],
+                                    rb[1:-1, -1] * hi[1:-1])
+    conv = (fc[1:] - fc[:-1]) / hn + (fn[:, 1:] - fn[:, :-1]) / ht
+    del a, fc, fn
+    gp = (p[1:] - p[:-1]) / hn
+    # the coupling's normal and tangential parts
+    cn = (rho[1:] - rho[:-1]) / hn * ((un[2:] - un[:-2]) / (2 * hn))
+    ct = 0.5 * (grad_t[:-1] + grad_t[1:]) * _centered(un[1:-1].T, ht).T
+    ec = eps * (cn + ct)
+    out[1:-1] -= (conv + gp + ec) * vol
 
 
 def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, traces,
@@ -1080,55 +1053,30 @@ def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, traces,
     """Face vectors of the viscous solve: its right-hand side (old momentum
     less the explicit convection, pressure gradient and coupling source,
     plus ``source``), the new-density mass / dt, the new face densities and
-    the old face momentum.  Each part's work arrays are freed once it is
-    added in, which keeps the step's memory peak low."""
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    vol = grid.cell_volume
-    nu = (nx + 1) * ny
-    conv_u, conv_v, rb_old = _upwind_convection(grid, rho_old, vel, traces)
+    the old face momentum.  Each component's work arrays are freed once it
+    is added in, which keeps the step's memory peak low."""
+    dx, dy, vol = grid.dx, grid.dy, grid.cell_volume
+    rb_old = _face_density(grid, rho_old)
     m_old = rb_old * np.concatenate([vel.u.ravel(), vel.v.ravel()])
-    del rb_old
     rhs = m_old * vol / dt
     p = pressure(rho_new, params)
     # coupling source eps * grad(rho) . grad(u), new density gradient
-    grx_c, gry_c = cell_gradient(grid, rho_new)
-
-    gp = np.zeros((nx + 1, ny))
-    gp[1:-1, :] = (p[1:, :] - p[:-1, :]) / dx
-    ec = np.zeros((nx + 1, ny))
-    drdx_u = (rho_new[1:, :] - rho_new[:-1, :]) / dx
-    drdy_u = 0.5 * (gry_c[:-1, :] + gry_c[1:, :])
-    dudx = (vel.u[2:, :] - vel.u[:-2, :]) / (2 * dx)
-    dudy = np.empty((nx - 1, ny))
-    dudy[:, 1:-1] = (vel.u[1:-1, 2:] - vel.u[1:-1, :-2]) / (2 * dy)
-    dudy[:, 0] = (vel.u[1:-1, 1] - vel.u[1:-1, 0]) / dy
-    dudy[:, -1] = (vel.u[1:-1, -1] - vel.u[1:-1, -2]) / dy
-    ec[1:-1, :] = params.eps * (drdx_u * dudx + drdy_u * dudy)
-    del drdx_u, drdy_u, dudx, dudy
-    rhs[:nu] -= ((conv_u + gp + ec) * vol).ravel()
-    del conv_u, gp, ec
-
-    gp = np.zeros((nx, ny + 1))
-    gp[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / dy
-    ec = np.zeros((nx, ny + 1))
-    drdy_v = (rho_new[:, 1:] - rho_new[:, :-1]) / dy
-    drdx_v = 0.5 * (grx_c[:, :-1] + grx_c[:, 1:])
-    dvdy = (vel.v[:, 2:] - vel.v[:, :-2]) / (2 * dy)
-    dvdx = np.empty((nx, ny - 1))
-    dvdx[1:-1, :] = (vel.v[2:, 1:-1] - vel.v[:-2, 1:-1]) / (2 * dx)
-    dvdx[0, :] = (vel.v[1, 1:-1] - vel.v[0, 1:-1]) / dx
-    dvdx[-1, :] = (vel.v[-1, 1:-1] - vel.v[-2, 1:-1]) / dx
-    ec[:, 1:-1] = params.eps * (drdy_v * dvdy + drdx_v * dvdx)
-    del drdy_v, drdx_v, dvdy, dvdx
-    rhs[nu:] -= ((conv_v + gp + ec) * vol).ravel()
-    del conv_v, gp, ec, p, grx_c, gry_c
+    grx, gry = cell_gradient(grid, rho_new)
+    (ru, rv), (mu, mv), (bu, bv) = (_face_views(grid, x)
+                                    for x in (rhs, m_old, rb_old))
+    ub_b, ub_t, vb_l, vb_r = traces
+    _component_terms(ru, vel.u, vel.v, mu, bu, rho_new, p, gry, ub_b, ub_t,
+                     dx, dy, params.eps, vol)
+    _component_terms(rv.T, vel.v.T, vel.u.T, mv.T, bv.T, rho_new.T, p.T,
+                     grx.T, vb_l, vb_r, dy, dx, params.eps, vol)
+    del rb_old, bu, bv, p, grx, gry
 
     if source is not None:
         src_u, src_v = source
         rhs += np.concatenate([(np.asarray(src_u) * vol).ravel(),
                                (np.asarray(src_v) * vol).ravel()])
     # new-density face mass, for the implicit mass term
-    face_rho = _face_density(grid, rho_new)[0]
+    face_rho = _face_density(grid, rho_new)
     return rhs, face_rho * vol / dt, face_rho, m_old
 
 
@@ -1214,9 +1162,7 @@ def momentum_step(state: ViscousState, rho_old: np.ndarray,
         history.push(pattern, sol)
     x_full[free] = sol
 
-    u_new = x_full[:ops["nu"]].reshape(nx + 1, ny)
-    v_new = x_full[ops["nu"]:].reshape(nx, ny + 1)
-    out = VectorField(grid, u_new, v_new).check_finite()
+    out = VectorField(grid, *_face_views(grid, x_full)).check_finite()
 
     minfo = MomentumStepInfo(
         iterations=iters, preconditioner=precond, solve_residual=rel,

@@ -11,10 +11,10 @@ from scipy.sparse.linalg import cg as scipy_cg
 
 import reference_builders as ref
 from penaltyflow.errors import KernelUnresolved
-from penaltyflow.fields import (MollifierKernel, ScalarField, StaggeredGrid,
-                                VectorField, cg, divergence, full_gradient,
-                                interp_cell, jacobi, mollify, read_field,
-                                sym_gradient, write_field, write_vti)
+from penaltyflow.fields import (MollifierKernel, StaggeredGrid, VectorField,
+                                cg, divergence, full_gradient, interp_cell,
+                                jacobi, mollify, read_field, sym_gradient,
+                                write_field, write_vti)
 from penaltyflow.momentum import FreePattern, Multigrid, _face_layout
 from test_checks import check_test
 
@@ -44,14 +44,12 @@ def test_grid_invariants():
 
 def test_field_containers_validate(grid24):
     with pytest.raises(ValueError):
-        ScalarField(grid24, np.zeros((3, 3)))
-    f = ScalarField(grid24, np.ones(grid24.shape("centers")))
-    f.check_finite()
-    f.values[0, 0] = np.inf
-    with pytest.raises(FloatingPointError):
-        f.check_finite()
+        VectorField(grid24, np.zeros((3, 3)), np.zeros(grid24.shape("vfaces")))
     v = VectorField.zeros(grid24)
     assert v.max_speed() == 0.0
+    v.u[0, 0] = np.inf
+    with pytest.raises(FloatingPointError):
+        v.check_finite()
 
 
 @pytest.mark.parametrize("traces", [False, True])
