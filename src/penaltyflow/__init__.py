@@ -18,8 +18,8 @@ from .driver import RunReport, Stepper, SweepReport, run, sweep
 from .fields import (MollifierKernel, StaggeredGrid, VectorField,
                      divergence, integrate, mollify, sym_gradient)
 from .geometry import (BoundaryData, CutoffProfile, Disc, DomainSpec,
-                       Rectangle, build_extension, classify_boundary,
-                       erode, signed_distance, throughflow_boundary)
+                       Rectangle, build_extension, erode, signed_distance,
+                       throughflow_boundary)
 from .momentum import (Problem, ViscosityModel, ViscousState,
                        momentum_step, penalty_ramp, pressure,
                        pressure_potential, stress, viscosity_fields)

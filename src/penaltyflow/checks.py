@@ -27,11 +27,10 @@ from .diagnostics import (effective_viscous_flux, energy_total,
 from .errors import ErosionEmpty, InvalidMargin, InvalidShape, NegativeDensity
 from .fields import (MollifierKernel, StaggeredGrid, VectorField,
                      _node_differences, cell_gradient, divergence,
-                     face_gradient, full_gradient, integrate, mollify,
-                     sym_gradient)
-from .geometry import (Disc, DomainSpec, Rectangle, build_extension,
-                       classify_boundary, erode, resting_boundary,
-                       signed_distance, throughflow_boundary, wall_cutoff)
+                     full_gradient, integrate, mollify, sym_gradient)
+from .geometry import (Disc, DomainSpec, Rectangle, build_extension, erode,
+                       resting_boundary, signed_distance,
+                       throughflow_boundary, wall_cutoff)
 from .momentum import (Problem, ViscosityModel, ViscousState, _d12_slots,
                        _explicit_terms, _face_density, _face_views,
                        momentum_step, penalty_ramp, pressure,
@@ -77,20 +76,21 @@ def _rotation(theta):
 
 @check("boundary_classification_signs")
 def _c1():
+    # inflow where u_B . n < 0; resting walls (the ties) are outflow
     bc = resting_boundary(DOM, _grid(16), 1.0)
     bc.ub["left"][:, 0] = 0.2   # pointing inward on the left wall
     bc.ub["right"][:, 0] = 0.2  # pointing outward on the right wall
-    im, om = classify_boundary(bc.ub)
-    # resting walls (u_B . n = 0) go to the outflow side
-    ok = (np.all(im["left"]) and np.all(om["right"])
-          and np.all(om["top"]) and np.all(om["bottom"]))
+    inflow = Problem(bc.grid, DOM, PenaltyParams(), bc).inflow
+    ok = all(np.all(m == (w == "left")) for w, m in inflow.items())
     rng = np.random.default_rng(0)
-    bc = resting_boundary(DOM, _grid(24), 1.0)
     for w in bc.ub:
         bc.ub[w][:] = rng.normal(size=bc.ub[w].shape)
-    for masks in (classify_boundary(bc.ub), (im, om)):
-        ok &= all(np.all(masks[0][w] ^ masks[1][w]) for w in masks[0])
-    return _ok(ok, "inflow/outflow signs and exact partition")
+    inflow = Problem(bc.grid, DOM, PenaltyParams(), bc).inflow
+    ub = bc.ub   # the component across each wall, pointing in
+    inward = {"left": ub["left"][:, 0], "right": -ub["right"][:, 0],
+              "bottom": ub["bottom"][:, 1], "top": -ub["top"][:, 1]}
+    ok &= all(np.array_equal(inflow[w], inward[w] > 0) for w in inward)
+    return _ok(ok, "inflow where u_B . n < 0, ties to outflow")
 
 
 @check("signed_distance_disc_exact")
@@ -201,7 +201,6 @@ def _c7():
     for scale in (1.7, 0.4):  # net outflow, net inflow
         bc = throughflow_boundary(DOM, g, 0.2, 1.0)
         bc.ub["right"][:, 0] *= scale
-        bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
         _, rep = build_extension(bc, DOM, g)
         ok &= (rep.trace_error <= 1e-10
                and rep.div_min_inner_collar >= -min(rep.div_roundoff, 1e-12)
@@ -249,22 +248,6 @@ def _c10():
         errs.append(np.max(np.abs(d - np.cos(xc))))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     return _ok(np.all(rates > 1.9), f"observed rates {rates}")
-
-
-@check("div_grad_is_five_point_laplacian")
-def _c11():
-    g = _grid(24)
-    rng = np.random.default_rng(1)
-    f = rng.normal(size=(g.nx, g.ny))
-    gx, gy = face_gradient(g, f)
-    lap = divergence(g, gx, gy)
-    ref = np.zeros_like(f)
-    ref[1:-1, 1:-1] = ((f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1])
-                       / g.dx ** 2
-                       + (f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2])
-                       / g.dy ** 2)
-    err = np.max(np.abs(lap[1:-1, 1:-1] - ref[1:-1, 1:-1]))
-    return _ok(err < 1e-12, f"interior stencil identity, err {err:.1e}")
 
 
 @check("sym_gradient_rigid_kernel_100")
@@ -468,7 +451,6 @@ def _c21():
     bc.ub = {w: bc.ub[w] * 0.0 for w in bc.ub}
     for w in bc.ub:
         bc.ub[w][:, 0] = 0.2
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
     vel = VectorField(g, np.full(g.shape("ufaces"), 0.2),
                       np.zeros(g.shape("vfaces")))
     rho = np.ones((g.nx, g.ny))
@@ -671,7 +653,6 @@ def _rigid_trace_boundary(g, X, V, w):
     bc.ub["bottom"][:, 1] = V[1] + w * (g.xc() - X[0])
     bc.ub["top"][:, 0] = V[0] - w * (DOM.Ly - X[1])
     bc.ub["top"][:, 1] = V[1] + w * (g.xc() - X[0])
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
     bc.u_ext = VectorField.zeros(g)
     return bc
 
@@ -707,7 +688,6 @@ def _c31():
         bc = resting_boundary(DOM, g, 1.0)
         for w in bc.ub:
             bc.ub[w][:, 0] = 0.3
-        bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
         if u_ext is not None:
             bc.u_ext = u_ext
         state = ViscousState(Problem(g, DOM, params, bc), chi)
@@ -791,6 +771,25 @@ def _c52():
     bad = [k for k, ok in exact.items() if not ok]
     return _ok(not bad and gap <= 4 * np.finfo(float).eps,
                f"not bitwise: {bad}; node averages rel {gap:.1e}")
+
+
+@check("eps_coupling_exact_rectangular_cells")
+def _c53():
+    # affine rho and u on cells with dx != dy: the coupling eps grad(rho) .
+    # grad(u) of _explicit_terms is exact on every interior face, so its
+    # part of the right-hand side, the difference of two eps, is constant
+    g = StaggeredGrid(24, 32, 0.03, 0.02)
+    xc, yc = g.cell_xy()
+    (xu, yu), (xv, yv) = g.uface_xy(), g.vface_xy()
+    rho = 1.0 + 0.3 * xc - 0.2 * yc
+    vel = VectorField(g, 0.1 + 0.4 * xu - 0.7 * yu, -0.2 + 0.5 * xv + 0.3 * yv)
+    tr = (vel.u[:, 0], vel.u[:, -1], vel.v[0], vel.v[-1])
+    rhs = [_explicit_terms(g, rho, rho, vel, PenaltyParams(eps=eps), 1.0,
+                           tr, None)[0] for eps in (0.5, 0.25)]
+    ru, rv = _face_views(g, (rhs[1] - rhs[0]) / (0.25 * g.cell_volume))
+    err = max(np.max(np.abs(ru[1:-1] - (0.3 * 0.4 + 0.2 * 0.7))),
+              np.max(np.abs(rv[:, 1:-1] - (0.3 * 0.5 - 0.2 * 0.3))))
+    return _ok(err <= 1e-10, f"coupling error {err:.1e}")
 
 
 # ---------------------------------------------------------------------- body
@@ -1085,6 +1084,20 @@ def _c51():
     return _ok(max(errs) <= 1e-10,
                "rho, u, -v mirror; |Fy|, |torque| relative to |Fx|: "
                + ", ".join(f"{e:.1e}" for e in errs))
+
+
+@check("energy_ledger_rectangular_cells")
+def _c54():
+    # the through-flow ledger on cells with dx != dy closes as well as on
+    # square ones: a wall term with the spacing across the wall for its
+    # face length reads about 12 times the square run's residual
+    from .driver import run
+    res = [run(default_config(r=0.06, t_end=0.05, dt=1e-3, **kw),
+               outdir=False).aggregates["mean_abs_energy_residual"]
+           for kw in (dict(nx=48, ny=40, Lx=1.2, Ly=0.9), dict(nx=48, ny=48))]
+    return _ok(res[0] <= 2.0 * res[1],
+               f"mean |energy residual| {res[0]:.2e} against {res[1]:.2e} "
+               f"on square cells")
 
 
 @check("mms_continuity_order", fast=False)

@@ -21,7 +21,7 @@ from .errors import CflViolation, HistoryTooShort, LinearSolveDiverged
 from .fields import (StaggeredGrid, VectorField, cell_gradient, cg,
                      divergence, faces_to_centers, integrate, jacobi,
                      stencil_csr)
-from .geometry import WALLS, BoundaryData
+from .geometry import WALL, WALLS, BoundaryData, wall_line, wall_spacing
 
 MASS_BUDGET_TOL = 1e-10  # a step's relative mass budget residual, at most
 CG_RTOL = 1e-13          # tighter than MASS_BUDGET_TOL so the mass
@@ -143,10 +143,10 @@ def _unit_diffusion(grid, params, robin):
     # implicit boundary flux: advective trace plus the Robin closure;
     # [v]_N^- <= min(v,0) makes ub.n + |[ub.n]_N^-| >= 0, so the diagonal
     # only grows, and saturated inflow faces combine to exactly rho_B ub.n
-    diag[0, :] += dy * (robin["left"][1] + np.abs(robin["left"][0]))
-    diag[-1, :] += dy * (robin["right"][1] + np.abs(robin["right"][0]))
-    diag[:, 0] += dx * (robin["bottom"][1] + np.abs(robin["bottom"][0]))
-    diag[:, -1] += dx * (robin["top"][1] + np.abs(robin["top"][0]))
+    for w in WALL:
+        line = wall_line(diag, w)
+        line += wall_spacing(grid, w)[1] * (robin[w][1]
+                                            + np.abs(robin[w][0]))
 
     c = np.arange(n, dtype=np.int32).reshape(nx, ny)
     cols = np.stack([c - ny, c - 1, c, c + 1, c + ny]).reshape(5, n)
@@ -172,8 +172,7 @@ def continuity_step(problem, rho: np.ndarray, vel: VectorField, dt: float,
     check_cfl(grid, vel, bc, dt)
     if np.min(rho) < 0:
         raise ValueError("continuity_step requires rho >= 0")
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    vol = grid.cell_volume
+    nx, ny, vol = grid.nx, grid.ny, grid.cell_volume
 
     rho_star = _advected(grid, rho, vel, dt)
 
@@ -183,10 +182,10 @@ def continuity_step(problem, rho: np.ndarray, vel: VectorField, dt: float,
     A, M = problem.diffusion(dt)
 
     b = vol * rho_star
-    b[0, :] += dt * dy * np.abs(robin["left"][0]) * bc.rho["left"]
-    b[-1, :] += dt * dy * np.abs(robin["right"][0]) * bc.rho["right"]
-    b[:, 0] += dt * dx * np.abs(robin["bottom"][0]) * bc.rho["bottom"]
-    b[:, -1] += dt * dx * np.abs(robin["top"][0]) * bc.rho["top"]
+    flen = {w: wall_spacing(grid, w)[1] for w in WALL}
+    for w in WALL:
+        line = wall_line(b, w)
+        line += dt * flen[w] * np.abs(robin[w][0]) * bc.rho[w]
     src_total = 0.0
     if source is not None:
         b += dt * vol * source
@@ -208,15 +207,14 @@ def continuity_step(problem, rho: np.ndarray, vel: VectorField, dt: float,
     # total outward boundary flux per face, both parts at the new state:
     # rho ub.n - (rho - rho_B) [ub.n]_N^-, which saturates to rho_B ub.n
     # on strong-inflow faces and rho ub.n on outflow faces
-    tr = {"left": rho_new[0, :], "right": rho_new[-1, :],
-          "bottom": rho_new[:, 0], "top": rho_new[:, -1]}
+    tr = {w: wall_line(rho_new, w) for w in WALLS}
     total = {w: tr[w] * robin[w][1] - (tr[w] - bc.rho[w]) * robin[w][0]
              for w in WALLS}
-    flen = {w: dy if w in ("left", "right") else dx for w in WALLS}
+    inflow = problem.inflow
     in_flux = np.sum(np.concatenate(
-        [np.where(bc.in_mask[w], total[w], 0.0) * flen[w] for w in WALLS]))
+        [np.where(inflow[w], total[w], 0.0) * flen[w] for w in WALLS]))
     out_flux = np.sum(np.concatenate(
-        [np.where(bc.out_mask[w], total[w], 0.0) * flen[w] for w in WALLS]))
+        [np.where(inflow[w], 0.0, total[w]) * flen[w] for w in WALLS]))
 
     mass_old = integrate(grid, rho)
     mass_new = integrate(grid, rho_new)
@@ -250,22 +248,22 @@ def regularize_initial_density(grid: StaggeredGrid, rho0: np.ndarray,
                                           params.bc_sharpness))
          for w in WALLS}
     rb = {w: np.clip(bc.rho[w], lo, hi) for w in WALLS}
-    cx = params.eps / grid.dx
-    cy = params.eps / grid.dy
+    c = {w: params.eps / wall_spacing(grid, w)[0] for w in WALLS}
 
-    def target(w, inner, c, at):
-        return (c * inner + k[w][at] * rb[w][at]) / (c + k[w][at])
+    def target(w, at):
+        # the wall's target for its boundary cells at, from the cells
+        # inside them
+        inner = wall_line(rho, w, 1)[at]
+        return (c[w] * inner + k[w][at] * rb[w][at]) / (c[w] + k[w][at])
 
     mid = slice(1, -1)
-    rho[0, mid] = target("left", rho[1, mid], cx, mid)
-    rho[-1, mid] = target("right", rho[-2, mid], cx, mid)
-    rho[mid, 0] = target("bottom", rho[mid, 1], cy, mid)
-    rho[mid, -1] = target("top", rho[mid, -2], cy, mid)
+    for w in WALL:
+        wall_line(rho, w)[mid] = target(w, mid)
     # corners: the mean of both walls' targets, read from the new edges
-    for i, ii, wx in ((0, 1, "left"), (-1, -2, "right")):
-        for j, jj, wy in ((0, 1, "bottom"), (-1, -2, "top")):
-            rho[i, j] = (target(wx, rho[ii, j], cx, j)
-                         + target(wy, rho[i, jj], cy, i)) / 2.0
+    for wx in (w for w in WALL if WALL[w][0] == 0):
+        for wy in (w for w in WALL if WALL[w][0] == 1):
+            i, j = WALL[wx][1], WALL[wy][1]
+            rho[i, j] = (target(wx, j) + target(wy, i)) / 2.0
     return np.clip(rho, lo, hi)
 
 
@@ -273,17 +271,13 @@ def initial_bc_residual(grid: StaggeredGrid, rho: np.ndarray,
                         params: PenaltyParams, bc: BoundaryData) -> float:
     """Max defect of the one-sided discrete Robin compatibility condition
     over non-corner boundary faces."""
-    k = {w: smoothed_negative_part(bc.normal_trace(w), params.bc_sharpness)
-         for w in WALLS}
     res = []
-    res.append(params.eps * (rho[0, 1:-1] - rho[1, 1:-1]) / grid.dx
-               - (rho[0, 1:-1] - bc.rho["left"][1:-1]) * k["left"][1:-1])
-    res.append(params.eps * (rho[-1, 1:-1] - rho[-2, 1:-1]) / grid.dx
-               - (rho[-1, 1:-1] - bc.rho["right"][1:-1]) * k["right"][1:-1])
-    res.append(params.eps * (rho[1:-1, 0] - rho[1:-1, 1]) / grid.dy
-               - (rho[1:-1, 0] - bc.rho["bottom"][1:-1]) * k["bottom"][1:-1])
-    res.append(params.eps * (rho[1:-1, -1] - rho[1:-1, -2]) / grid.dy
-               - (rho[1:-1, -1] - bc.rho["top"][1:-1]) * k["top"][1:-1])
+    for w in WALL:
+        k = smoothed_negative_part(bc.normal_trace(w), params.bc_sharpness)
+        edge = wall_line(rho, w)[1:-1]
+        res.append(params.eps * (edge - wall_line(rho, w, 1)[1:-1])
+                   / wall_spacing(grid, w)[0]
+                   - (edge - bc.rho[w][1:-1]) * k[1:-1])
     return float(np.max(np.abs(np.concatenate(res))))
 
 
@@ -306,15 +300,12 @@ def renormalized_residual(grid: StaggeredGrid, bc: BoundaryData,
         psi = np.ones((grid.nx, grid.ny))
     psi = np.asarray(psi, dtype=np.float64)
     gpx, gpy = cell_gradient(grid, psi)
-    flen = {w: grid.dy if w in ("left", "right") else grid.dx for w in WALLS}
     un = {w: bc.normal_trace(w) for w in WALLS}
     kk = {w: smoothed_negative_part(un[w], params.bc_sharpness) for w in WALLS}
 
     lhs = integrate(grid, b(rho_hist[-1]) * psi) \
         - integrate(grid, b(rho_hist[0]) * psi)
     rhs = 0.0
-    psi_edge = {"left": psi[0, :], "right": psi[-1, :],
-                "bottom": psi[:, 0], "top": psi[:, -1]}
 
     for k in range(len(rho_hist) - 1):
         r0, r1 = rho_hist[k], rho_hist[k + 1]
@@ -324,10 +315,8 @@ def renormalized_residual(grid: StaggeredGrid, bc: BoundaryData,
         # pairs exactly with the boundary terms
         uu = vel.u.copy()
         vv = vel.v.copy()
-        uu[0, :] = bc.ub["left"][:, 0]
-        uu[-1, :] = bc.ub["right"][:, 0]
-        vv[:, 0] = bc.ub["bottom"][:, 1]
-        vv[:, -1] = bc.ub["top"][:, 1]
+        for w, (axis, _) in WALL.items():
+            wall_line((uu, vv)[axis], w)[:] = bc.ub[w][:, axis]
         uc, vc = faces_to_centers(grid, uu, vv)
         div = divergence(grid, uu, vv)
         grx, gry = cell_gradient(grid, r1)
@@ -340,13 +329,12 @@ def renormalized_residual(grid: StaggeredGrid, bc: BoundaryData,
             - psi * params.eps * bpp(r1) * (grx ** 2 + gry ** 2))
         rhs += dt * interior
 
-        tr1 = {"left": r1[0, :], "right": r1[-1, :],
-               "bottom": r1[:, 0], "top": r1[:, -1]}
         bnd = 0.0
         for w in WALLS:
             # boundary fluxes are implicit in the scheme: new-state traces
-            flux = (b(tr1[w]) * un[w]
-                    + bp(tr1[w]) * (tr1[w] - bc.rho[w]) * np.abs(kk[w]))
-            bnd += np.sum(flux * psi_edge[w]) * flen[w]
+            tr1 = wall_line(r1, w)
+            flux = (b(tr1) * un[w]
+                    + bp(tr1) * (tr1 - bc.rho[w]) * np.abs(kk[w]))
+            bnd += np.sum(flux * wall_line(psi, w)) * wall_spacing(grid, w)[1]
         lhs += dt * bnd
     return lhs - rhs

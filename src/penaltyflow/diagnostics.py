@@ -20,7 +20,7 @@ from .errors import ProbeOutside
 from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
                      faces_to_centers, full_gradient, integrate, interp_cell,
                      sym_gradient)
-from .geometry import WALLS, DomainSpec
+from .geometry import WALLS, DomainSpec, wall_line, wall_spacing
 from .momentum import (Problem, ViscousState, pressure, pressure_potential,
                        pressure_potential_d1, pressure_potential_d2, stress)
 
@@ -69,11 +69,6 @@ def energy_total(grid: StaggeredGrid, rho: np.ndarray, vel: VectorField,
     return integrate(grid, kin + pressure_potential(rho, params))
 
 
-def _edge_traces(arr):
-    return {"left": arr[0, :], "right": arr[-1, :],
-            "bottom": arr[:, 0], "top": arr[:, -1]}
-
-
 def ledger_step(state: ViscousState, rho0, vel0: VectorField, rho1,
                 vel1: VectorField, dt: float, t_new: float,
                 E0: float = None) -> EnergyLedgerRow:
@@ -91,8 +86,6 @@ def ledger_step(state: ViscousState, rho0, vel0: VectorField, rho1,
     problem = state.problem
     grid, params, bc = problem.grid, problem.params, problem.bc
     u_ext = bc.u_ext
-    vol_edge = {w: grid.dy if w in ("left", "right") else grid.dx
-                for w in WALLS}
 
     if E0 is None:
         E0 = energy_total(grid, rho0, vel0, u_ext, params)
@@ -136,24 +129,24 @@ def ledger_step(state: ViscousState, rho0, vel0: VectorField, rho1,
     del gfx, gfy, p2x, p2y
 
     un = problem.normal_traces
-    tr = _edge_traces(rm)
     outflow_term = 0.0
     convexity_term = 0.0
     slack_min = np.inf
     any_in = False
     for w in WALLS:
-        pout = np.where(bc.out_mask[w],
-                        pressure_potential(tr[w], params) * un[w], 0.0)
-        outflow_term += np.sum(pout) * vol_edge[w]
-        if np.any(bc.in_mask[w]):
+        tr, inflow = wall_line(rm, w), problem.inflow[w]
+        flen = wall_spacing(grid, w)[1]
+        pout = np.where(inflow, 0.0,
+                        pressure_potential(tr, params) * un[w])
+        outflow_term += np.sum(pout) * flen
+        if np.any(inflow):
             any_in = True
             gap = (pressure_potential(bc.rho[w], params)
-                   - pressure_potential_d1(tr[w], params)
-                   * (bc.rho[w] - tr[w])
-                   - pressure_potential(tr[w], params))
-            gin = np.where(bc.in_mask[w], gap * np.abs(un[w]), 0.0)
-            convexity_term += np.sum(gin) * vol_edge[w]
-            slack_min = min(slack_min, float(np.min(gap[bc.in_mask[w]])))
+                   - pressure_potential_d1(tr, params) * (bc.rho[w] - tr)
+                   - pressure_potential(tr, params))
+            gin = np.where(inflow, gap * np.abs(un[w]), 0.0)
+            convexity_term += np.sum(gin) * flen
+            slack_min = min(slack_min, float(np.min(gap[inflow])))
     if not any_in:
         slack_min = 0.0
 

@@ -8,7 +8,7 @@ import functools
 import json
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy
@@ -366,7 +366,8 @@ def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
                 violation_margin=rec.margin if stopped else None,
                 c_run=c_run, t0_bound=t0, initial_clearance=clearance,
                 aggregates=_aggregate(out.rows),
-                extension=_ext_dict(ext_report))
+                extension={k: v for k, v in asdict(ext_report).items()
+                           if k != "div_roundoff"})
         except PenaltyflowError as exc:
             out.write_failure(exc)
             raise
@@ -377,17 +378,6 @@ def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
                      body_rows=out.body_rows,
                      final_rho=s.rho.copy() if keep_fields else None,
                      final_vel=s.vel.copy() if keep_fields else None)
-
-
-def _ext_dict(ext_report):
-    return {
-        "max_speed": ext_report.max_speed,
-        "w1inf": ext_report.w1inf,
-        "trace_error": ext_report.trace_error,
-        "div_min_inner_collar": ext_report.div_min_inner_collar,
-        "max_outside_outer_collar": ext_report.max_outside_outer_collar,
-        "net_flux": ext_report.net_flux,
-    }
 
 
 def _aggregate(rows):

@@ -26,10 +26,6 @@ from scipy import sparse
 
 from .errors import KernelUnresolved
 
-# Spatial dimension of the discretization.  The formulas in the solver are
-# dimension-generic; the grid layout below is the 2-D instantiation.
-DIM = 2
-
 
 @dataclass(frozen=True)
 class StaggeredGrid:
@@ -127,16 +123,6 @@ class VectorField:
 def divergence(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conservative cell-centered divergence of a face velocity field."""
     return (u[1:, :] - u[:-1, :]) / grid.dx + (v[:, 1:] - v[:, :-1]) / grid.dy
-
-
-def face_gradient(grid: StaggeredGrid, f: np.ndarray):
-    """Gradient of a cell field onto faces; boundary faces get zero
-    (homogeneous-Neumann closure)."""
-    gx = np.zeros((grid.nx + 1, grid.ny))
-    gy = np.zeros((grid.nx, grid.ny + 1))
-    gx[1:-1, :] = (f[1:, :] - f[:-1, :]) / grid.dx
-    gy[:, 1:-1] = (f[:, 1:] - f[:, :-1]) / grid.dy
-    return gx, gy
 
 
 def cell_gradient(grid: StaggeredGrid, f: np.ndarray):

@@ -1,5 +1,5 @@
-"""Domain, boundary classification, cutoffs, primitive signed distances,
-and the boundary-velocity extension field.
+"""Domain, the wall table, cutoffs, primitive signed distances, and the
+boundary-velocity extension field.
 
 The extension construction: the balanced part of the boundary trace is
 extended through a discrete streamfunction (cumulative boundary flux at
@@ -22,9 +22,32 @@ from .errors import (CollarTooWide, ErosionEmpty, ExtensionDivergenceNegative,
                      ExtensionTraceError, InvalidShape)
 from .fields import StaggeredGrid, VectorField, divergence
 
+# The walls: the axis each closes and its end of it (0 low, -1 high), in
+# the order two walls add into one corner cell.  WALLS lists them
+# counter-clockwise from the bottom, the order of every sum over walls.
+WALL = {"left": (0, 0), "right": (0, -1), "bottom": (1, 0), "top": (1, -1)}
 WALLS = ("bottom", "right", "top", "left")
-NORMALS = {"bottom": (0.0, -1.0), "right": (1.0, 0.0),
-           "top": (0.0, 1.0), "left": (-1.0, 0.0)}
+NORMALS = {w: tuple((1.0 if end else -1.0) if k == axis else 0.0
+                    for k in (0, 1)) for w, (axis, end) in WALL.items()}
+
+
+def wall_line(a, wall: str, depth: int = 0):
+    """The wall's line of a cell, face or node array, ``depth`` lines in,
+    as a view; of the face component normal to it, its boundary faces."""
+    axis, end = WALL[wall]
+    k = depth if end == 0 else -1 - depth
+    return a[k] if axis == 0 else a[:, k]
+
+
+def wall_spacing(grid: StaggeredGrid, wall: str):
+    """(across, along): the spacings across the wall and along it, the
+    length of its faces."""
+    return (grid.dx, grid.dy) if WALL[wall][0] == 0 else (grid.dy, grid.dx)
+
+
+def wall_faces(grid: StaggeredGrid, wall: str) -> int:
+    """The number of the wall's boundary faces."""
+    return grid.ny if WALL[wall][0] == 0 else grid.nx
 
 
 def smoothstep(s, degree: int = 5):
@@ -150,8 +173,7 @@ def erode(shape, r: float):
 
 @dataclass
 class BoundaryData:
-    """Velocity/density traces per wall, inflow/outflow masks, and the
-    interior extension field.
+    """Velocity/density traces per wall and the interior extension field.
 
     Trace arrays are sampled at the wall's boundary-face centers in natural
     index order: left/right walls carry (ny, 2) vectors at the u-face rows,
@@ -162,8 +184,6 @@ class BoundaryData:
     domain: DomainSpec
     ub: dict           # wall -> (n_faces, 2) velocity trace
     rho: dict          # wall -> (n_faces,) density trace
-    in_mask: dict = field(default=None)
-    out_mask: dict = field(default=None)
     u_ext: VectorField = field(default=None)
 
     def __post_init__(self):
@@ -172,15 +192,13 @@ class BoundaryData:
         self.rho = {w: np.asarray(a, dtype=np.float64)
                     for w, a in self.rho.items()}
         for w in WALLS:
-            n = self.grid.ny if w in ("left", "right") else self.grid.nx
+            n = wall_faces(self.grid, w)
             if self.ub[w].shape != (n, 2):
                 raise ValueError(f"trace on wall {w} must have shape ({n}, 2)")
             if self.rho[w].shape != (n,):
                 raise ValueError(f"density trace on wall {w} must be ({n},)")
             if np.any(self.rho[w] <= 0):
                 raise ValueError("boundary density must be positive")
-        if self.in_mask is None:
-            self.in_mask, self.out_mask = classify_boundary(self.ub)
 
     def normal_trace(self, wall: str):
         nxw, nyw = NORMALS[wall]
@@ -188,19 +206,6 @@ class BoundaryData:
 
     def max_trace_speed(self) -> float:
         return max(float(np.max(np.abs(self.ub[w]))) for w in WALLS)
-
-
-def classify_boundary(ub: dict):
-    """Split boundary faces by the sign of the prescribed normal velocity:
-    strictly inward-pointing faces are inflow, ties and outward go to
-    outflow.  Total: every face lands in exactly one mask."""
-    in_mask, out_mask = {}, {}
-    for w in WALLS:
-        nxw, nyw = NORMALS[w]
-        un = ub[w][:, 0] * nxw + ub[w][:, 1] * nyw
-        in_mask[w] = un < 0.0
-        out_mask[w] = ~in_mask[w]
-    return in_mask, out_mask
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +253,7 @@ def build_extension(bc: BoundaryData, domain: DomainSpec, grid: StaggeredGrid):
     dx, dy = grid.dx, grid.dy
 
     un = {w: bc.normal_trace(w) for w in WALLS}
-    face_len = {w: dy if w in ("left", "right") else dx for w in WALLS}
+    face_len = {w: wall_spacing(grid, w)[1] for w in WALLS}
     scale = 1.0 + max(float(np.max(np.abs(un[w]))) for w in WALLS)
 
     _require_corner_taper(bc, un, domain, grid, scale)
@@ -298,9 +303,7 @@ def _require_corner_taper(bc, un, domain, grid, scale):
     tol = 1e-9 * scale
     for w in WALLS:
         s = s_face[w]
-        mag = np.abs(un[w]) + np.abs(
-            bc.ub[w][:, 0] * abs(NORMALS[w][1])
-            + bc.ub[w][:, 1] * abs(NORMALS[w][0]))
+        mag = np.abs(un[w]) + np.abs(bc.ub[w][:, 1 - WALL[w][0]])
         for c in corners:
             d = np.minimum(np.abs(s - c), perim - np.abs(s - c))
             near = d < window
@@ -417,11 +420,9 @@ def _extension_report(u_ext, bc, domain, grid, q_net, scale):
     u, v = u_ext.u, u_ext.v
     dx, dy = grid.dx, grid.dy
 
-    terr = 0.0
-    terr = max(terr, float(np.max(np.abs(u[0, :] - bc.ub["left"][:, 0]))))
-    terr = max(terr, float(np.max(np.abs(u[-1, :] - bc.ub["right"][:, 0]))))
-    terr = max(terr, float(np.max(np.abs(v[:, 0] - bc.ub["bottom"][:, 1]))))
-    terr = max(terr, float(np.max(np.abs(v[:, -1] - bc.ub["top"][:, 1]))))
+    terr = max(float(np.max(np.abs(wall_line((u, v)[axis], w)
+                                   - bc.ub[w][:, axis])))
+               for w, (axis, _) in WALL.items())
 
     div = divergence(grid, u, v)
     inner = domain.collar_mask(grid, domain.h, "centers")
@@ -478,19 +479,14 @@ def throughflow_boundary(domain: DomainSpec, grid: StaggeredGrid,
     """Uniform tapered inflow on the left wall, matching outflow on the
     right wall, resting top and bottom walls."""
     amp = corner_tapered(domain, grid.yc(), domain.Ly, taper_margin)
-    ub = {w: np.zeros((grid.ny if w in ("left", "right") else grid.nx, 2))
-          for w in WALLS}
+    ub = {w: np.zeros((wall_faces(grid, w), 2)) for w in WALLS}
     ub["left"][:, 0] = speed * amp
     ub["right"][:, 0] = speed * amp
-    rho = {w: np.full(grid.ny if w in ("left", "right") else grid.nx, rho_b)
-           for w in WALLS}
+    rho = {w: np.full(wall_faces(grid, w), rho_b) for w in WALLS}
     return BoundaryData(grid=grid, domain=domain, ub=ub, rho=rho)
 
 
 def resting_boundary(domain: DomainSpec, grid: StaggeredGrid,
                      rho_b: float) -> BoundaryData:
-    ub = {w: np.zeros((grid.ny if w in ("left", "right") else grid.nx, 2))
-          for w in WALLS}
-    rho = {w: np.full(grid.ny if w in ("left", "right") else grid.nx, rho_b)
-           for w in WALLS}
-    return BoundaryData(grid=grid, domain=domain, ub=ub, rho=rho)
+    """Resting walls: the through-flow at speed 0."""
+    return throughflow_boundary(domain, grid, 0.0, rho_b)

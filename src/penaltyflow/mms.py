@@ -13,7 +13,7 @@ import sympy as sp
 
 from .continuity import PenaltyParams, continuity_step
 from .fields import StaggeredGrid, VectorField, integrate
-from .geometry import WALLS, BoundaryData, DomainSpec
+from .geometry import WALL, WALLS, BoundaryData, DomainSpec, wall_faces
 from .momentum import Problem, ViscousState, momentum_step
 
 X, Y, T = sp.symbols("x y t", real=True)
@@ -73,19 +73,16 @@ def momentum_manufactured(params: PenaltyParams):
 
 def _mms_boundary(grid, domain, man, t, rho_b=2.0):
     ub = {}
-    yc, xc = grid.yc(), grid.xc()
-    ub["left"] = np.stack([_sample(man["u"], t, 0.0 * yc, yc),
-                           _sample(man["v"], t, 0.0 * yc, yc)], axis=1)
-    ub["right"] = np.stack([_sample(man["u"], t, 0.0 * yc + domain.Lx, yc),
-                            _sample(man["v"], t, 0.0 * yc + domain.Lx, yc)],
-                           axis=1)
-    ub["bottom"] = np.stack([_sample(man["u"], t, xc, 0.0 * xc),
-                             _sample(man["v"], t, xc, 0.0 * xc)], axis=1)
-    ub["top"] = np.stack([_sample(man["u"], t, xc, 0.0 * xc + domain.Ly),
-                          _sample(man["v"], t, xc, 0.0 * xc + domain.Ly)],
-                         axis=1)
-    rho = {w: np.full(grid.ny if w in ("left", "right") else grid.nx,
-                      rho_b) for w in WALLS}
+    for w, (axis, end) in WALL.items():
+        # the wall's face centres: at its end of the axis, cell centres
+        # along the other
+        along = (grid.yc(), grid.xc())[axis]
+        at = np.full_like(along, 0.0 if end == 0 else
+                          (domain.Lx, domain.Ly)[axis])
+        xy = (at, along) if axis == 0 else (along, at)
+        ub[w] = np.stack([_sample(man["u"], t, *xy),
+                          _sample(man["v"], t, *xy)], axis=1)
+    rho = {w: np.full(wall_faces(grid, w), rho_b) for w in WALLS}
     bc = BoundaryData(grid=grid, domain=domain, ub=ub, rho=rho)
     bc.u_ext = VectorField.zeros(grid)
     return bc

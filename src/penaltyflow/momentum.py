@@ -25,8 +25,8 @@ from .continuity import (PenaltyParams, _diffusion_matrix, _unit_diffusion,
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
 from .fields import (StaggeredGrid, VectorField, _centered, cell_gradient,
                      cg, full_gradient, jacobi, stencil_csr)
-from .geometry import (WALLS, BoundaryData, CutoffProfile, DomainSpec,
-                       wall_cutoff)
+from .geometry import (WALL, WALLS, BoundaryData, CutoffProfile,
+                       DomainSpec, wall_cutoff, wall_line, wall_spacing)
 
 VACUUM_FLOOR = 1e-10
 
@@ -138,10 +138,9 @@ def _face_layout(grid: StaggeredGrid):
         return nu + i * (ny + 1) + j
 
     bnd = np.zeros(nu + nv, dtype=bool)
-    bnd[uidx(np.zeros(ny, int), np.arange(ny))] = True
-    bnd[uidx(np.full(ny, nx), np.arange(ny))] = True
-    bnd[vidx(np.arange(nx), np.zeros(nx, int))] = True
-    bnd[vidx(np.arange(nx), np.full(nx, ny))] = True
+    views = _face_views(grid, bnd)
+    for w, (axis, _) in WALL.items():
+        wall_line(views[axis], w)[:] = True
 
     # node area factors: quarter of a cell per adjacent cell
     adj = np.full((nx + 1, ny + 1), 4.0)
@@ -205,6 +204,31 @@ def _d12_slots(grid):
     v_rt, v_lt = after_before((ny + 1, nx + 1), grid.dx)
     return (*after_before((nx + 1, ny + 1), grid.dy), v_rt.T.copy(),
             v_lt.T.copy())
+
+
+def _fill_rows(out, wc, wl, wn, up, dn, lt, rt, hn, ht, mass):
+    """Write into out's nine arrays the u-row stencil values of
+    ``FreePattern`` for the face component whose normal is axis 0: cell
+    weights wc (D11 + div) and wl (div), node weights wn, D12 slots up, dn
+    of the component and lt, rt of the other, spacings hn, ht along axes 0
+    and 1, and its interior rows' face mass or None.  Face (i, j) sits
+    between cells (i-1, j), (i, j) and nodes (i, j), (i, j+1).  The v rows
+    are this function of the transposed views."""
+    ih2, ihh = 1.0 / (hn * hn), 1.0 / (hn * ht)
+    c0, c1, l0, l1 = wc[:-1], wc[1:], wl[:-1], wl[1:]
+    a = (wn * up)[1:-1, :-1]
+    b = (wn * dn)[1:-1, 1:]
+    out[0][...] = -ih2 * c0
+    out[1][...] = a * dn[1:-1, :-1]
+    out[2][...] = ih2 * (c0 + c1) + a * up[1:-1, :-1] + b * dn[1:-1, 1:]
+    if mass is not None:
+        out[2] += mass
+    out[3][...] = b * up[1:-1, 1:]
+    out[4][...] = -ih2 * c1
+    out[5][...] = a * lt[1:-1, :-1] - ihh * l0
+    out[6][...] = b * lt[1:-1, 1:] + ihh * l0
+    out[7][...] = a * rt[1:-1, :-1] + ihh * l1
+    out[8][...] = b * rt[1:-1, 1:] - ihh * l1
 
 
 class FreePattern:
@@ -299,49 +323,24 @@ class FreePattern:
         without mass, its viscous part alone."""
         nx, ny, dx, dy = self.grid.nx, self.grid.ny, self.grid.dx, \
             self.grid.dy
-        ix2, iy2, ixy = 1.0 / (dx * dx), 1.0 / (dy * dy), 1.0 / (dx * dy)
         u_up, u_dn, v_rt, v_lt = self.ops["d12_slots"]
         wc = (w_mu + w_lam).reshape(nx, ny)   # D11 + div on u, D22 + div on v
         wl = w_lam.reshape(nx, ny)            # div coupling of u with v
         wn = w_node.reshape(nx + 1, ny + 1)
+        mu, mv = (None, None) if mass is None else _face_views(self.grid, mass)
         data, gather, split = self.matrix.data, self.gather, self.split
         vals = np.empty(9 * max(self.nru, nx * (ny - 1)))
         su = vals[:9 * self.nru].reshape(9, nx - 1, ny)
-
-        # u(i, j), i = 1..nx-1: cells (i-1, j), (i, j); nodes (i, j), (i, j+1)
-        c0, c1, l0, l1 = wc[:-1], wc[1:], wl[:-1], wl[1:]
-        a = (wn * u_up)[1:-1, :-1]
-        b = (wn * u_dn)[1:-1, 1:]
-        su[0] = -ix2 * c0
-        su[1] = a * u_dn[1:-1, :-1]
-        su[2] = ix2 * (c0 + c1) + a * u_up[1:-1, :-1] + b * u_dn[1:-1, 1:]
-        if mass is not None:
-            su[2] += _face_views(self.grid, mass)[0][1:-1]
-        su[3] = b * u_up[1:-1, 1:]
-        su[4] = -ix2 * c1
-        su[5] = a * v_lt[1:-1, :-1] - ixy * l0
-        su[6] = b * v_lt[1:-1, 1:] + ixy * l0
-        su[7] = a * v_rt[1:-1, :-1] + ixy * l1
-        su[8] = b * v_rt[1:-1, 1:] - ixy * l1
+        _fill_rows(su, wc, wl, wn, u_up, u_dn, v_lt, v_rt, dx, dy,
+                   None if mu is None else mu[1:-1])
         # every gather index is in range, so skip the bounds check
         np.take(vals, gather[:split], out=data[:split], mode="clip")
 
-        # v(i, j), j = 1..ny-1: cells (i, j-1), (i, j); nodes (i, j), (i+1, j)
+        # the v rows in the u rows' slot order, on transposed views
         sv = vals[:9 * nx * (ny - 1)].reshape(9, nx, ny - 1)
-        c0, c1, l0, l1 = wc[:, :-1], wc[:, 1:], wl[:, :-1], wl[:, 1:]
-        a = (wn * v_rt)[:-1, 1:-1]
-        b = (wn * v_lt)[1:, 1:-1]
-        sv[0] = a * u_dn[:-1, 1:-1] - ixy * l0
-        sv[1] = a * u_up[:-1, 1:-1] + ixy * l1
-        sv[2] = b * u_dn[1:, 1:-1] + ixy * l0
-        sv[3] = b * u_up[1:, 1:-1] - ixy * l1
-        sv[4] = a * v_lt[:-1, 1:-1]
-        sv[5] = -iy2 * c0
-        sv[6] = iy2 * (c0 + c1) + a * v_rt[:-1, 1:-1] + b * v_lt[1:, 1:-1]
-        if mass is not None:
-            sv[6] += _face_views(self.grid, mass)[1][:, 1:-1]
-        sv[7] = -iy2 * c1
-        sv[8] = b * v_rt[1:, 1:-1]
+        _fill_rows([sv[k].T for k in (5, 4, 6, 8, 7, 0, 2, 1, 3)], wc.T,
+                   wl.T, wn.T, v_rt.T, v_lt.T, u_dn.T, u_up.T, dy, dx,
+                   None if mv is None else mv.T[1:-1])
         np.take(vals, gather[split:], out=data[split:], mode="clip")
         self.fills += 1
         return self.matrix
@@ -773,14 +772,14 @@ def _wall_traces(grid, bc: BoundaryData):
 def _d12_affine(grid, bc: BoundaryData):
     """Constant part of the node D12 rows coming from tangential wall
     traces (zero trace -> zero vector)."""
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    c = np.zeros((nx + 1, ny + 1))
+    c = np.zeros((grid.nx + 1, grid.ny + 1))
+    # a wall's one-sided rows carry -+(2/h) times its tangential trace, h
+    # the spacing across it
     ub_b, ub_t, vb_l, vb_r = _wall_traces(grid, bc)
-    # du/dy one-sided rows carry -(2/dy) ub_t;  dv/dx rows -(2/dx) vb
-    c[:, 0] += -2.0 / dy * ub_b
-    c[:, -1] += 2.0 / dy * ub_t
-    c[0, :] += -2.0 / dx * vb_l
-    c[-1, :] += 2.0 / dx * vb_r
+    for w, t in (("bottom", ub_b), ("top", ub_t), ("left", vb_l),
+                 ("right", vb_r)):
+        line = wall_line(c, w)
+        line += (2.0 if WALL[w][1] else -2.0) / wall_spacing(grid, w)[0] * t
     return 0.5 * c.ravel()
 
 
@@ -873,15 +872,13 @@ class Problem:
     @cached_property
     def boundary_values(self):
         """(faces, values): the boundary faces and their Dirichlet values,
-        left, right, bottom and top wall."""
-        nx, ny, ops, ub = self.grid.nx, self.grid.ny, self.ops, self.bc.ub
-        uidx, vidx = ops["uidx"], ops["vidx"]
-        faces = np.concatenate([uidx(np.zeros(ny, int), np.arange(ny)),
-                                uidx(np.full(ny, nx), np.arange(ny)),
-                                vidx(np.arange(nx), np.zeros(nx, int)),
-                                vidx(np.arange(nx), np.full(nx, ny))])
-        return faces, np.concatenate([ub["left"][:, 0], ub["right"][:, 0],
-                                      ub["bottom"][:, 1], ub["top"][:, 1]])
+        wall by wall in ``WALL`` order."""
+        ops = self.ops
+        index = _face_views(self.grid, np.arange(ops["nu"] + ops["nv"]))
+        return (np.concatenate([wall_line(index[axis], w)
+                                for w, (axis, _) in WALL.items()]),
+                np.concatenate([self.bc.ub[w][:, axis]
+                                for w, (axis, _) in WALL.items()]))
 
     @cached_property
     def robin(self):
@@ -893,6 +890,12 @@ class Problem:
     @cached_property
     def normal_traces(self):
         return {w: self.bc.normal_trace(w) for w in WALLS}
+
+    @cached_property
+    def inflow(self):
+        """Each wall's inflow faces, where u_b . n < 0; the others, ties
+        included, are outflow faces."""
+        return {w: un < 0.0 for w, un in self.normal_traces.items()}
 
     @cached_property
     def ext_gradient(self):
@@ -907,10 +910,9 @@ class Problem:
         potential, sign folded in."""
         bc, params, term = self.bc, self.params, 0.0
         for w in WALLS:
-            edge = self.grid.dy if w in ("left", "right") else self.grid.dx
-            pin = np.where(bc.in_mask[w], pressure_potential(
+            pin = np.where(self.inflow[w], pressure_potential(
                 bc.rho[w], params) * self.normal_traces[w], 0.0)
-            term -= np.sum(pin) * edge
+            term -= np.sum(pin) * wall_spacing(self.grid, w)[1]
         return term
 
 

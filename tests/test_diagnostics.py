@@ -189,4 +189,4 @@ def test_energy_conservation_identity_inflow_slack(grid24, domain, params):
            * (bc.rho["left"] - tr)
            - pressure_potential(tr, params))
     assert row.convexity_slack_min == pytest.approx(
-        float(np.min(gap[bc.in_mask["left"]])), rel=1e-5)
+        float(np.min(gap[bc.ub["left"][:, 0] > 0])), rel=1e-5)

@@ -21,8 +21,6 @@ from test_checks import check_test
 # properties kept once, as checks in penaltyflow.checks
 test_divergence_linear_exact = check_test("divergence_linear_fields")
 test_divergence_trig_second_order = check_test("divergence_trig_second_order")
-test_div_of_gradient_is_laplacian = check_test(
-    "div_grad_is_five_point_laplacian")
 test_sym_gradient_rigid_kernel = check_test("sym_gradient_rigid_kernel_100")
 test_sym_gradient_affine_cases = check_test("sym_gradient_affine_cases")
 test_mollifier_kernel_invariants = check_test("mollifier_kernel_moments")

@@ -4,10 +4,9 @@ import pytest
 from penaltyflow.errors import CollarTooWide, ExtensionTraceError
 from penaltyflow.fields import StaggeredGrid, divergence
 from penaltyflow.geometry import (Disc, DomainSpec, build_extension,
-                                  classify_boundary, corner_tapered,
-                                  divergence_roundoff, resting_boundary,
-                                  signed_distance, throughflow_boundary,
-                                  wall_cutoff)
+                                  corner_tapered, divergence_roundoff,
+                                  resting_boundary, signed_distance,
+                                  throughflow_boundary, wall_cutoff)
 from test_checks import check_test
 
 # properties kept once, as checks in penaltyflow.checks
@@ -84,7 +83,6 @@ def test_extension_support_clears_penalty_cutoff(grid64, domain):
 def test_extension_rejects_untapered_corner_trace(grid64, domain):
     bc = resting_boundary(domain, grid64, 1.0)
     bc.ub["left"][:, 0] = 0.2  # no corner taper at all
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
     with pytest.raises(ExtensionTraceError):
         build_extension(bc, domain, grid64)
 
@@ -93,7 +91,6 @@ def test_extension_tangential_trace_keeps_all_clauses(grid64, domain):
     bc = resting_boundary(domain, grid64, 1.0)
     amp = corner_tapered(domain, grid64.xc(), domain.Lx)
     bc.ub["top"][:, 0] = 0.3 * amp  # tapered sliding lid
-    bc.in_mask, bc.out_mask = classify_boundary(bc.ub)
     u_ext, rep = build_extension(bc, domain, grid64)
     assert rep.trace_error <= 1e-10
     assert rep.div_min_inner_collar >= -1e-12

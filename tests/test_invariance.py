@@ -51,3 +51,49 @@ def test_transposition_x_y_whole_run():
         assert d.keys() == dt.keys()
         for key in d:
             assert d[key] == pytest.approx(dt[key], rel=1e-9, abs=1e-13), key
+
+
+# through-flow past an off-centre free body on the same grid
+THROUGHFLOW = dict(nx=48, ny=40, Lx=1.2, Ly=0.9, r=0.06, x0=0.55, y0=0.42,
+                   t_end=0.05)
+
+
+@pytest.fixture(scope="module")
+def throughflow():
+    return run(default_config(**THROUGHFLOW), outdir=False, keep_fields=True)
+
+
+def assert_scaled_run(base, cfg, s):
+    """cfg's run is base's with its velocity times s: the same steps, the
+    same density, and s times the velocity."""
+    rep = run(cfg, outdir=False, keep_fields=True)
+    assert rep.steps == base.steps > 5
+    assert_close(base.final_rho, rep.final_rho)
+    assert_close(s * base.final_vel.u, rep.final_vel.u)
+    assert_close(s * base.final_vel.v, rep.final_vel.v)
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-2, 1e2, 1e4])
+def test_length_scaling_whole_run(throughflow, s):
+    # x -> s x: every length, and the viscosities and eps (density times
+    # speed times length), times s; n / s, so that n (chi + r)^2 scales as
+    # a viscosity
+    cfg = default_config(**THROUGHFLOW)
+    lengths = ("Lx", "Ly", "h", "r", "radius", "x0", "y0", "mu", "lam",
+               "eps", "t_end")
+    cfg = cfg.with_updates(n=cfg.n / s,
+                           **{k: getattr(cfg, k) * s for k in lengths})
+    assert_scaled_run(throughflow, cfg, 1.0)
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
+def test_velocity_scaling_whole_run(throughflow, s):
+    # u -> s u, t -> t / s: the viscosities, eps and n times s, the
+    # pressure coefficients a and delta times s^2, the blend sharpness N
+    # (an inverse speed) over s
+    cfg = default_config(**THROUGHFLOW)
+    cfg = cfg.with_updates(
+        speed=cfg.speed * s, mu=cfg.mu * s, lam=cfg.lam * s, eps=cfg.eps * s,
+        n=cfg.n * s, a=cfg.a * s * s, delta=cfg.delta * s * s, N=cfg.N / s,
+        t_end=cfg.t_end / s)
+    assert_scaled_run(throughflow, cfg, s)
