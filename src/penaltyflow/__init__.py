@@ -3,10 +3,9 @@ body carried by compressible isentropic flow with general inflow-outflow
 boundary data, instrumented so every monitored inequality of the underlying
 construction is checked at runtime."""
 
-from .body import (BodyInertia, BodyState, body_mass_inertia,
-                   body_signed_distance, body_step, collision_guard,
-                   make_disc_body, project_rigid, rigid_velocity_field,
-                   t0_lower_bound)
+from .body import (BodyState, body_signed_distance, body_step,
+                   collision_guard, make_disc_body, project_rigid,
+                   rigid_velocity_field, t0_lower_bound)
 from .config import RunConfig, default_config, load_config
 from .continuity import (PenaltyParams, continuity_step,
                          regularize_initial_density, renormalized_residual,

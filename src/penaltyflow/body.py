@@ -27,25 +27,6 @@ def rotation(theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BodyInertia:
-    mass: float
-    moment: float
-
-    def __post_init__(self):
-        if self.mass <= 0 or self.moment <= 0:
-            raise InvalidShape("mass and moment of inertia must be positive")
-
-
-def body_mass_inertia(rho_s: float, radius: float) -> BodyInertia:
-    """Mass and scalar moment of a homogeneous disc of the full body
-    radius."""
-    if rho_s <= 0 or radius <= 0:
-        raise InvalidShape("need rho_s > 0 and radius > 0")
-    mass = rho_s * np.pi * radius ** 2
-    return BodyInertia(mass=mass, moment=0.5 * mass * radius ** 2)
-
-
-@dataclass(frozen=True)
 class BodyState:
     """Configuration of the rigid disc body.
 
@@ -75,9 +56,6 @@ class BodyState:
 
     def boundary_markers(self) -> np.ndarray:
         return self.markers()[:self.n_boundary]
-
-    def inertia(self) -> BodyInertia:
-        return body_mass_inertia(self.rho_s, self.radius)
 
 
 def make_disc_body(X0, radius: float, erosion: float, rho_s: float,

@@ -14,9 +14,9 @@ import time
 
 import numpy as np
 
-from .body import (body_mass_inertia, body_signed_distance, body_step,
-                   collision_guard, make_disc_body, project_rigid,
-                   rigid_velocity_field, t0_lower_bound)
+from .body import (body_signed_distance, body_step, collision_guard,
+                   make_disc_body, project_rigid, rigid_velocity_field,
+                   t0_lower_bound)
 from .config import default_config
 from .continuity import (PenaltyParams, _advected, continuity_step,
                          initial_bc_residual, regularize_initial_density,
@@ -25,10 +25,12 @@ from .diagnostics import (effective_viscous_flux, energy_total,
                           interior_pressure_norm, ledger_step,
                           rigidity_measure, surface_force_torque)
 from .errors import ErosionEmpty, InvalidMargin, InvalidShape, NegativeDensity
-from .fields import (MollifierKernel, StaggeredGrid, VectorField,
+from .fields import (WALL, MollifierKernel, StaggeredGrid, VectorField,
                      _node_differences, cell_gradient, divergence,
-                     full_gradient, integrate, mollify, sym_gradient)
-from .geometry import (Disc, DomainSpec, Rectangle, build_extension, erode,
+                     full_gradient, integrate, mollify, sym_gradient,
+                     wall_along, wall_faces, wall_line, wall_spacing)
+from .geometry import (BoundaryData, Disc, DomainSpec, Rectangle,
+                       build_extension, corner_tapered, erode,
                        resting_boundary, signed_distance,
                        throughflow_boundary, wall_cutoff)
 from .momentum import (Problem, ViscosityModel, ViscousState, _d12_slots,
@@ -158,6 +160,8 @@ def _c4():
     ok &= erode(d, 0.0) == d
     ok &= _raises(ErosionEmpty, erode, d, 0.15)
     ok &= _raises(InvalidShape, Disc, 0.5, 0.5, 0.0)
+    # an erosion that empties the body's core
+    ok &= _raises(InvalidShape, make_disc_body, (0.5, 0.5), 0.1, 0.1, 1.0)
     return _ok(ok, "shift identity, r=0, empty erosion, zero radius")
 
 
@@ -206,6 +210,50 @@ def _c7():
                and rep.div_min_inner_collar >= -min(rep.div_roundoff, 1e-12)
                and rep.max_outside_outer_collar == 0.0)
     return _ok(ok, f"div_min {rep.div_min_inner_collar:.2e}")
+
+
+def _mirrored(by_wall):
+    """Data keyed by wall, for the domain mirrored in x = y: each wall
+    trades places with the wall at the same end of the other axis."""
+    at = {ae: w for w, ae in WALL.items()}
+    return {at[1 - WALL[w][0], WALL[w][1]]: a for w, a in by_wall.items()}
+
+
+@check("extension_transposition_all_walls")
+def _c55():
+    # random corner-tapered normal and tangential traces on all four walls
+    # of a 1.2 x 0.9 domain: the extension of the data mirrored in x = y
+    # is the mirrored extension, for balanced, net-outflow and net-inflow
+    # data.  The mirror trades left with bottom and right with top, so a
+    # wrong walk, slab or excess sign on one wall shows
+    dom, domt = DomainSpec(1.2, 0.9, 0.15), DomainSpec(0.9, 1.2, 0.15)
+    g = StaggeredGrid(48, 40, 1.2 / 48, 0.9 / 40)
+    gt = StaggeredGrid(40, 48, 0.9 / 40, 1.2 / 48)
+    rng = np.random.default_rng(55)
+    amp = {w: corner_tapered(dom, wall_along(g, w), (dom.Ly, dom.Lx)[axis])
+           for w, (axis, _) in WALL.items()}
+    rho = {w: np.ones(a.size) for w, a in amp.items()}
+    errs = []
+    for target in (0.0, 0.1, -0.1):   # balanced, net outflow, net inflow
+        ub = {w: rng.uniform(-1, 1, (a.size, 2)) * a[:, None]
+              for w, a in amp.items()}
+        bc = BoundaryData(g, dom, ub, rho)
+        q = sum(np.sum(bc.normal_trace(w)) * wall_spacing(g, w)[1]
+                for w in WALL)
+        bc.ub["right"][:, 0] += (target - q) / (np.sum(amp["right"]) * g.dy) \
+            * amp["right"]
+        ext, rep = build_extension(bc, dom, g)
+        bct = BoundaryData(gt, domt, _mirrored(
+            {w: a[:, ::-1] for w, a in bc.ub.items()}), _mirrored(rho))
+        extt, rept = build_extension(bct, domt, gt)
+        if abs(rep.net_flux - target) > 1e-12 or rep.trace_error > 1e-10:
+            return _ok(False, f"net flux {rep.net_flux:.3e} for {target}, "
+                       f"trace error {rep.trace_error:.1e}")
+        errs.append(max(np.max(np.abs(ext.u - extt.v.T)),
+                        np.max(np.abs(ext.v - extt.u.T))) / rep.max_speed)
+    return _ok(max(errs) <= 1e-13,
+               "mirrored extension, relative to max speed: "
+               + ", ".join(f"{e:.1e}" for e in errs))
 
 
 @check("cutoff_profile_shape")
@@ -645,14 +693,10 @@ def _c29():
 
 def _rigid_trace_boundary(g, X, V, w):
     bc = resting_boundary(DOM, g, 1.0)
-    bc.ub["left"][:, 0] = V[0] - w * (g.yc() - X[1])
-    bc.ub["left"][:, 1] = V[1] + w * (0.0 - X[0])
-    bc.ub["right"][:, 0] = V[0] - w * (g.yc() - X[1])
-    bc.ub["right"][:, 1] = V[1] + w * (DOM.Lx - X[0])
-    bc.ub["bottom"][:, 0] = V[0] - w * (0.0 - X[1])
-    bc.ub["bottom"][:, 1] = V[1] + w * (g.xc() - X[0])
-    bc.ub["top"][:, 0] = V[0] - w * (DOM.Ly - X[1])
-    bc.ub["top"][:, 1] = V[1] + w * (g.xc() - X[0])
+    for wall, ub in bc.ub.items():
+        x, y = DOM.wall_xy(g, wall)
+        ub[:, 0] = V[0] - w * (y - X[1])
+        ub[:, 1] = V[1] + w * (x - X[0])
     bc.u_ext = VectorField.zeros(g)
     return bc
 
@@ -730,8 +774,8 @@ def _c52():
     rho, rho1 = rng.uniform(0.5, 1.5, (2, 24, 32))
     vel = VectorField(g, rng.normal(size=(25, 32)), rng.normal(size=(24, 33)))
     velt = VectorField(gt, vel.v.T, vel.u.T)
-    tr = tuple(rng.normal(size=n) for n in (25, 25, 33, 33))
-    trt = tr[2:] + tr[:2]
+    tr = {w: rng.normal(size=wall_faces(g, w) + 1) for w in WALL}
+    trt = _mirrored(tr)
     src = (rng.normal(size=(25, 32)), rng.normal(size=(24, 33)))
 
     def swap(x):   # a face vector of g as the face vector of gt
@@ -783,7 +827,8 @@ def _c53():
     (xu, yu), (xv, yv) = g.uface_xy(), g.vface_xy()
     rho = 1.0 + 0.3 * xc - 0.2 * yc
     vel = VectorField(g, 0.1 + 0.4 * xu - 0.7 * yu, -0.2 + 0.5 * xv + 0.3 * yv)
-    tr = (vel.u[:, 0], vel.u[:, -1], vel.v[0], vel.v[-1])
+    tr = {w: wall_line((vel.u, vel.v)[1 - axis], w)
+          for w, (axis, _) in WALL.items()}
     rhs = [_explicit_terms(g, rho, rho, vel, PenaltyParams(eps=eps), 1.0,
                            tr, None)[0] for eps in (0.5, 0.25)]
     ru, rv = _face_views(g, (rhs[1] - rhs[0]) / (0.25 * g.cell_volume))
@@ -793,19 +838,6 @@ def _c53():
 
 
 # ---------------------------------------------------------------------- body
-
-@check("body_mass_inertia_formulas")
-def _c33():
-    b1 = body_mass_inertia(1.0, 1.0)
-    b2 = body_mass_inertia(2.0, 1.0)
-    ok = (abs(b1.mass - np.pi) < 1e-14
-          and abs(b2.mass - 2 * np.pi) < 1e-14
-          and abs(b2.moment - np.pi) < 1e-14)
-    ok &= _raises(InvalidShape, body_mass_inertia, 1.0, 0.0)
-    # an erosion that empties the core
-    ok &= _raises(InvalidShape, make_disc_body, (0.5, 0.5), 0.1, 0.1, 1.0)
-    return _ok(ok, "disc area and moment, degenerate rejected")
-
 
 @check("procrustes_recovery_and_noise")
 def _c34():

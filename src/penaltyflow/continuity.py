@@ -18,10 +18,10 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CflViolation, HistoryTooShort, LinearSolveDiverged
-from .fields import (StaggeredGrid, VectorField, cell_gradient, cg,
+from .fields import (WALL, StaggeredGrid, VectorField, cell_gradient, cg,
                      divergence, faces_to_centers, integrate, jacobi,
-                     stencil_csr)
-from .geometry import WALL, WALLS, BoundaryData, wall_line, wall_spacing
+                     stencil_csr, wall_line, wall_spacing)
+from .geometry import WALLS, BoundaryData
 
 MASS_BUDGET_TOL = 1e-10  # a step's relative mass budget residual, at most
 CG_RTOL = 1e-13          # tighter than MASS_BUDGET_TOL so the mass

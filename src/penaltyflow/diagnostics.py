@@ -17,10 +17,10 @@ import numpy as np
 from .body import BodyState
 from .continuity import PenaltyParams
 from .errors import ProbeOutside
-from .fields import (StaggeredGrid, VectorField, cell_gradient, divergence,
-                     faces_to_centers, full_gradient, integrate, interp_cell,
-                     sym_gradient)
-from .geometry import WALLS, DomainSpec, wall_line, wall_spacing
+from .fields import (WALL, StaggeredGrid, VectorField, cell_gradient,
+                     divergence, faces_to_centers, full_gradient, integrate,
+                     interp_cell, sym_gradient, wall_line, wall_spacing)
+from .geometry import WALLS, DomainSpec
 from .momentum import (Problem, ViscousState, pressure, pressure_potential,
                        pressure_potential_d1, pressure_potential_d2, stress)
 
@@ -102,11 +102,10 @@ def ledger_step(state: ViscousState, rho0, vel0: VectorField, rho1,
     # step's memory peak low
 
     # u - u_ext vanishes on the walls, so its tangential wall traces are 0
-    zeros_wt = (np.zeros(grid.nx + 1), np.zeros(grid.nx + 1),
-                np.zeros(grid.ny + 1), np.zeros(grid.ny + 1))
     wu = um.u - u_ext.u
     wv = um.v - u_ext.v
-    wxx, wxy, wyx, wyy, w12 = full_gradient(grid, wu, wv, zeros_wt)
+    wxx, wxy, wyx, wyy, w12 = full_gradient(grid, wu, wv,
+                                            dict.fromkeys(WALL, 0.0))
     div_w = wxx + wyy
     dissipation = integrate(
         grid, 2.0 * mu_n * (wxx ** 2 + 2.0 * w12 ** 2 + wyy ** 2)

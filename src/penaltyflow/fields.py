@@ -87,6 +87,43 @@ class StaggeredGrid:
         }[loc]
 
 
+# The walls: the axis each closes and its end of it (0 low, -1 high), in
+# the order two walls add into one corner cell.
+WALL = {"left": (0, 0), "right": (0, -1), "bottom": (1, 0), "top": (1, -1)}
+
+
+def wall_ends(axis: int):
+    """The walls at the low and the high end of axis."""
+    return tuple(w for end in (0, -1) for w in WALL if WALL[w] == (axis, end))
+
+
+def wall_line(a, wall: str, depth: int = 0):
+    """The wall's line of a cell, face or node array, ``depth`` lines in,
+    as a view; of the face component normal to it, its boundary faces."""
+    axis, end = WALL[wall]
+    k = depth if end == 0 else -1 - depth
+    return a[k] if axis == 0 else a[:, k]
+
+
+def wall_spacing(grid: StaggeredGrid, wall: str):
+    """(across, along): the spacings across the wall and along it, the
+    length of its faces."""
+    return (grid.dx, grid.dy) if WALL[wall][0] == 0 else (grid.dy, grid.dx)
+
+
+def wall_along(grid: StaggeredGrid, wall: str, nodes: bool = False):
+    """The coordinates along the wall of its face centres, or of its
+    nodes."""
+    if WALL[wall][0] == 0:
+        return grid.yf() if nodes else grid.yc()
+    return grid.xf() if nodes else grid.xc()
+
+
+def wall_faces(grid: StaggeredGrid, wall: str) -> int:
+    """The number of the wall's boundary faces."""
+    return grid.ny if WALL[wall][0] == 0 else grid.nx
+
+
 @dataclass
 class VectorField:
     grid: StaggeredGrid
@@ -170,8 +207,8 @@ def sym_gradient(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray,
     tangential wall traces when provided) and averaged to cells; exact for
     affine fields, so rigid fields land in the kernel to round-off.
 
-    wall_tangential: optional (ub_bottom, ub_top, vb_left, vb_right) traces
-    sampled at u-face x / v-face y coordinates.
+    wall_tangential: optional dict, wall -> the tangential velocity at the
+    wall's nodes (``geometry.BoundaryData.tangential_traces``).
     """
     d11 = (u[1:, :] - u[:-1, :]) / grid.dx
     d22 = (v[:, 1:] - v[:, :-1]) / grid.dy
@@ -193,10 +230,13 @@ def full_gradient(grid: StaggeredGrid, u: np.ndarray, v: np.ndarray,
 
 
 def _node_differences(grid, u, v, wall_tangential):
-    """du/dy and dv/dx at nodes (``_node_difference``)."""
-    ub_b, ub_t, vb_l, vb_r = wall_tangential or (None,) * 4
-    return (_node_difference(u, grid.dy, ub_b, ub_t),
-            _node_difference(v.T, grid.dx, vb_l, vb_r).T)
+    """du/dy and dv/dx at nodes (``_node_difference``), each against the
+    tangential traces of the walls at the ends of its difference axis."""
+    t = wall_tangential or {}
+    (ulo, uhi), (vlo, vhi) = ([t.get(w) for w in wall_ends(axis)]
+                              for axis in (1, 0))
+    return (_node_difference(u, grid.dy, ulo, uhi),
+            _node_difference(v.T, grid.dx, vlo, vhi).T)
 
 
 def _to_cells(nodes):

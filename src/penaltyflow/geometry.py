@@ -1,5 +1,5 @@
-"""Domain, the wall table, cutoffs, primitive signed distances, and the
-boundary-velocity extension field.
+"""Domain, the walls' walk order and normals, cutoffs, primitive signed
+distances, and the boundary-velocity extension field.
 
 The extension construction: the balanced part of the boundary trace is
 extended through a discrete streamfunction (cumulative boundary flux at
@@ -15,39 +15,23 @@ that keeps the streamfunction single-valued across the corner diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import (CollarTooWide, ErosionEmpty, ExtensionDivergenceNegative,
                      ExtensionTraceError, InvalidShape)
-from .fields import StaggeredGrid, VectorField, divergence
+from .fields import (WALL, StaggeredGrid, VectorField, divergence,
+                     wall_along, wall_faces, wall_line, wall_spacing)
 
-# The walls: the axis each closes and its end of it (0 low, -1 high), in
-# the order two walls add into one corner cell.  WALLS lists them
-# counter-clockwise from the bottom, the order of every sum over walls.
-WALL = {"left": (0, 0), "right": (0, -1), "bottom": (1, 0), "top": (1, -1)}
+# WALLS lists the walls of ``fields.WALL`` counter-clockwise from the
+# bottom, the order of every sum over walls.  SENSE is the direction, +1 or
+# -1, in which that walk runs along each wall's index: its tangent
+# (-n_y, n_x), reversed on top and left.
 WALLS = ("bottom", "right", "top", "left")
 NORMALS = {w: tuple((1.0 if end else -1.0) if k == axis else 0.0
                     for k in (0, 1)) for w, (axis, end) in WALL.items()}
-
-
-def wall_line(a, wall: str, depth: int = 0):
-    """The wall's line of a cell, face or node array, ``depth`` lines in,
-    as a view; of the face component normal to it, its boundary faces."""
-    axis, end = WALL[wall]
-    k = depth if end == 0 else -1 - depth
-    return a[k] if axis == 0 else a[:, k]
-
-
-def wall_spacing(grid: StaggeredGrid, wall: str):
-    """(across, along): the spacings across the wall and along it, the
-    length of its faces."""
-    return (grid.dx, grid.dy) if WALL[wall][0] == 0 else (grid.dy, grid.dx)
-
-
-def wall_faces(grid: StaggeredGrid, wall: str) -> int:
-    """The number of the wall's boundary faces."""
-    return grid.ny if WALL[wall][0] == 0 else grid.nx
+SENSE = {w: int((-n[1], n[0])[1 - WALL[w][0]]) for w, n in NORMALS.items()}
 
 
 def smoothstep(s, degree: int = 5):
@@ -73,9 +57,21 @@ class DomainSpec:
             raise CollarTooWide(
                 f"2h = {2 * self.h} must lie in (0, min(Lx,Ly)/2)")
 
+    def wall_distance(self, wall: str, x, y):
+        """Distance of the points (x, y) from the wall."""
+        axis, end = WALL[wall]
+        c = (x, y)[axis]
+        return c if end == 0 else (self.Lx, self.Ly)[axis] - c
+
     def boundary_distance(self, x, y):
-        return np.minimum(np.minimum(x, self.Lx - x),
-                          np.minimum(y, self.Ly - y))
+        return reduce(np.minimum, (self.wall_distance(w, x, y) for w in WALL))
+
+    def wall_xy(self, grid: StaggeredGrid, wall: str):
+        """(x, y) of the wall's face centres."""
+        axis, end = WALL[wall]
+        along = wall_along(grid, wall)
+        at = np.full_like(along, 0.0 if end == 0 else (self.Lx, self.Ly)[axis])
+        return (at, along) if axis == 0 else (along, at)
 
     def collar_mask(self, grid: StaggeredGrid, width: float,
                     loc: str = "centers"):
@@ -207,6 +203,13 @@ class BoundaryData:
     def max_trace_speed(self) -> float:
         return max(float(np.max(np.abs(self.ub[w]))) for w in WALLS)
 
+    def tangential_traces(self):
+        """Each wall's tangential velocity at its nodes, interpolated
+        between its face centres and held past the end ones."""
+        return {w: np.interp(wall_along(self.grid, w, nodes=True),
+                             wall_along(self.grid, w), self.ub[w][:, 1 - axis])
+                for w, (axis, _) in WALL.items()}
+
 
 # ---------------------------------------------------------------------------
 # Boundary-velocity extension
@@ -223,19 +226,6 @@ class ExtensionReport:
     div_roundoff: float   # how far below 0 round-off can put the divergence
 
 
-def _arclengths(grid: StaggeredGrid, domain: DomainSpec):
-    """Arclength (CCW from the origin corner) of each wall's face centers
-    and nodes."""
-    Lx, Ly = domain.Lx, domain.Ly
-    xc, yc = grid.xc(), grid.yc()
-    xf, yf = grid.xf(), grid.yf()
-    s_face = {"bottom": xc, "right": Lx + yc,
-              "top": Lx + Ly + (Lx - xc), "left": 2 * Lx + Ly + (Ly - yc)}
-    s_node = {"bottom": xf, "right": Lx + yf,
-              "top": Lx + Ly + (Lx - xf), "left": 2 * Lx + Ly + (Ly - yf)}
-    return s_face, s_node
-
-
 def build_extension(bc: BoundaryData, domain: DomainSpec, grid: StaggeredGrid):
     """Extend the boundary velocity trace into the domain.
 
@@ -245,9 +235,6 @@ def build_extension(bc: BoundaryData, domain: DomainSpec, grid: StaggeredGrid):
     U_2h (in fact outside U_{h/2} for balanced or net-outflow data, which
     keeps it clear of the solidification penalty).
     """
-    h = domain.h
-    if not (0 < 2 * h < min(domain.Lx, domain.Ly) / 2):
-        raise CollarTooWide(f"2h = {2 * h} exceeds half the domain width")
     if abs(grid.Lx - domain.Lx) > 1e-12 or abs(grid.Ly - domain.Ly) > 1e-12:
         raise ValueError("grid extents do not match the domain")
     dx, dy = grid.dx, grid.dy
@@ -296,75 +283,52 @@ def _require_corner_taper(bc, un, domain, grid, scale):
     """Traces must vanish within h/2 of each corner; the streamfunction
     projection is single-valued only then."""
     window = 0.5 * domain.h
-    s_face, _ = _arclengths(grid, domain)
-    Lx, Ly = domain.Lx, domain.Ly
-    perim = 2 * (Lx + Ly)
-    corners = (0.0, Lx, Lx + Ly, 2 * Lx + Ly)
     tol = 1e-9 * scale
     for w in WALLS:
-        s = s_face[w]
-        mag = np.abs(un[w]) + np.abs(bc.ub[w][:, 1 - WALL[w][0]])
-        for c in corners:
-            d = np.minimum(np.abs(s - c), perim - np.abs(s - c))
-            near = d < window
-            if np.any(near) and float(np.max(mag[near])) > tol:
-                raise ExtensionTraceError(
-                    f"boundary trace on wall '{w}' does not vanish within "
-                    f"{window} of a corner; taper the wall profile")
+        axis = WALL[w][0]
+        s = wall_along(grid, w)
+        near = np.minimum(s, (domain.Ly, domain.Lx)[axis] - s) < window
+        mag = np.abs(un[w]) + np.abs(bc.ub[w][:, 1 - axis])
+        if np.any(near) and float(np.max(mag[near])) > tol:
+            raise ExtensionTraceError(
+                f"boundary trace on wall '{w}' does not vanish within "
+                f"{window} of a corner; taper the wall profile")
+
+
+def _spread(a, wall):
+    """Values at a wall's nodes, held constant across the node mesh."""
+    return a if WALL[wall][0] == 0 else a[:, None]
 
 
 def _streamfunction(bc, un_bal, domain, grid):
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    Lx, Ly = domain.Lx, domain.Ly
-
-    # Cumulative flux along the CCW boundary walk gives node values.
-    psi_b = np.concatenate([[0.0], np.cumsum(un_bal["bottom"] * dx)])
-    psi_r = psi_b[-1] + np.concatenate([[0.0], np.cumsum(un_bal["right"] * dy)])
-    # top and left are traversed in decreasing index order
-    psi_t = np.empty(nx + 1)
-    psi_t[-1] = psi_r[-1]
-    psi_t[:-1] = psi_r[-1] + np.cumsum(un_bal["top"][::-1] * dx)[::-1]
-    psi_l = np.empty(ny + 1)
-    psi_l[-1] = psi_t[0]
-    psi_l[:-1] = psi_t[0] + np.cumsum(un_bal["left"][::-1] * dy)[::-1]
-
-    # Knots along arclength for interpolation of projected points.
-    _, s_node = _arclengths(grid, domain)
-    knots_s = np.concatenate([s_node["bottom"], s_node["right"],
-                              s_node["top"][::-1], s_node["left"][::-1]])
-    knots_psi = np.concatenate([psi_b, psi_r, psi_t[::-1], psi_l[::-1]])
-    order = np.argsort(knots_s, kind="stable")
-    knots_s = knots_s[order]
-    knots_psi = knots_psi[order]
+    """The streamfunction at the nodes: the balanced normal flux walked
+    counter-clockwise round the boundary, carried in from each node's
+    nearest wall and decayed, plus each wall's tangential slab, which is
+    zero on the wall so the normal traces stay exact."""
+    # psi at each wall's nodes: the cumulative flux from the origin
+    # corner, taken against the index where the walk runs backwards.  The
+    # walk starts at -0.0, which adds as an exact zero.
+    walk, end = {}, -0.0
+    for w in WALLS:
+        s = SENSE[w]
+        flux = np.cumsum(un_bal[w][::s] * wall_spacing(grid, w)[1])
+        psi_w = end + np.concatenate([[0.0], flux])
+        end = psi_w[-1]
+        walk[w] = psi_w[::s]
 
     xg, yg = grid.node_xy()
-    dists = np.stack([yg, Lx - xg, Ly - yg, xg])       # bottom,right,top,left
-    svals = np.stack([xg, Lx + yg, Lx + Ly + (Lx - xg),
-                      2 * Lx + Ly + (Ly - yg)])
+    dists = np.stack([domain.wall_distance(w, xg, yg) for w in WALLS])
     nearest = np.argmin(dists, axis=0)                 # deterministic ties
-    d = np.take_along_axis(dists, nearest[None], axis=0)[0]
-    s = np.take_along_axis(svals, nearest[None], axis=0)[0]
-
     d_sup = 0.45 * domain.h
-    decay = 1.0 - smoothstep(d / d_sup)
-    psi = np.interp(s, knots_s, knots_psi) * decay
+    decay = 1.0 - smoothstep(np.min(dists, axis=0) / d_sup)
+    psi = np.choose(nearest, [_spread(walk[w], w) for w in WALLS]) * decay
 
-    # Tangential trace contribution: normal-derivative shaping of psi,
-    # zero at the wall so normal traces stay exact.
-    ut_b = np.interp(xg, grid.xc(), bc.ub["bottom"][:, 0])
-    ut_t = np.interp(xg, grid.xc(), bc.ub["top"][:, 0])
-    ut_l = np.interp(yg, grid.yc(), bc.ub["left"][:, 1])
-    ut_r = np.interp(yg, grid.yc(), bc.ub["right"][:, 1])
-    bdist = {"bottom": yg, "top": Ly - yg, "left": xg, "right": Lx - xg}
-
-    def slab_beta(dw):
-        return np.where(dw < d_sup, dw * (1.0 - smoothstep(dw / d_sup)), 0.0)
-
-    psi = (psi
-           + ut_b * slab_beta(bdist["bottom"])
-           - ut_t * slab_beta(bdist["top"])
-           - ut_l * slab_beta(bdist["left"])
-           + ut_r * slab_beta(bdist["right"]))
+    # each wall's tangential trace shapes psi's normal derivative, in
+    # the walk's direction
+    ut = bc.tangential_traces()
+    for w, d in zip(WALLS, dists):
+        slab = np.where(d < d_sup, d * (1.0 - smoothstep(d / d_sup)), 0.0)
+        psi += SENSE[w] * _spread(ut[w], w) * slab
     return psi
 
 
@@ -393,12 +357,11 @@ def _add_excess(u, v, excess, domain, grid, net_inflow):
             return 1.0 - smoothstep(np.asarray(d) / d_sup)
 
     xf, yf = grid.xf(), grid.yf()
-    Lx, Ly = domain.Lx, domain.Ly
-    # wall normal components: left/right ride on u, bottom/top on v
-    u += -excess["left"][None, :] * q(xf)[:, None]
-    u += excess["right"][None, :] * q(Lx - xf)[:, None]
-    v += -excess["bottom"][:, None] * q(yf)[None, :]
-    v += excess["top"][:, None] * q(Ly - yf)[None, :]
+    for w, (axis, _) in WALL.items():
+        # the wall's normal component, its normal axis first
+        normal = (u, v.T)[axis]
+        normal += NORMALS[w][axis] * excess[w] \
+            * q(domain.wall_distance(w, xf, yf))[:, None]
 
 
 def divergence_roundoff(grid: StaggeredGrid, speed: float) -> float:

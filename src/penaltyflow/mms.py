@@ -12,8 +12,8 @@ import numpy as np
 import sympy as sp
 
 from .continuity import PenaltyParams, continuity_step
-from .fields import StaggeredGrid, VectorField, integrate
-from .geometry import WALL, WALLS, BoundaryData, DomainSpec, wall_faces
+from .fields import WALL, StaggeredGrid, VectorField, integrate, wall_faces
+from .geometry import BoundaryData, DomainSpec
 from .momentum import Problem, ViscousState, momentum_step
 
 X, Y, T = sp.symbols("x y t", real=True)
@@ -72,17 +72,9 @@ def momentum_manufactured(params: PenaltyParams):
 
 
 def _mms_boundary(grid, domain, man, t, rho_b=2.0):
-    ub = {}
-    for w, (axis, end) in WALL.items():
-        # the wall's face centres: at its end of the axis, cell centres
-        # along the other
-        along = (grid.yc(), grid.xc())[axis]
-        at = np.full_like(along, 0.0 if end == 0 else
-                          (domain.Lx, domain.Ly)[axis])
-        xy = (at, along) if axis == 0 else (along, at)
-        ub[w] = np.stack([_sample(man["u"], t, *xy),
-                          _sample(man["v"], t, *xy)], axis=1)
-    rho = {w: np.full(wall_faces(grid, w), rho_b) for w in WALLS}
+    ub = {w: np.stack([_sample(man[c], t, *domain.wall_xy(grid, w))
+                       for c in ("u", "v")], axis=1) for w in WALL}
+    rho = {w: np.full(wall_faces(grid, w), rho_b) for w in WALL}
     bc = BoundaryData(grid=grid, domain=domain, ub=ub, rho=rho)
     bc.u_ext = VectorField.zeros(grid)
     return bc

@@ -23,10 +23,11 @@ from scipy.sparse.linalg import splu
 from .continuity import (PenaltyParams, _diffusion_matrix, _unit_diffusion,
                          check_cfl, smoothed_negative_part)
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
-from .fields import (StaggeredGrid, VectorField, _centered, cell_gradient,
-                     cg, full_gradient, jacobi, stencil_csr)
-from .geometry import (WALL, WALLS, BoundaryData, CutoffProfile,
-                       DomainSpec, wall_cutoff, wall_line, wall_spacing)
+from .fields import (WALL, StaggeredGrid, VectorField, _centered,
+                     cell_gradient, cg, full_gradient, jacobi, stencil_csr,
+                     wall_ends, wall_line, wall_spacing)
+from .geometry import (WALLS, BoundaryData, CutoffProfile, DomainSpec,
+                       wall_cutoff)
 
 VACUUM_FLOOR = 1e-10
 
@@ -759,25 +760,13 @@ def _node_average(grid, cells):
     return s / c
 
 
-def _wall_traces(grid, bc: BoundaryData):
-    """The tangential wall traces at the nodes along each wall, as
-    ``sym_gradient``'s wall_tangential: u on the bottom and top walls at
-    u-face x, v on the left and right walls at v-face y."""
-    return (np.interp(grid.xf(), grid.xc(), bc.ub["bottom"][:, 0]),
-            np.interp(grid.xf(), grid.xc(), bc.ub["top"][:, 0]),
-            np.interp(grid.yf(), grid.yc(), bc.ub["left"][:, 1]),
-            np.interp(grid.yf(), grid.yc(), bc.ub["right"][:, 1]))
-
-
-def _d12_affine(grid, bc: BoundaryData):
-    """Constant part of the node D12 rows coming from tangential wall
-    traces (zero trace -> zero vector)."""
+def _d12_affine(grid, traces):
+    """Constant part of the node D12 rows coming from the tangential wall
+    traces, keyed by wall (zero trace -> zero vector)."""
     c = np.zeros((grid.nx + 1, grid.ny + 1))
     # a wall's one-sided rows carry -+(2/h) times its tangential trace, h
     # the spacing across it
-    ub_b, ub_t, vb_l, vb_r = _wall_traces(grid, bc)
-    for w, t in (("bottom", ub_b), ("top", ub_t), ("left", vb_l),
-                 ("right", vb_r)):
+    for w, t in traces.items():
         line = wall_line(c, w)
         line += (2.0 if WALL[w][1] else -2.0) / wall_spacing(grid, w)[0] * t
     return 0.5 * c.ravel()
@@ -863,11 +852,12 @@ class Problem:
 
     @cached_property
     def wall_traces(self):
-        return _wall_traces(self.grid, self.bc)
+        """Each wall's tangential velocity at its nodes."""
+        return self.bc.tangential_traces()
 
     @cached_property
     def c12(self):
-        return _d12_affine(self.grid, self.bc)
+        return _d12_affine(self.grid, self.wall_traces)
 
     @cached_property
     def boundary_values(self):
@@ -1055,8 +1045,9 @@ def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, traces,
     """Face vectors of the viscous solve: its right-hand side (old momentum
     less the explicit convection, pressure gradient and coupling source,
     plus ``source``), the new-density mass / dt, the new face densities and
-    the old face momentum.  Each component's work arrays are freed once it
-    is added in, which keeps the step's memory peak low."""
+    the old face momentum.  traces holds each wall's tangential velocity at
+    its nodes, keyed by wall.  Each component's work arrays are freed once
+    it is added in, which keeps the step's memory peak low."""
     dx, dy, vol = grid.dx, grid.dy, grid.cell_volume
     rb_old = _face_density(grid, rho_old)
     m_old = rb_old * np.concatenate([vel.u.ravel(), vel.v.ravel()])
@@ -1066,11 +1057,12 @@ def _explicit_terms(grid, rho_old, rho_new, vel, params, dt, traces,
     grx, gry = cell_gradient(grid, rho_new)
     (ru, rv), (mu, mv), (bu, bv) = (_face_views(grid, x)
                                     for x in (rhs, m_old, rb_old))
-    ub_b, ub_t, vb_l, vb_r = traces
-    _component_terms(ru, vel.u, vel.v, mu, bu, rho_new, p, gry, ub_b, ub_t,
+    (ulo, uhi), (vlo, vhi) = ([traces[w] for w in wall_ends(axis)]
+                              for axis in (1, 0))
+    _component_terms(ru, vel.u, vel.v, mu, bu, rho_new, p, gry, ulo, uhi,
                      dx, dy, params.eps, vol)
     _component_terms(rv.T, vel.v.T, vel.u.T, mv.T, bv.T, rho_new.T, p.T,
-                     grx.T, vb_l, vb_r, dy, dx, params.eps, vol)
+                     grx.T, vlo, vhi, dy, dx, params.eps, vol)
     del rb_old, bu, bv, p, grx, gry
 
     if source is not None:

@@ -9,7 +9,6 @@ from penaltyflow.geometry import DomainSpec, signed_distance
 from test_checks import check_test
 
 # properties kept once, as checks in penaltyflow.checks
-test_mass_inertia_disc = check_test("body_mass_inertia_formulas")
 test_project_rigid_identity_and_exact_motion = check_test(
     "procrustes_recovery_and_noise")
 test_project_rigid_noise_defect_and_oracle = check_test(

@@ -11,10 +11,10 @@ from scipy.sparse.linalg import cg as scipy_cg
 
 import reference_builders as ref
 from penaltyflow.errors import KernelUnresolved
-from penaltyflow.fields import (MollifierKernel, StaggeredGrid, VectorField,
-                                cg, divergence, full_gradient, interp_cell,
-                                jacobi, mollify, read_field, sym_gradient,
-                                write_field, write_vti)
+from penaltyflow.fields import (WALL, MollifierKernel, StaggeredGrid,
+                                VectorField, cg, divergence, full_gradient,
+                                interp_cell, jacobi, mollify, read_field,
+                                sym_gradient, write_field, write_vti)
 from penaltyflow.momentum import FreePattern, Multigrid, _face_layout
 from test_checks import check_test
 
@@ -57,7 +57,7 @@ def test_full_gradient_holds_the_strain_bit_for_bit(grid24, rng, traces):
     v = rng.normal(size=grid24.shape("vfaces"))
     wt = None
     if traces:
-        wt = tuple(rng.normal(size=n) for n in (25, 25, 25, 25))
+        wt = {w: rng.normal(size=25) for w in WALL}
     dudx, _, _, dvdy, d12 = full_gradient(grid24, u, v, wt)
     want = sym_gradient(grid24, u, v, wt)
     for got, ref in zip((dudx, d12, dvdy), want):

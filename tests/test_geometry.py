@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from penaltyflow.errors import CollarTooWide, ExtensionTraceError
-from penaltyflow.fields import StaggeredGrid, divergence
+from penaltyflow.fields import (WALL, StaggeredGrid, divergence, wall_along,
+                               wall_line)
 from penaltyflow.geometry import (Disc, DomainSpec, build_extension,
                                   corner_tapered, divergence_roundoff,
                                   resting_boundary, signed_distance,
@@ -87,18 +88,23 @@ def test_extension_rejects_untapered_corner_trace(grid64, domain):
         build_extension(bc, domain, grid64)
 
 
-def test_extension_tangential_trace_keeps_all_clauses(grid64, domain):
+@pytest.mark.parametrize("wall", ["bottom", "right", "top", "left"])
+def test_extension_tangential_trace_keeps_all_clauses(grid64, domain, wall):
+    # a tapered sliding lid on one wall; the x <-> y mirror check cannot
+    # see two walls that swap under it flip their slab signs together
     bc = resting_boundary(domain, grid64, 1.0)
-    amp = corner_tapered(domain, grid64.xc(), domain.Lx)
-    bc.ub["top"][:, 0] = 0.3 * amp  # tapered sliding lid
+    axis = WALL[wall][0]
+    bc.ub[wall][:, 1 - axis] = 0.3 * corner_tapered(
+        domain, wall_along(grid64, wall), 1.0)
     u_ext, rep = build_extension(bc, domain, grid64)
     assert rep.trace_error <= 1e-10
     assert rep.div_min_inner_collar >= -1e-12
     assert rep.max_outside_outer_collar == 0.0
-    # the tangential part is represented near the wall (approximately)
-    j = grid64.ny - 1
-    mid = grid64.nx // 2
-    assert u_ext.u[mid, j] == pytest.approx(0.3, rel=0.35)
+    # the tangential part is represented near the wall (approximately):
+    # the tangential component on the first line in, mid-wall, has the
+    # trace's sign and about its size
+    line = wall_line((u_ext.u, u_ext.v)[1 - axis], wall)
+    assert line[line.size // 2] == pytest.approx(0.3, rel=0.35)
 
 
 def test_disc_gradient_norm_away_from_center():

@@ -173,7 +173,7 @@ def test_fixed_pattern_matches_triple_product(which, rng):
         bc.ub[w][:, 1] = rng.uniform(-1, 1, grid.ny)
     x = rng.normal(size=pinned.size)
     rhs = rng.normal(size=pinned.size)
-    c12 = _d12_affine(grid, bc)
+    c12 = _d12_affine(grid, bc.tangential_traces())
     want_b = (rhs - ops["g_d12"].T @ (w_node * c12))[free] \
         - A[free][:, pinned] @ x[pinned]
     got_b = (rhs - _pinned_coupling(ops, np.where(pinned, x, 0.0), w_mu,
