@@ -208,9 +208,9 @@ class Stepper:
     solutions (``history``), preconditioned as this run's ``rule`` picks;
     both are the stepper's, so steppers stepped side by side stay
     independent.  A step the collision guard rejects leaves t, rho, u, the
-    body, chi, E_prev and the step count as they were; its body transport
-    still counts in ``c2_sum`` (c_run).  Each stage is called through this
-    module's names, which the benchmark's tracer wraps."""
+    body, chi, E_prev, the step count and ``c2_sum`` (c_run) as they were.
+    Each stage is called through this module's names, which the
+    benchmark's tracer wraps."""
 
     def __init__(self, problem: Problem, body, rho, vel: VectorField,
                  mobile: bool = True):
@@ -252,8 +252,9 @@ class Stepper:
                 f"relative mass budget residual {cinfo.mass_residual:.3e} "
                 f"exceeds {MASS_BUDGET_TOL:g} in the step from t = {t!r}")
         if self.viscous is None:
-            pin = None if body is None else rigid_velocity_field(
-                grid, body.X, body.V, body.w)
+            # only held and vacuum faces read the rigid pin
+            pin = None if body is None else (
+                lambda: rigid_velocity_field(grid, body.X, body.V, body.w))
             self.viscous = ViscousState(problem, self.chi, pin, self.hold)
         vel_new, minfo = momentum_step(self.viscous, rho, rho_new, vel, dt,
                                        rule=self.rule, history=self.history)
@@ -262,12 +263,13 @@ class Stepper:
             if self.mobile:
                 body_new, binfo = body_step(grid, domain, body, vel_new,
                                             self.kernel, dt)
-                self.c2_sum += binfo.mollified_max ** 2 * dt
             guard = collision_guard(body_new, domain, params.h,
                                     params.r_moll)
             margin = guard.margin
             if not guard.ok:
                 return StepRecord(t + dt, None, cinfo, minfo, binfo, margin)
+            if binfo is not None:
+                self.c2_sum += binfo.mollified_max ** 2 * dt
 
         chi_new = self.chi if body_new is body else self._chi(body_new)
         row = ledger_step(self.viscous, rho, vel, rho_new, vel_new, dt,

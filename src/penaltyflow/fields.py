@@ -279,7 +279,7 @@ def cg(A, b, x0, M, rtol, maxiter, r=None):
     M is a callable z = M(r), and ``r``, if given, is b - A x0 and is
     overwritten.  Returns (x, info, iterations); info is 0 on convergence
     and maxiter when the iterations run out."""
-    bnorm = np.linalg.norm(b)
+    bnorm = np.sqrt(b.dot(b))
     if bnorm == 0:
         return b.copy(), 0, 0
     atol = rtol * float(bnorm)
@@ -288,7 +288,7 @@ def cg(A, b, x0, M, rtol, maxiter, r=None):
         r = b - A @ x if x.any() else b.copy()
     w = np.empty_like(x)      # alpha p, then alpha q
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if np.sqrt(r.dot(r)) < atol:
             return x, 0, it
         z = M(r)
         rho = np.dot(r, z)

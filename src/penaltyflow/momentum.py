@@ -15,7 +15,7 @@ source are explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -113,8 +113,7 @@ def stress(d11, d12, d22, mu_n, lam_n):
 
 
 # ---------------------------------------------------------------------------
-# Implicit viscous operator: the face layout, and the strain operators
-# memoized per grid.
+# Implicit viscous operator: the face layout and the strain operators
 # ---------------------------------------------------------------------------
 
 def _face_views(grid, x):
@@ -155,56 +154,104 @@ def _face_layout(grid: StaggeredGrid):
             "d12_slots": _d12_slots(grid)}
 
 
-@lru_cache(maxsize=8)
-def _grid_ops(grid: StaggeredGrid):
-    """The face layout plus the sparse strain operators D11, D22, div and
-    D12 (face vector -> cells / nodes), memoized per grid.  Each row's
-    columns are a fixed stencil in increasing order: u faces, then v."""
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    layout = _face_layout(grid)
-    uidx, vidx = layout["uidx"], layout["vidx"]
-    ndof = layout["nu"] + layout["nv"]
-
-    # D11 = du/dx and D22 = dv/dy on cells; div is both
-    i, j = np.meshgrid(np.arange(nx, dtype=np.int32),
-                       np.arange(ny, dtype=np.int32), indexing="ij")
-    d11 = np.stack([uidx(i, j), uidx(i + 1, j)]).reshape(2, -1)
-    d22 = np.stack([vidx(i, j), vidx(i, j + 1)]).reshape(2, -1)
-    g_d11 = stencil_csr(d11, [[-1 / dx], [1 / dx]], True, ndof)
-    g_d22 = stencil_csr(d22, [[-1 / dy], [1 / dy]], True, ndof)
-    g_div = stencil_csr(np.concatenate([d11, d22]),
-                        [[-1 / dx], [1 / dx], [-1 / dy], [1 / dy]], True,
-                        ndof)
-
-    # D12 at nodes: u below and above, v left and right (``_d12_slots``);
-    # wall rows are one-sided, so the slot past the wall is left out
-    i, j = np.meshgrid(np.arange(nx + 1, dtype=np.int32),
-                       np.arange(ny + 1, dtype=np.int32), indexing="ij")
-    u_up, u_dn, v_rt, v_lt = layout["d12_slots"]
-    cols = np.stack([uidx(i, j - 1), uidx(i, j), vidx(i - 1, j),
-                     vidx(i, j)]).reshape(4, -1)
-    vals = np.stack([u_dn, u_up, v_lt, v_rt]).reshape(4, -1)
-    has = np.stack([j > 0, j < ny, i > 0, i < nx]).reshape(4, -1)
-    g_d12 = stencil_csr(cols, vals, has, ndof)
-
-    return dict(layout, g_d11=g_d11, g_d22=g_d22, g_div=g_div, g_d12=g_d12)
-
-
 def _d12_slots(grid):
-    """Coefficients of each node's D12 row (= g_d12) on its four face slots:
-    u(i, j) above node (i, j), u(i, j-1) below it, v(i, j) right of it and
-    v(i-1, j) left of it.  Wall rows are one-sided (doubled coefficient,
-    missing slot zero), so they have 3 entries and corner rows 2."""
-    def after_before(shape, h):   # for u, normal to axis 0: along axis 1
-        up = np.full(shape, 0.5 / h)
-        up[:, 0], up[:, -1] = 1.0 / h, 0.0
-        dn = np.full(shape, -0.5 / h)
-        dn[:, 0], dn[:, -1] = 0.0, -1.0 / h
+    """Coefficients of each node's D12 row on its four face slots, as
+    read-only (nx+1, ny+1) views: u(i, j) above node (i, j), u(i, j-1)
+    below it, v(i, j) right of it and v(i-1, j) left of it.  Wall rows are
+    one-sided (doubled coefficient, missing slot zero), so they have 3
+    entries and corner rows 2.  The u slots vary along y only and the v
+    slots along x only, so each view repeats one row or column."""
+    def after_before(n, h):   # along the n + 1 nodes of the difference axis
+        up = np.full(n + 1, 0.5 / h)
+        up[0], up[-1] = 1.0 / h, 0.0
+        dn = np.full(n + 1, -0.5 / h)
+        dn[0], dn[-1] = 0.0, -1.0 / h
         return up, dn
-    nx, ny = grid.nx, grid.ny
-    v_rt, v_lt = after_before((ny + 1, nx + 1), grid.dx)
-    return (*after_before((nx + 1, ny + 1), grid.dy), v_rt.T.copy(),
-            v_lt.T.copy())
+    shape = (grid.nx + 1, grid.ny + 1)
+    u_up, u_dn = after_before(grid.ny, grid.dy)
+    v_rt, v_lt = after_before(grid.nx, grid.dx)
+    return (np.broadcast_to(u_up, shape), np.broadcast_to(u_dn, shape),
+            np.broadcast_to(v_rt[:, None], shape),
+            np.broadcast_to(v_lt[:, None], shape))
+
+
+# The strain operators D11, D22, div (face vector -> cells) and D12 (->
+# nodes), and their adjoint, as slice kernels.  As sparse rows, D11 and D22
+# take a cell's lower face and then its upper one; div takes those four
+# terms in that order; D12 takes u(i, j-1), u(i, j), v(i-1, j), v(i, j)
+# without the slots past a wall.  A forward row adds its terms, coefficient
+# times face value, to zero in that order, and the adjoint adds each face's
+# terms to zero in increasing cell or node order: the arithmetic of a CSR
+# product with these rows and of one with their transpose, so both are
+# bit for bit those products (``tests/reference_builders.py`` builds the
+# matrices).  ``fields.full_gradient`` differences and then divides, which
+# differs in the last bit.
+
+def _add_difference(out, f, h):
+    """Add to out the difference of f along axis 0 over spacing h: -1/h
+    times each lower face, then 1/h times each upper one."""
+    out += (-1 / h) * f[:-1]
+    out += (1 / h) * f[1:]
+
+
+def _add_difference_adjoint(out, p, h):
+    """Add to out, on faces normal to axis 0, the adjoint of
+    ``_add_difference`` applied to the cell values p: each face takes the
+    cell before it, then the cell after it."""
+    out[1:] += (1 / h) * p
+    out[:-1] += (-1 / h) * p
+
+
+def _strains(grid, x, c12):
+    """D11, D22, div on cells and D12 + c12 on nodes of the face vector x,
+    as flat arrays."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    u, v = _face_views(grid, x)
+    u_up, u_dn, v_rt, v_lt = _d12_slots(grid)
+    d11, d22 = np.zeros((nx, ny)), np.zeros((nx, ny))
+    _add_difference(d11, u, dx)
+    div = d11.copy()
+    _add_difference(div.T, v.T, dy)
+    _add_difference(d22.T, v.T, dy)
+    d12 = np.zeros((nx + 1, ny + 1))
+    d12[:, 1:] += u_dn[:, 1:] * u
+    d12[:, :-1] += u_up[:, :-1] * u
+    d12[1:] += v_lt[1:] * v
+    d12[:-1] += v_rt[:-1] * v
+    d12 += c12.reshape(nx + 1, ny + 1)
+    return d11.ravel(), d22.ravel(), div.ravel(), d12.ravel()
+
+
+def _strains_adjoint(grid, p11, p22, pdv, p12):
+    """sum G^T p over G = D11, D22, div, D12 and their cell or node values
+    p, a face vector: the four adjoints added in that order."""
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    p11, p22, pdv = (p.reshape(nx, ny) for p in (p11, p22, pdv))
+    p12 = p12.reshape(nx + 1, ny + 1)
+    u_up, u_dn, v_rt, v_lt = _d12_slots(grid)
+    out = np.zeros((nx + 1) * ny + nx * (ny + 1))
+    ou, ov = _face_views(grid, out)
+    # D11 reaches only u faces and D22 only v faces, so their sum is each
+    # one's part
+    _add_difference_adjoint(ou, p11, dx)
+    _add_difference_adjoint(ov.T, p22.T, dy)
+    t = np.zeros(ou.shape)
+    _add_difference_adjoint(t, pdv, dx)
+    ou += t
+    t = np.zeros(ov.shape)
+    _add_difference_adjoint(t.T, pdv.T, dy)
+    ov += t
+    # D12: a u face is the up slot of node (i, j), then the down slot of
+    # (i, j+1); a v face the right slot of (i, j), then the left of (i+1, j)
+    t = np.zeros(ou.shape)
+    t += u_up[:, :-1] * p12[:, :-1]
+    t += u_dn[:, 1:] * p12[:, 1:]
+    ou += t
+    t = np.zeros(ov.shape)
+    t += v_rt[:-1] * p12[:-1]
+    t += v_lt[1:] * p12[1:]
+    ov += t
+    return out
 
 
 def _fill_rows(out, wc, wl, wn, up, dn, lt, rt, hn, ht, mass):
@@ -476,14 +523,18 @@ def _transfer(coarse: StaggeredGrid, fine_free, coarse_free):
 def _chebyshev(A, dinv, lam, x, r):
     """MG_SMOOTH_STEPS Chebyshev steps for A x = b, Jacobi-preconditioned,
     on [lam / MG_SMOOTH_RANGE, lam], from x with residual r = b - A x
-    (Saad 2003, ch. 12).  Updates x and r in place; returns x."""
+    (Saad 2003, ch. 12), or from zero with r = b when x is None.  Updates x
+    and r in place; returns x."""
     theta = 0.5 * lam * (1.0 + 1.0 / MG_SMOOTH_RANGE)
     delta = 0.5 * lam * (1.0 - 1.0 / MG_SMOOTH_RANGE)
     sigma = theta / delta
     rho = 1.0 / sigma
     d = np.multiply(dinv, r)
     d /= theta
-    x += d
+    if x is None:
+        x = d.copy()
+    else:
+        x += d
     z = np.empty_like(d)
     for _ in range(MG_SMOOTH_STEPS - 1):
         r -= A @ d
@@ -558,9 +609,15 @@ class Multigrid:
             return lu.solve(b)
         A, dinv, lam = smooth[k]
         P, R = self.transfers[k]
-        x = _chebyshev(A, dinv, lam, np.zeros_like(b), b.copy())
-        x += P @ self._vcycle(smooth, lu, R @ (b - A @ x), k + 1)
-        return _chebyshev(A, dinv, lam, x, b - A @ x)
+        x = _chebyshev(A, dinv, lam, None, b.copy())
+        x += P @ self._vcycle(smooth, lu, R @ _residual(A, b, x), k + 1)
+        return _chebyshev(A, dinv, lam, x, _residual(A, b, x))
+
+
+def _residual(A, b, x):
+    """b - A x, written into the product's array."""
+    t = A @ x
+    return np.subtract(b, t, out=t)
 
 
 # ---------------------------------------------------------------------------
@@ -734,18 +791,55 @@ class SolutionHistory:
         return x
 
 
-def _strains(ops, x, c12):
-    """D11, D22, div on cells and D12 on nodes of the face vector x."""
-    return (ops["g_d11"] @ x, ops["g_d22"] @ x, ops["g_div"] @ x,
-            ops["g_d12"] @ x + c12)
-
-
-def _pinned_coupling(ops, x_pin, w_mu, w_lam, w_node, c12):
+def _pinned_coupling(grid, x_pin, w_mu, w_lam, w_node, c12):
     """sum G^T (w * (G x_pin + c)): what the pinned values x_pin (zero on
     free faces) and the D12 wall traces c12 put on every row."""
-    r11, r22, rdv, r12 = _strains(ops, x_pin, c12)
-    return (ops["g_d11"].T @ (w_mu * r11) + ops["g_d22"].T @ (w_mu * r22)
-            + ops["g_div"].T @ (w_lam * rdv) + ops["g_d12"].T @ (w_node * r12))
+    r11, r22, rdv, r12 = _strains(grid, x_pin, c12)
+    return _strains_adjoint(grid, w_mu * r11, w_mu * r22, w_lam * rdv,
+                            w_node * r12)
+
+
+class PinnedCoupling:
+    """``_pinned_coupling`` of one pinned set and its values, for the
+    weights of any state.
+
+    The strains of the pinned values vanish but on a band of cells and
+    nodes around the pinned faces and the walls with a tangential trace,
+    and weights enter only through their products with those strains, so
+    only the weights on the band matter: ``__call__`` computes the coupling
+    again only when one of them changed.  The wall cutoff keeps the
+    viscosities within h/2 of the walls at the fluid's, so a free body
+    clear of the walls reuses its boundary faces' coupling for the whole
+    run.  The products off the band are zero, which adds nothing to a
+    face's sum, so the kept coupling is bit for bit a fresh one.
+    """
+
+    def __init__(self, grid: StaggeredGrid, pinned, values, c12):
+        self.grid, self.pinned, self.values = grid, pinned.copy(), values
+        x_pin = np.zeros(pinned.size)
+        x_pin[pinned] = values
+        r11, r22, rdv, r12 = _strains(grid, x_pin, c12)
+        self.cells = np.flatnonzero((r11 != 0.0) | (r22 != 0.0)
+                                    | (rdv != 0.0))
+        self.nodes = np.flatnonzero(r12)
+        self.strains = (r11[self.cells], r22[self.cells], rdv[self.cells],
+                        r12[self.nodes])
+        self.weights = self.vector = None
+
+    def __call__(self, w_mu, w_lam, w_node):
+        weights = (w_mu[self.cells], w_lam[self.cells], w_node[self.nodes])
+        if self.weights is None or not all(map(np.array_equal, weights,
+                                               self.weights)):
+            r11, r22, rdv, r12 = self.strains
+            p = [np.zeros(w_mu.size) for _ in range(3)] + [
+                np.zeros(w_node.size)]
+            p[0][self.cells] = weights[0] * r11
+            p[1][self.cells] = weights[0] * r22
+            p[2][self.cells] = weights[1] * rdv
+            p[3][self.nodes] = weights[2] * r12
+            self.vector = _strains_adjoint(self.grid, *p)
+            self.weights = weights
+        return self.vector
 
 
 def _node_average(grid, cells):
@@ -784,12 +878,13 @@ class Problem:
 
     The viscosity model and the arrays that follow from these alone are
     computed on first use, so a Problem built for a single call costs only
-    what that call reads.  Two slots follow the run as it steps: the free
-    pattern of the current pinned set, with its multigrid hierarchy once a
-    step takes the V-cycle (``free_pattern``, ``multigrid``), and
-    continuity's step matrix of the last dt (``diffusion``).  A replaced
-    slot is freed at once.  ``driver.run`` builds one per run, so runs
-    share nothing but the strain operators of their grid (``_grid_ops``).
+    what that call reads.  Three slots follow the run as it steps: the
+    free pattern of the current pinned set, with its multigrid hierarchy
+    once a step takes the V-cycle (``free_pattern``, ``multigrid``), the
+    pinned coupling of the current pinned set and values
+    (``pinned_coupling``), and continuity's step matrix of the last dt
+    (``diffusion``).  A replaced slot is freed at once.  ``driver.run``
+    builds one per run, and runs share nothing.
     """
     grid: StaggeredGrid
     domain: DomainSpec
@@ -798,6 +893,7 @@ class Problem:
 
     def __post_init__(self):
         self._pattern = self._multigrid = self._diffusion = None
+        self._coupling = None
 
     @cached_property
     def model(self):
@@ -811,6 +907,18 @@ class Problem:
             p = self._pattern = FreePattern(self.grid, pinned, self.ops)
             self._multigrid = None
         return p
+
+    def pinned_coupling(self, pinned: np.ndarray,
+                        x_full: np.ndarray) -> PinnedCoupling:
+        """The pinned coupling of this pinned set and x_full's values on
+        it: the kept one while both stay the same, else a new one."""
+        c, values = self._coupling, x_full[pinned]
+        if c is None or not (np.array_equal(c.pinned, pinned)
+                             and np.array_equal(c.values, values)):
+            self._coupling = c = None   # the old one is freed first
+            c = self._coupling = PinnedCoupling(self.grid, pinned, values,
+                                                self.c12)
+        return c
 
     def multigrid(self) -> Multigrid:
         """The hierarchy on the current free pattern, built on first use."""
@@ -834,7 +942,7 @@ class Problem:
 
     @cached_property
     def ops(self):
-        return _grid_ops(self.grid)
+        return _face_layout(self.grid)
 
     def wall_distance(self):
         """Each cell's distance to the nearest wall."""
@@ -912,17 +1020,20 @@ class ViscousState:
     Built with chi: the solidification viscosities mu_n, lam_n on cells
     and the quadratic form's weights.  On first use: the face values that a
     held body (``hold``, u-face and v-face booleans) and vacuum faces are
-    pinned at, taken from ``pin`` or else the boundary extension.  Per
-    step, ``coupling`` and ``operator`` reuse the pinned coupling and the
-    viscous part of the free block while the vacuum faces and the free
-    pattern stay the same.  ``driver.run`` builds a new state whenever chi
+    pinned at, taken from the VectorField that ``pin``, a function of no
+    arguments, returns, or else from the boundary extension.  Only held
+    and vacuum faces read them, so ``pin`` is called on their first read:
+    a free body's step without vacuum faces never calls it.  Per step,
+    ``operator`` reuses the viscous part of the free block while the free
+    pattern stays the same.  ``driver.run`` builds a new state whenever chi
     changes: every step for a free body, once per run for a held body or
-    none.  ``momentum_step``, ``ledger_step`` and ``viscous_quadratic_form``
-    take one, and read the run's Problem through it.
+    none.  ``momentum_step``, ``ledger_step`` and
+    ``viscous_quadratic_form`` take one, and read the run's Problem through
+    it.
     """
 
-    def __init__(self, problem: Problem, chi: np.ndarray,
-                 pin: VectorField = None, hold=None):
+    def __init__(self, problem: Problem, chi: np.ndarray, pin=None,
+                 hold=None):
         self.problem, self.chi, self.pin, self.hold = problem, chi, pin, hold
         grid, vol = problem.grid, problem.grid.cell_volume
         self.mu_n, self.lam_n = _solidify(chi, problem.model,
@@ -933,13 +1044,13 @@ class ViscousState:
         self.w_lam = (self.lam_n * vol).ravel()
         self.w_node = 4.0 * _node_average(grid, self.mu_n).ravel() \
             * problem.ops["node_vol"]
-        self._vac = self._coupling = None
         self._filled, self._fills, self._diagonal = None, 0, None
 
+    @cached_property
     def pin_values(self):
-        """Face vector of ``pin``, or of the boundary extension without
+        """Face vector of the pin, or of the boundary extension without
         one; None without either."""
-        f = self.pin if self.pin is not None else self.problem.bc.u_ext
+        f = self.pin() if self.pin is not None else self.problem.bc.u_ext
         return None if f is None else np.concatenate([f.u.ravel(),
                                                       f.v.ravel()])
 
@@ -958,22 +1069,9 @@ class ViscousState:
         held = np.flatnonzero(hm)
         # held faces without a pin are held at rest
         pin = (np.zeros(held.size) if self.pin is None
-               else self.pin_values()[held])
+               else self.pin_values[held])
         return (np.concatenate([faces, held]),
                 np.concatenate([values, pin]), ops["boundary"] | hm)
-
-    def coupling(self, vac, x_full, pinned):
-        """``_pinned_coupling`` of the pinned values of x_full.  Within one
-        state the pinned faces and their values follow from the vacuum
-        faces ``vac`` alone, so the result is kept while they stay the
-        same."""
-        if self._vac is None or not np.array_equal(vac, self._vac):
-            p = self.problem
-            self._coupling = _pinned_coupling(
-                p.ops, np.where(pinned, x_full, 0.0), self.w_mu, self.w_lam,
-                self.w_node, p.c12)
-            self._vac = vac
-        return self._coupling
 
     def operator(self, pattern: FreePattern, mass):
         """pattern's free block of this state's viscous form plus
@@ -991,7 +1089,6 @@ class MomentumStepInfo:
     iterations: int           # CG iterations, with this preconditioner
     preconditioner: str       # "jacobi" or "multigrid"
     solve_residual: float
-    visc_quadform: float
     pinned_vacuum_faces: int
     decades: float            # log10 of initial over final residual norm
 
@@ -1110,13 +1207,13 @@ def momentum_step(state: ViscousState, rho_old: np.ndarray,
     if n_vac:
         if np.max(np.abs(m_old[vac])) > 1e-8:
             raise VacuumCell("vacuum face carries nonzero momentum")
-        pin_values = state.pin_values()
-        if pin_values is not None:
-            x_full[vac] = pin_values[vac]
+        if state.pin_values is not None:
+            x_full[vac] = state.pin_values[vac]
         pinned = pinned | vac
 
     free = ~pinned
-    b_free = (rhs - state.coupling(vac, x_full, pinned))[free]
+    coupling = problem.pinned_coupling(pinned, x_full)
+    b_free = (rhs - coupling(state.w_mu, state.w_lam, state.w_node))[free]
     # face vectors are freed once done with, to hold the step's memory
     # peak (the fill, the guess, the solve) where it was without a history
     del rhs, face_rho, m_old
@@ -1130,9 +1227,9 @@ def momentum_step(state: ViscousState, rho_old: np.ndarray,
         x0 = history.guess(pattern, Aff, b_free, x0)
     # the preconditioner rule weighs the decades this solve must gain
     r = b_free - Aff @ x0
-    r0 = float(np.linalg.norm(r))
+    r0 = float(np.sqrt(r.dot(r)))
     rtol = 1e-10
-    bnorm = float(np.linalg.norm(b_free))
+    bnorm = float(np.sqrt(b_free.dot(b_free)))
     precond = "jacobi"
     if rule is not None:
         need = (float(np.log10(r0 / (rtol * bnorm)))
@@ -1147,7 +1244,8 @@ def momentum_step(state: ViscousState, rho_old: np.ndarray,
         maxiter = 10 * nx * ny
     del mass
     sol, info, iters = cg(Aff, b_free, x0, M, rtol, maxiter, r)
-    res = float(np.linalg.norm(b_free - Aff @ sol))
+    res = b_free - Aff @ sol
+    res = float(np.sqrt(res.dot(res)))
     rel = res / bnorm if bnorm > 0 else res
     if info != 0 and rel > 1e-8:
         raise LinearSolveDiverged(
@@ -1160,7 +1258,6 @@ def momentum_step(state: ViscousState, rho_old: np.ndarray,
 
     minfo = MomentumStepInfo(
         iterations=iters, preconditioner=precond, solve_residual=rel,
-        visc_quadform=viscous_quadratic_form(state, out),
         pinned_vacuum_faces=n_vac,
         decades=(float(np.log10(r0 / res)) if r0 > 0.0 and res > 0.0
                  else 0.0))
@@ -1174,7 +1271,7 @@ def viscous_quadratic_form(state: ViscousState, vel: VectorField) -> float:
     its Problem's wall traces; nonnegative for any admissible
     viscosities."""
     x = np.concatenate([vel.u.ravel(), vel.v.ravel()])
-    r11, r22, rdv, r12 = _strains(state.problem.ops, x, state.problem.c12)
+    r11, r22, rdv, r12 = _strains(state.problem.grid, x, state.problem.c12)
     return np.sum(state.w_mu * (r11 ** 2 + r22 ** 2)) \
         + np.sum(state.w_lam * rdv ** 2) \
         + np.sum(state.w_node * r12 ** 2)

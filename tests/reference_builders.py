@@ -110,7 +110,8 @@ def unit_diffusion(grid, params, robin):
 
 def strain_operators(grid):
     """D11, D22, div and D12 (face vector -> cells / nodes) from COO
-    triplets and sparse sums."""
+    triplets and sparse sums: the matrices whose products, and those of
+    their transposes, the solver's slice kernels compute."""
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     layout = _face_layout(grid)
     uidx, vidx = layout["uidx"], layout["vidx"]

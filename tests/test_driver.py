@@ -151,19 +151,24 @@ def test_early_stop_semantics():
     # a Stepper takes the same steps, and the step the guard rejects leaves
     # its state as it was
     s, _ = driver.start(cfg)
-    lines = []
+    lines, c2 = [], 0.0
     while True:
-        kept = (s.t, s.steps, s.rho, s.vel, s.body, s.chi, s.E_prev)
+        kept = (s.t, s.steps, s.rho, s.vel, s.body, s.chi, s.E_prev,
+                s.c2_sum)
         rho, u, v = s.rho.copy(), s.vel.u.copy(), s.vel.v.copy()
-        rec = s.step(driver._timestep(cfg, s))
+        dt = driver._timestep(cfg, s)
+        rec = s.step(dt)
         if not rec.accepted:
             break
         lines.append((driver._csv_line(rec.row.csv_values()),
                       driver._csv_line(s.body_values(rec))))
+        c2 += rec.body.mollified_max ** 2 * dt
     assert rec.row is None and rec.body is not None
     assert all(a is b for a, b in
                zip(kept, (s.t, s.steps, s.rho, s.vel, s.body, s.chi,
-                          s.E_prev)))
+                          s.E_prev, s.c2_sum)))
+    # c_run integrates the body transport of the accepted steps alone
+    assert rep.c_run == float(np.sqrt(c2))
     assert (np.array_equal(s.rho, rho) and np.array_equal(s.vel.u, u)
             and np.array_equal(s.vel.v, v))
     assert lines == [(driver._csv_line(r.csv_values()), driver._csv_line(b))

@@ -1,10 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
 
 import reference_builders as ref
-from penaltyflow import driver
+from penaltyflow import driver, momentum
 from penaltyflow.body import (body_signed_distance, make_disc_body,
                               rigid_velocity_field)
 from penaltyflow.config import default_config
@@ -19,10 +22,9 @@ from penaltyflow.momentum import (MG_MIN_LEVELS, MG_RATE, PROJECTION_DEPTH,
                                   PreconditionerRule, Problem,
                                   SolutionHistory, ViscosityModel,
                                   ViscousState, _coarser, _d12_affine,
-                                  _face_layout, _grid_ops,
-                                  _pinned_coupling, _restrict,
-                                  momentum_step, multigrid_levels,
-                                  viscosity_fields)
+                                  _face_layout, _pinned_coupling, _restrict,
+                                  _strains, _strains_adjoint, momentum_step,
+                                  multigrid_levels, viscosity_fields)
 from test_checks import check_test
 
 # properties kept once, as checks in penaltyflow.checks
@@ -100,7 +102,8 @@ def test_held_body_hold_mask(grid24, domain, params):
     vel = bc.u_ext.copy()
     rho = np.ones(grid24.shape("centers"))
     p2 = PenaltyParams(n_solid=1e3, r_moll=0.09)
-    state = ViscousState(Problem(grid24, domain, p2, bc), chi, pin, hold)
+    state = ViscousState(Problem(grid24, domain, p2, bc), chi, lambda: pin,
+                         hold)
     vel1, _ = momentum_step(state, rho, rho, vel, 2e-3)
     assert np.all(vel1.u[hold[0]] == 0.0)
     assert np.all(vel1.v[hold[1]] == 0.0)
@@ -109,6 +112,11 @@ def test_held_body_hold_mask(grid24, domain, params):
 # ---------------------------------------------------------------------------
 # Fixed-pattern assembly of the free block against the triple-product oracle
 # ---------------------------------------------------------------------------
+
+def _ops(grid):
+    """The face layout and the reference strain matrices."""
+    return dict(_face_layout(grid), **ref.strain_operators(grid))
+
 
 def _oracle_operator(ops, w_mu, w_lam, w_node, mass):
     """sum G^T diag(w) G + diag(mass) from sparse triple products."""
@@ -149,7 +157,7 @@ def _pinned_sets(ops, grid):
 @pytest.mark.parametrize("which", ["boundary", "hold", "vacuum"])
 def test_fixed_pattern_matches_triple_product(which, rng):
     grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
-    ops = _grid_ops(grid)
+    ops = _ops(grid)
     # wall and corner nodes are one-sided: 3 and 2 entries in their rows
     per_row = np.diff(ops["g_d12"].indptr)
     assert set(per_row) == {2, 3, 4}
@@ -176,7 +184,7 @@ def test_fixed_pattern_matches_triple_product(which, rng):
     c12 = _d12_affine(grid, bc.tangential_traces())
     want_b = (rhs - ops["g_d12"].T @ (w_node * c12))[free] \
         - A[free][:, pinned] @ x[pinned]
-    got_b = (rhs - _pinned_coupling(ops, np.where(pinned, x, 0.0), w_mu,
+    got_b = (rhs - _pinned_coupling(grid, np.where(pinned, x, 0.0), w_mu,
                                     w_lam, w_node, c12))[free]
     assert np.max(np.abs(got_b - want_b)) <= 1e-12 * np.max(np.abs(want_b))
 
@@ -184,7 +192,7 @@ def test_fixed_pattern_matches_triple_product(which, rng):
 @pytest.mark.parametrize("which", ["boundary", "hold", "vacuum"])
 def test_fixed_pattern_diagonal_positions(which, rng):
     grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
-    ops = _grid_ops(grid)
+    ops = _face_layout(grid)
     pattern = FreePattern(grid, _pinned_sets(ops, grid)[which])
     A = pattern.fill(*_random_weights(ops, grid, rng))
     assert np.array_equal(A.data[pattern.diag], A.diagonal())
@@ -195,7 +203,7 @@ def test_fixed_pattern_rebuilds_when_pinned_set_changes(rng):
     domain = DomainSpec(1.3, 0.9, 0.1)
     problem = Problem(grid, domain, PenaltyParams(),
                       resting_boundary(domain, grid, 1.0))
-    ops = problem.ops
+    ops = _ops(grid)
     sets = _pinned_sets(ops, grid)
     w = _random_weights(ops, grid, rng)
     first = problem.free_pattern(sets["boundary"])
@@ -217,7 +225,7 @@ def test_fixed_pattern_rebuilds_when_pinned_set_changes(rng):
 
 
 def test_fixed_pattern_memory_within_free_block(grid64, rng):
-    ops = _grid_ops(grid64)
+    ops = _ops(grid64)
     w_mu, w_lam, w_node, mass = _random_weights(ops, grid64, rng)
     free = ops["interior"]
     want = _oracle_operator(ops, w_mu, w_lam, w_node, mass)[free][:, free]
@@ -236,13 +244,27 @@ _GRIDS = {"20x13": (20, 13, 1.3 / 20, 0.9 / 13),
           "48": (48, 48, 1 / 48, 1 / 48), "96": (96, 96, 1 / 96, 1 / 96)}
 
 
-@pytest.mark.parametrize("size", ["20x13", "96"])
-def test_strain_operators_bitwise_equal_to_reference(size):
+@pytest.mark.parametrize("size", ["20x13", "48", "96"])
+def test_strain_operators_bitwise_equal_to_reference(size, rng):
     grid = StaggeredGrid(*_GRIDS[size])
-    _grid_ops.cache_clear()
-    ops, want = _grid_ops(grid), ref.strain_operators(grid)
-    for name in ("g_d11", "g_d22", "g_div", "g_d12"):
-        ref.assert_same_csr(ops[name], want[name])
+    names = ("g_d11", "g_d22", "g_div", "g_d12")
+    G = [ref.strain_operators(grid)[name] for name in names]
+    c12 = rng.normal(size=G[3].shape[0])
+    for _ in range(2):
+        x = rng.normal(size=G[0].shape[1])
+        want = [g @ x for g in G]
+        want[3] = want[3] + c12
+        for got, w in zip(_strains(grid, x, c12), want):
+            ref.assert_bitwise(got, w)
+        p = [rng.normal(size=g.shape[0]) for g in G]
+        ref.assert_bitwise(_strains_adjoint(grid, *p),
+                           G[0].T @ p[0] + G[1].T @ p[1] + G[2].T @ p[2]
+                           + G[3].T @ p[3])
+        # each adjoint alone, the others fed zeros
+        for k, g in enumerate(G):
+            alone = [np.zeros_like(q) for q in p]
+            alone[k] = p[k]
+            ref.assert_bitwise(_strains_adjoint(grid, *alone), g.T @ p[k])
 
 
 def _assert_pattern_is_reference(pattern):
@@ -259,7 +281,7 @@ def _assert_pattern_is_reference(pattern):
 @pytest.mark.parametrize("size", ["20x13", "48", "96"])
 def test_fixed_pattern_bitwise_equal_to_reference(size, which, rng):
     grid = StaggeredGrid(*_GRIDS[size])
-    ops = _grid_ops(grid)
+    ops = _face_layout(grid)
     sets = _pinned_sets(ops, grid)
     sets["random"] = ops["boundary"] | (rng.random(ops["boundary"].size)
                                         < 0.1)
@@ -440,7 +462,7 @@ def _recording(monkeypatch):
 def _info(preconditioner, iterations, decades):
     return MomentumStepInfo(iterations=iterations,
                             preconditioner=preconditioner,
-                            solve_residual=0.0, visc_quadform=0.0,
+                            solve_residual=0.0,
                             pinned_vacuum_faces=0, decades=decades)
 
 
@@ -537,7 +559,7 @@ def _system_sequence(n, rng):
     """n slowly varying free blocks, right-hand sides and exact solutions on
     a 20x13 grid (dx != dy) with a hold mask."""
     grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
-    ops = _grid_ops(grid)
+    ops = _face_layout(grid)
     pattern = FreePattern(grid, _pinned_sets(ops, grid)["hold"], ops)
     w = _random_weights(ops, grid, rng)
     dw = [rng.uniform(-1.0, 1.0, a.size) for a in w]
@@ -671,21 +693,20 @@ def test_viscous_state_reused_equals_rebuilt_for_a_held_body(monkeypatch):
         return fill(self, *args)
     monkeypatch.setattr(FreePattern, "fill", counted)
     problem, chi, hold, pin, rho0, vel0 = _held_scene(32, 0.07)
-    reused = ViscousState(problem, chi, pin, hold)
+    reused = ViscousState(problem, chi, lambda: pin, hold)
     runs = []
     for reuse in (True, False):
         rho, vel, history, rows = rho0, vel0, SolutionHistory(), []
         for step in range(6):
             dt = 2e-3
             state = (reused if reuse
-                     else ViscousState(problem, chi, pin, hold))
+                     else ViscousState(problem, chi, lambda: pin, hold))
             rho1, _ = continuity_step(problem, rho, vel, dt)
             vel1, info = momentum_step(state, rho, rho1, vel, dt,
                                        history=history)
             row = ledger_step(state, rho, vel, rho1, vel1, dt,
                               (step + 1) * dt)
-            rows.append((rho1, vel1.u, vel1.v, info.visc_quadform,
-                         row.as_dict()))
+            rows.append((rho1, vel1.u, vel1.v, row.as_dict()))
             rho, vel = rho1, vel1
         runs.append(rows)
         # the reused state fills the free block once, at its first step
@@ -694,7 +715,7 @@ def test_viscous_state_reused_equals_rebuilt_for_a_held_body(monkeypatch):
     for got, want in zip(*runs):
         for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a, b)
-        assert got[3] == want[3] and got[4] == want[4]
+        assert got[3] == want[3]
 
 
 def test_viscous_state_refills_when_a_vacuum_face_appears():
@@ -707,15 +728,131 @@ def test_viscous_state_refills_when_a_vacuum_face_appears():
     pocket[6:9, 20:23] = 0.0
     vel.u[5:10, 19:24] = 0.0
     vel.v[5:10, 19:25] = 0.0
-    state = ViscousState(problem, chi, pin, hold)
+    state = ViscousState(problem, chi, lambda: pin, hold)
     _, info = momentum_step(state, rho, rho, vel, 2e-3)
     assert info.pinned_vacuum_faces == 0
     # chi is unchanged, the pinned set and values are not
     got, info = momentum_step(state, rho, pocket, vel, 2e-3)
-    want, _ = momentum_step(ViscousState(problem, chi, pin, hold), rho,
-                            pocket, vel, 2e-3)
+    want, _ = momentum_step(ViscousState(problem, chi, lambda: pin, hold),
+                            rho, pocket, vel, 2e-3)
     assert info.pinned_vacuum_faces > 0
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+def test_free_body_run_computes_the_pinned_coupling_once(monkeypatch):
+    calls = []
+    adjoint = momentum._strains_adjoint
+
+    def counted(*args):
+        calls.append(args)
+        return adjoint(*args)
+    monkeypatch.setattr(momentum, "_strains_adjoint", counted)
+    rep = driver.run(default_config(nx=48, ny=48, r=0.05, t_end=0.03),
+                     outdir=False)
+    # the body moves every step; the weights by the walls never change
+    assert rep.steps >= 5 and len(calls) == 1
+
+
+def test_pinned_coupling_recomputed_when_its_band_or_pinned_set_changes(
+        rng):
+    grid = StaggeredGrid(20, 13, 1.3 / 20, 0.9 / 13)
+    domain = DomainSpec(1.3, 0.9, 0.1)
+    bc = throughflow_boundary(domain, grid, 0.4, 1.0)
+    for w in ("bottom", "top"):
+        bc.ub[w][:, 0] = rng.uniform(-1, 1, grid.nx)
+    for w in ("left", "right"):
+        bc.ub[w][:, 1] = rng.uniform(-1, 1, grid.ny)
+    problem = Problem(grid, domain, PenaltyParams(), bc)
+    sets = _pinned_sets(problem.ops, grid)
+    weights = _random_weights(problem.ops, grid, rng)[:3]
+    x = rng.normal(size=sets["boundary"].size)
+
+    def fresh(pinned, w):
+        return _pinned_coupling(grid, np.where(pinned, x, 0.0), *w,
+                                problem.c12)
+
+    def scaled(w, k, at):   # the weights with w[k][at] tripled
+        w = [a.copy() for a in w]
+        w[k][at] *= 3.0
+        return w
+
+    kept = problem.pinned_coupling(sets["boundary"], x)
+    first = kept(*weights)
+    ref.assert_bitwise(first, fresh(sets["boundary"], weights))
+    # an interior cell's and node's weights are off the band: kept
+    cell, node = 10 * grid.ny + 6, 10 * (grid.ny + 1) + 6
+    assert cell not in kept.cells and node not in kept.nodes
+    w = scaled(scaled(weights, 0, cell), 2, node)
+    assert problem.pinned_coupling(sets["boundary"].copy(), x) is kept
+    assert kept(*w) is first
+    ref.assert_bitwise(first, fresh(sets["boundary"], w))
+    # a wall-adjacent cell's or a wall node's weight: computed again
+    for k, at in ((0, 5), (1, 5), (2, 7)):
+        w = scaled(weights, k, at)
+        got = kept(*w)
+        assert got is not first
+        ref.assert_bitwise(got, fresh(sets["boundary"], w))
+    # vacuum faces, or new values on the pinned faces: a new coupling
+    vac = problem.pinned_coupling(sets["vacuum"], x)
+    assert vac is not kept
+    ref.assert_bitwise(vac(*weights), fresh(sets["vacuum"], weights))
+    x = x + 1.0
+    assert problem.pinned_coupling(sets["vacuum"], x) is not vac
+    ref.assert_bitwise(problem.pinned_coupling(sets["vacuum"], x)(*weights),
+                       fresh(sets["vacuum"], weights))
+
+
+def test_free_body_stepper_holds_only_what_the_run_keeps():
+    cfg = default_config(nx=48, ny=48, r=0.05, t_end=1.0)
+    warm, _ = driver.start(cfg)   # imports and module state, untraced
+    warm.step(driver._timestep(cfg, warm))
+    del warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s, _ = driver.start(cfg)
+        for _ in range(3):
+            s.step(driver._timestep(cfg, s))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    def nbytes(*arrays):
+        return sum(a.nbytes for a in arrays)
+
+    def csr(m):
+        return nbytes(m.data, m.indices, m.indptr)
+
+    p, pattern = s.problem, s.problem._pattern
+    assert p._multigrid is None   # 48^2 takes Jacobi: no transfers
+    K, K_diag = p.unit_diffusion
+    A, _ = p.diffusion(p._diffusion[0])
+    keep = {
+        "free block and gather table": csr(pattern.matrix) + nbytes(
+            pattern.gather, pattern.diag, pattern.faces, pattern.pinned),
+        "history": nbytes(*s.history.diffs),
+        "continuity matrices": csr(K) + nbytes(K_diag) + csr(A)
+        + nbytes(A.diagonal()),
+        # the state, and the per-run fields: boundary extension and its
+        # gradient, pinned coupling, D12 wall traces, node volumes, wall
+        # cutoff, mollifier spectrum
+        "fields": nbytes(s.rho, s.vel.u, s.vel.v, s.chi, p.bc.u_ext.u,
+                         p.bc.u_ext.v, *p.ext_gradient,
+                         p._coupling.vector, p.c12, p.ops["node_vol"],
+                         p.wall_cutoff, *s.kernel.spectra.values()),
+    }
+    # 1.45 MB at 48^2: free block and gather table 0.70 MB, history 0.11,
+    # continuity 0.33, fields 0.32; Python objects and wall-sized arrays
+    # add about 10 kB
+    assert held <= sum(keep.values()) + 64 * 1024, (held, keep)
+    # no strain matrix (face vector -> cells or nodes) is held anywhere
+    g = p.grid
+    strain_shapes = {(g.nx * g.ny, pattern.pinned.size),
+                     ((g.nx + 1) * (g.ny + 1), pattern.pinned.size)}
+    assert not [o for o in gc.get_objects()
+                if sparse.issparse(o) and o.shape in strain_shapes]
 
 
 _DT = 2.0 ** -9   # exact in binary: six steps end at t_end exactly
