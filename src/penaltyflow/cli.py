@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         rep = run(load_config(args.config), outdir=args.outdir)
         print(f"run finished: t = {rep.final_t:.6g} after {rep.steps} steps"
-              + (" (stopped at the collision guard)" if rep.stopped_early
+              + (f" (stopped at the {rep.stopped_by})" if rep.stopped_early
                  else ""))
         print(f"outputs in {rep.outdir}")
         return 0

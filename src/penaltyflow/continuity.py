@@ -8,6 +8,11 @@ smoothed-negative-part Robin condition (implicit).  Where the prescribed
 normal velocity saturates the smoothing the two combine to the exact
 prescribed total flux: rho_B ub.n entering on inflow faces, rho ub.n
 leaving on outflow faces.
+
+The implicit step's matrix vol I + dt K, K the unit-dt diffusion and Robin
+part, is a five-point stencil whose off-diagonals are two constants.
+``DiffusionStep`` applies it by array slices, bit for bit as its CSR
+matrix would; a run keeps only K's diagonal (``_unit_diagonal``).
 """
 
 from __future__ import annotations
@@ -15,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CflViolation, HistoryTooShort, LinearSolveDiverged
 from .fields import (WALL, StaggeredGrid, VectorField, cell_gradient, cg,
                      divergence, faces_to_centers, integrate, jacobi,
-                     stencil_csr, wall_line, wall_spacing)
+                     wall_line, wall_spacing)
 from .geometry import WALLS, BoundaryData
 
 MASS_BUDGET_TOL = 1e-10  # a step's relative mass budget residual, at most
@@ -115,26 +119,53 @@ class ContinuityStepInfo:
     source_total: float = 0.0
 
 
-def _diffusion_matrix(K, diag, vol, dt):
-    """vol I + dt K and its Jacobi preconditioner, from the unit-dt
-    diffusion and Robin part K and its diagonal positions
-    (``_unit_diffusion``)."""
-    data = dt * K.data
-    data[diag] += vol
-    return (sparse.csr_matrix((data, K.indices, K.indptr), shape=K.shape),
-            jacobi(data[diag]))
+class DiffusionStep:
+    """Continuity's step matrix vol I + dt K as a five-point slice kernel,
+    applied to a flat cell vector as ``A @ p`` (all ``fields.cg`` asks).
+
+    K is the unit-dt diffusion and Robin part: on cell (i, j), row
+    i * ny + j, it couples (i-1, j), (i, j-1), (i, j), (i, j+1) and (i+1, j),
+    less those outside the grid, with -kx, -ky, d, -ky and -kx.  Each row
+    adds its terms to zero in that (increasing column) order, with the
+    off-diagonals dt (-kx), dt (-ky) and the diagonal dt d + vol, so each
+    product is bit for bit the CSR matrix's of the same entries."""
+
+    def __init__(self, diagonal, off_x, off_y):
+        self.diagonal, self.off_x, self.off_y = diagonal, off_x, off_y
+
+    def __matmul__(self, p):
+        p = p.reshape(self.diagonal.shape)
+        out = np.zeros(p.shape)
+        # one product per neighbour axis: the lower and the upper
+        # neighbour's terms read the same off-diagonal times p
+        tx, ty = self.off_x * p, self.off_y * p
+        out[1:] += tx[:-1]
+        out[:, 1:] += ty[:, :-1]
+        out += self.diagonal * p
+        out[:, :-1] += ty[:, 1:]
+        out[:-1] += tx[1:]
+        return out.ravel()
 
 
-def _unit_diffusion(grid, params, robin):
-    """K and the CSR position of each row's diagonal.  Cell (i, j) is row
-    i * ny + j; its row holds (i-1, j), (i, j-1), (i, j), (i, j+1) and
-    (i+1, j), in that (increasing column) order, less those outside the
-    grid."""
-    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    n = nx * ny
-    diag = np.zeros((nx, ny))
-    kx = params.eps * dy / dx
-    ky = params.eps * dx / dy
+def _diffusion_step(grid, params, d, dt):
+    """vol I + dt K (``DiffusionStep``) and its Jacobi preconditioner, from
+    the unit-dt diagonal d of K (``_unit_diagonal``)."""
+    kx, ky = _face_coefficients(grid, params)
+    diagonal = dt * d + grid.cell_volume
+    return (DiffusionStep(diagonal, dt * -kx, dt * -ky),
+            jacobi(diagonal.ravel()))
+
+
+def _face_coefficients(grid, params):
+    """K's coupling across an interior x face and an interior y face."""
+    return params.eps * grid.dy / grid.dx, params.eps * grid.dx / grid.dy
+
+
+def _unit_diagonal(grid, params, robin):
+    """The diagonal of K on the cells: each interior face's coupling added
+    to both its cells, then each wall's implicit boundary flux."""
+    kx, ky = _face_coefficients(grid, params)
+    diag = np.zeros((grid.nx, grid.ny))
     # interior x faces couple (i-1, j) with (i, j)
     diag[:-1, :] += kx
     diag[1:, :] += kx
@@ -147,22 +178,14 @@ def _unit_diffusion(grid, params, robin):
         line = wall_line(diag, w)
         line += wall_spacing(grid, w)[1] * (robin[w][1]
                                             + np.abs(robin[w][0]))
-
-    c = np.arange(n, dtype=np.int32).reshape(nx, ny)
-    cols = np.stack([c - ny, c - 1, c, c + 1, c + ny]).reshape(5, n)
-    vals = np.stack(np.broadcast_arrays(-kx, -ky, diag, -ky, -kx))
-    has = np.ones((5, nx, ny), dtype=bool)
-    has[0, 0, :] = has[1, :, 0] = has[3, :, -1] = has[4, -1, :] = False
-    has = has.reshape(5, n)
-    K = stencil_csr(cols, vals.reshape(5, n), has, n)
-    return K, K.indptr[:-1] + has[:2].sum(axis=0, dtype=np.intp)
+    return diag
 
 
 def continuity_step(problem, rho: np.ndarray, vel: VectorField, dt: float,
                     source=None):
     """One conservative step of the regularized continuity equation on the
-    run's ``momentum.Problem``, which keeps the Robin closure and the
-    diffusion matrix.
+    run's ``momentum.Problem``, which keeps the Robin closure and the unit
+    diagonal of the diffusion.
 
     Returns (rho_new, ContinuityStepInfo).  The global budget
     d(total mass) + dt * (boundary fluxes) = dt * (source) closes to the

@@ -19,9 +19,10 @@ from .config import RunConfig
 from .continuity import (MASS_BUDGET_TOL, ContinuityStepInfo,
                          continuity_step)
 from .diagnostics import (CSV_SCHEMA, EnergyLedgerRow, fluid_mask,
-                          interior_pressure_norm, ledger_step,
+                          interior_pressure_norm, ledger_step, probe_ring,
                           rigidity_measure, surface_force_torque)
-from .errors import ConfigError, MassBudgetError, PenaltyflowError
+from .errors import (ConfigError, MassBudgetError, PenaltyflowError,
+                     ProbeOutside)
 from .fields import (MollifierKernel, VectorField, sym_gradient,
                      write_field, write_vti)
 from .momentum import (MomentumStepInfo, PreconditionerRule, Problem,
@@ -34,7 +35,9 @@ BODY_CSV_SCHEMA = ("t", "Xx", "Xy", "theta", "Vx", "Vy", "w",
 
 @dataclass
 class RunReport:
-    """A run's outcome.  report.json holds the fields up to ``extension``."""
+    """A run's outcome.  report.json holds the fields up to ``extension``,
+    and ``stopped_by`` when the run stopped early: the check that rejected
+    its last step, "collision guard" or "probe ring"."""
     final_t: float
     t_max: float
     steps: int
@@ -46,6 +49,7 @@ class RunReport:
     initial_clearance: float | None
     aggregates: dict
     extension: dict
+    stopped_by: str | None = None
     outdir: str | None = None
     rows: list = field(default=None, repr=False)
     body_rows: list = field(default=None, repr=False)
@@ -185,15 +189,17 @@ def _one_blas_thread():
 @dataclass
 class StepRecord:
     """What one ``Stepper.step`` computed.  ``row`` is the step's ledger
-    row with its probes, or None when the collision guard rejected the
-    step; ``t`` is the step's end time, ``margin`` its guard margin (nan
-    without a body) and ``body`` None unless a free body moved."""
+    row with its probes, or None when a check rejected the step, which
+    ``rejected_by`` names; ``t`` is the step's end time, ``margin`` its
+    guard margin (nan without a body) and ``body`` None unless a free body
+    moved."""
     t: float
     row: EnergyLedgerRow | None
     continuity: ContinuityStepInfo
     momentum: MomentumStepInfo
     body: BodyStepInfo | None
     margin: float
+    rejected_by: str | None = None
 
     @property
     def accepted(self) -> bool:
@@ -207,8 +213,10 @@ class Stepper:
     The viscous CG starts from the projection onto this run's recent
     solutions (``history``), preconditioned as this run's ``rule`` picks;
     both are the stepper's, so steppers stepped side by side stay
-    independent.  A step the collision guard rejects leaves t, rho, u, the
-    body, chi, E_prev, the step count and ``c2_sum`` (c_run) as they were.
+    independent.  The moved body must pass two checks: the collision guard,
+    and then the traction probe ring, which must keep clear of the wall
+    collar.  A step that either rejects leaves t, rho, u, the body, chi,
+    E_prev, the step count and ``c2_sum`` (c_run) as they were.
     Each stage is called through this module's names, which the
     benchmark's tracer wraps."""
 
@@ -266,8 +274,15 @@ class Stepper:
             guard = collision_guard(body_new, domain, params.h,
                                     params.r_moll)
             margin = guard.margin
-            if not guard.ok:
-                return StepRecord(t + dt, None, cinfo, minfo, binfo, margin)
+            rejected_by = None if guard.ok else "collision guard"
+            if guard.ok:
+                try:
+                    probe_ring(grid, domain, body_new)
+                except ProbeOutside:
+                    rejected_by = "probe ring"
+            if rejected_by is not None:
+                return StepRecord(t + dt, None, cinfo, minfo, binfo, margin,
+                                  rejected_by)
             if binfo is not None:
                 self.c2_sum += binfo.mollified_max ** 2 * dt
 
@@ -347,7 +362,8 @@ def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
                 rec = s.step(_timestep(cfg, s))
                 if not rec.accepted:
                     # the run's reach is the last accepted time; the margin
-                    # below zero belongs to the rejected step
+                    # belongs to the rejected step, below zero when the
+                    # guard rejected it
                     break
                 out.add_row(rec.row)
                 if s.body is not None:
@@ -370,6 +386,8 @@ def run(cfg: RunConfig, outdir=None, keep_fields: bool = False) -> RunReport:
                 aggregates=_aggregate(out.rows),
                 extension={k: v for k, v in asdict(ext_report).items()
                            if k != "div_roundoff"})
+            if stopped:
+                summary["stopped_by"] = rec.rejected_by
         except PenaltyflowError as exc:
             out.write_failure(exc)
             raise

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .continuity import (PenaltyParams, _diffusion_matrix, _unit_diffusion,
+from .continuity import (PenaltyParams, _diffusion_step, _unit_diagonal,
                          check_cfl, smoothed_negative_part)
 from .errors import LinearSolveDiverged, NegativeDensity, VacuumCell
 from .fields import (WALL, StaggeredGrid, VectorField, _centered,
@@ -878,13 +878,15 @@ class Problem:
 
     The viscosity model and the arrays that follow from these alone are
     computed on first use, so a Problem built for a single call costs only
-    what that call reads.  Three slots follow the run as it steps: the
-    free pattern of the current pinned set, with its multigrid hierarchy
-    once a step takes the V-cycle (``free_pattern``, ``multigrid``), the
+    what that call reads.  Two slots follow the run as it steps: the free
+    pattern of the current pinned set, with its multigrid hierarchy once a
+    step takes the V-cycle (``free_pattern``, ``multigrid``), and the
     pinned coupling of the current pinned set and values
-    (``pinned_coupling``), and continuity's step matrix of the last dt
-    (``diffusion``).  A replaced slot is freed at once.  ``driver.run``
-    builds one per run, and runs share nothing.
+    (``pinned_coupling``).  A replaced slot is freed at once.
+    Continuity's step matrix is no slot: ``diffusion`` builds its slice
+    kernel from the kept unit diagonal on each call, and no sparse matrix
+    of it is held.  ``driver.run`` builds one per run, and runs share
+    nothing.
     """
     grid: StaggeredGrid
     domain: DomainSpec
@@ -892,8 +894,7 @@ class Problem:
     bc: BoundaryData
 
     def __post_init__(self):
-        self._pattern = self._multigrid = self._diffusion = None
-        self._coupling = None
+        self._pattern = self._multigrid = self._coupling = None
 
     @cached_property
     def model(self):
@@ -927,18 +928,18 @@ class Problem:
         return self._multigrid
 
     @cached_property
-    def unit_diffusion(self):
-        """Continuity's unit-dt diffusion and Robin matrix K and the CSR
-        position of each row's diagonal (``continuity._unit_diffusion``)."""
-        return _unit_diffusion(self.grid, self.params, self.robin)
+    def unit_diagonal(self):
+        """The diagonal of continuity's unit-dt diffusion and Robin part K
+        on the cells (``continuity._unit_diagonal``)."""
+        return _unit_diagonal(self.grid, self.params, self.robin)
 
     def diffusion(self, dt: float):
-        """Continuity's step matrix vol I + dt K and its Jacobi
-        preconditioner, kept while dt stays the same."""
-        if self._diffusion is None or self._diffusion[0] != dt:
-            self._diffusion = (dt, *_diffusion_matrix(
-                *self.unit_diffusion, self.grid.cell_volume, dt))
-        return self._diffusion[1:]
+        """Continuity's step matrix vol I + dt K as a five-point slice
+        kernel (``continuity.DiffusionStep``) and its Jacobi
+        preconditioner, built afresh on each call from the unit
+        diagonal."""
+        return _diffusion_step(self.grid, self.params, self.unit_diagonal,
+                               dt)
 
     @cached_property
     def ops(self):

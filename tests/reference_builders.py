@@ -108,6 +108,15 @@ def unit_diffusion(grid, params, robin):
     return K, np.flatnonzero(K.indices == rows)
 
 
+def diffusion_step_matrix(grid, params, robin, dt):
+    """vol I + dt K as CSR, from ``unit_diffusion``'s K: its data scaled by
+    dt, then vol added at the diagonal positions."""
+    K, diag = unit_diffusion(grid, params, robin)
+    data = dt * K.data
+    data[diag] += grid.cell_volume
+    return sparse.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+
+
 def strain_operators(grid):
     """D11, D22, div and D12 (face vector -> cells / nodes) from COO
     triplets and sparse sums: the matrices whose products, and those of

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import reference_builders as ref
-from penaltyflow.continuity import (PenaltyParams, _unit_diffusion,
-                                    continuity_step,
+from penaltyflow.continuity import (PenaltyParams, _diffusion_step,
+                                    _unit_diagonal, continuity_step,
                                     regularize_initial_density,
                                     renormalized_residual,
                                     smoothed_negative_part)
@@ -82,15 +82,24 @@ def test_regularization_is_the_fixed_point_of_the_sweeps(size, data, params,
 
 @pytest.mark.parametrize("data", ["throughflow", "resting"])
 @pytest.mark.parametrize("size", ["20x13", "96"])
-def test_unit_diffusion_bitwise_equal_to_reference(size, data, params):
+def test_unit_diffusion_bitwise_equal_to_reference(size, data, params, rng):
     grid, bc = _grid_and_data(size, data)
     un = {w: bc.normal_trace(w) for w in WALLS}
     robin = {w: (smoothed_negative_part(un[w], params.bc_sharpness), un[w])
              for w in WALLS}
-    K, diag = _unit_diffusion(grid, params, robin)
-    K_ref, diag_ref = ref.unit_diffusion(grid, params, robin)
-    ref.assert_same_csr(K, K_ref)
-    ref.assert_bitwise(diag, diag_ref)
+    d = _unit_diagonal(grid, params, robin)
+    n = grid.nx * grid.ny
+    for dt in (1e-3, 0.0137):
+        A, M = _diffusion_step(grid, params, d, dt)
+        A_ref = ref.diffusion_step_matrix(grid, params, robin, dt)
+        if n < 1000:
+            # entry by entry: the kernel's product with each unit vector is
+            # the reference's column, structural zeros included
+            columns = np.stack([A @ e for e in np.eye(n)], axis=1)
+            ref.assert_bitwise(columns, A_ref.toarray())
+        for x in rng.standard_normal((3, n)):
+            ref.assert_bitwise(A @ x, A_ref @ x)
+        ref.assert_bitwise(M(np.ones(n)), 1.0 / A_ref.diagonal())
 
 
 def test_continuity_cfl_guard(grid24, domain, params):

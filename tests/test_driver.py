@@ -118,7 +118,7 @@ def test_default_run_outputs(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["steps"] == rep.steps
     assert report["aggregates"]["max_mass_residual"] <= 1e-10
-    assert "error" not in report
+    assert "error" not in report and "stopped_by" not in report
     versions = report["versions"]
     assert versions["python"] == platform.python_version()
     assert versions["numpy"] == np.__version__
@@ -136,20 +136,11 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     assert (target / "diagnostics.csv").exists()
 
 
-def test_early_stop_semantics():
-    cfg = default_config(nx=64, ny=64, h=0.08, r=0.04, radius=0.12,
-                         x0=0.72, y0=0.5, u0="stream", n=1e3, speed=0.4,
-                         t_end=1.5)
-    rep = run(cfg, outdir=False)
-    assert rep.stopped_early
-    assert rep.final_t < 1.5
-    # the violating margin belongs to the would-be next step
-    assert rep.violation_margin < 0
-    assert rep.violation_t > rep.final_t
-    # every accepted row respects the guard
-    assert all(r[8] >= 0 for r in rep.body_rows)
-    # a Stepper takes the same steps, and the step the guard rejects leaves
-    # its state as it was
+def _step_until_rejected(cfg):
+    """A Stepper of cfg stepped until a check rejects a step: the stepper,
+    the rejected step's record, the accepted steps' diagnostics.csv and
+    body.csv lines, and their sum of mollified_max^2 dt.  Asserts that the
+    rejected step left the stepper's state as it was."""
     s, _ = driver.start(cfg)
     lines, c2 = [], 0.0
     while True:
@@ -167,14 +158,69 @@ def test_early_stop_semantics():
     assert all(a is b for a, b in
                zip(kept, (s.t, s.steps, s.rho, s.vel, s.body, s.chi,
                           s.E_prev, s.c2_sum)))
-    # c_run integrates the body transport of the accepted steps alone
-    assert rep.c_run == float(np.sqrt(c2))
     assert (np.array_equal(s.rho, rho) and np.array_equal(s.vel.u, u)
             and np.array_equal(s.vel.v, v))
+    return s, rec, lines, c2
+
+
+def _criterion_7_config(**kw):
+    return default_config(h=0.08, radius=0.12, x0=0.72, y0=0.5,
+                          u0="stream", n=1e3, speed=0.4, t_end=1.5, **kw)
+
+
+def test_early_stop_semantics():
+    cfg = _criterion_7_config(nx=64, ny=64, r=0.04)
+    rep = run(cfg, outdir=False)
+    assert rep.stopped_early and rep.stopped_by == "collision guard"
+    assert rep.final_t < 1.5
+    # the violating margin belongs to the would-be next step
+    assert rep.violation_margin < 0
+    assert rep.violation_t > rep.final_t
+    # every accepted row respects the guard
+    assert all(r[8] >= 0 for r in rep.body_rows)
+    # a Stepper takes the same steps, and the step the guard rejects leaves
+    # its state as it was
+    s, rec, lines, c2 = _step_until_rejected(cfg)
+    assert rec.rejected_by == "collision guard"
+    # c_run integrates the body transport of the accepted steps alone
+    assert rep.c_run == float(np.sqrt(c2))
     assert lines == [(driver._csv_line(r.csv_values()), driver._csv_line(b))
                      for r, b in zip(rep.rows, rep.body_rows)]
     assert s.t == rep.final_t and s.steps == rep.steps == len(lines)
     assert (rec.t, rec.margin) == (rep.violation_t, rep.violation_margin)
+
+
+@pytest.mark.parametrize("n, check", [(44, "probe ring"), (48, "probe ring"),
+                                      (52, "collision guard")])
+def test_probe_ring_stops_the_run_as_the_guard_does(tmp_path, capsys, n,
+                                                   check):
+    # the ring sits 2 cells outside the body and must keep 2 cells from the
+    # walls, so with 4 dx > h it reaches the wall collar while the guard
+    # still accepts: at 44^2 and 48^2, not at 52^2
+    cfg = _criterion_7_config(nx=n, ny=n, r=0.05)
+    rep = run(cfg, outdir=str(tmp_path / "run"))
+    assert rep.stopped_early and rep.stopped_by == check
+    assert rep.violation_t > rep.final_t
+    assert (rep.violation_margin < 0) == (check == "collision guard")
+    report = (tmp_path / "run" / "report.json").read_text()
+    assert json.loads(report)["stopped_by"] == check
+    assert json.loads(report)["steps"] == rep.steps
+    assert "error" not in json.loads(report)
+    # the CLI names the check
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"[domain]\nh = 0.08\n[grid]\nnx = {n}\nny = {n}\n"
+        "[params]\nr = 0.05\nn = 1e3\n[boundary]\nspeed = 0.4\n"
+        "[initial]\nu0 = stream\n"
+        "[body]\nx0 = 0.72\ny0 = 0.5\nradius = 0.12\n[time]\nt_end = 1.5\n")
+    assert cli_main(["run", "--config", str(cfg_path), "--outdir",
+                     str(tmp_path / "cli")]) == 0
+    assert f"(stopped at the {check})" in capsys.readouterr().out
+    assert (tmp_path / "cli" / "report.json").read_text() == report
+    s, rec, lines, c2 = _step_until_rejected(cfg)
+    assert rec.rejected_by == check
+    assert rep.c_run == float(np.sqrt(c2))
+    assert s.t == rep.final_t and s.steps == rep.steps == len(lines)
 
 
 def test_sweep_requires_monotone_values():

@@ -825,34 +825,36 @@ def test_free_body_stepper_holds_only_what_the_run_keeps():
     def csr(m):
         return nbytes(m.data, m.indices, m.indptr)
 
-    p, pattern = s.problem, s.problem._pattern
+    p, pattern, c = s.problem, s.problem._pattern, s.problem._coupling
     assert p._multigrid is None   # 48^2 takes Jacobi: no transfers
-    K, K_diag = p.unit_diffusion
-    A, _ = p.diffusion(p._diffusion[0])
     keep = {
         "free block and gather table": csr(pattern.matrix) + nbytes(
             pattern.gather, pattern.diag, pattern.faces, pattern.pinned),
         "history": nbytes(*s.history.diffs),
-        "continuity matrices": csr(K) + nbytes(K_diag) + csr(A)
-        + nbytes(A.diagonal()),
+        "continuity's unit diagonal": nbytes(p.unit_diagonal),
+        "pinned coupling": nbytes(c.vector, c.pinned, c.values, c.cells,
+                                  c.nodes, *c.strains, *c.weights),
         # the state, and the per-run fields: boundary extension and its
-        # gradient, pinned coupling, D12 wall traces, node volumes, wall
-        # cutoff, mollifier spectrum
+        # gradient, D12 wall traces, face masks, node volumes, wall cutoff
+        # and clearance, mollifier spectrum
         "fields": nbytes(s.rho, s.vel.u, s.vel.v, s.chi, p.bc.u_ext.u,
-                         p.bc.u_ext.v, *p.ext_gradient,
-                         p._coupling.vector, p.c12, p.ops["node_vol"],
-                         p.wall_cutoff, *s.kernel.spectra.values()),
+                         p.bc.u_ext.v, *p.ext_gradient, p.c12,
+                         p.ops["boundary"], p.ops["interior"],
+                         p.ops["node_vol"], p.wall_cutoff, p.clear_of_walls,
+                         *s.kernel.spectra.values()),
     }
-    # 1.45 MB at 48^2: free block and gather table 0.70 MB, history 0.11,
-    # continuity 0.33, fields 0.32; Python objects and wall-sized arrays
-    # add about 10 kB
+    # 1.17 MB at 48^2: free block and gather table 0.70 MB, history 0.11,
+    # continuity 0.02, pinned coupling 0.05, fields 0.30; Python objects
+    # and wall-sized arrays add about 40 kB
     assert held <= sum(keep.values()) + 64 * 1024, (held, keep)
-    # no strain matrix (face vector -> cells or nodes) is held anywhere
+    # no strain matrix (face vector -> cells or nodes) and no continuity
+    # matrix (cells -> cells) is held anywhere
     g = p.grid
-    strain_shapes = {(g.nx * g.ny, pattern.pinned.size),
-                     ((g.nx + 1) * (g.ny + 1), pattern.pinned.size)}
+    shapes = {(g.nx * g.ny, pattern.pinned.size),
+              ((g.nx + 1) * (g.ny + 1), pattern.pinned.size),
+              (g.nx * g.ny, g.nx * g.ny)}
     assert not [o for o in gc.get_objects()
-                if sparse.issparse(o) and o.shape in strain_shapes]
+                if sparse.issparse(o) and o.shape in shapes]
 
 
 _DT = 2.0 ** -9   # exact in binary: six steps end at t_end exactly
